@@ -15,7 +15,15 @@ from .errors import (
     UndecidableTailError,
     UnsupportedTailError,
 )
-from .numerics import UniformGrid, bisect, fit_slope, minimize_scalar, trapezoid
+from .numerics import (
+    LatticeConvolution,
+    UniformGrid,
+    bisect,
+    fit_slope,
+    minimize_scalar,
+    trapezoid,
+    trapezoid_weights,
+)
 from .kernels import (
     Kernel,
     TailClass,

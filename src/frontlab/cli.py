@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success / all checks pass, 1 a check failed, 2 configuration
-error, 3 numerical nonconvergence.
+error, 3 numerical nonconvergence, 4 any other frontlab error (for example a
+kernel with no finite spreading speed, or a time step above the stability
+bound).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import sys
 
 from .cauchy import CauchyConfig, cauchy_simulate
 from .config import DEFAULT_CONFIG_TEXT, RunConfig, parse_config
-from .errors import ConfigError, NonconvergenceError
+from .errors import ConfigError, FrontlabError, NonconvergenceError
 from .experiments import (
     EXPERIMENT_NAMES,
     build_sim_config,
@@ -289,6 +291,9 @@ def main(argv: list[str] | None = None) -> int:
     except NonconvergenceError as exc:
         print(f"nonconvergence: {exc}", file=sys.stderr)
         return 3
+    except FrontlabError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -17,14 +17,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    FrontlabError,
-    InsufficientDataError,
-    NonconvergenceError,
-    RejectedStepError,
-)
+from .errors import FrontlabError, InsufficientDataError, RejectedStepError
 from .kernels import Kernel, TailClass, c_of_J, classify_tail, truncate
-from .numerics import fit_slope
+from .numerics import LatticeConvolution, fit_slope, trapezoid_weights
 from .reactions import Reaction, adjust_for_truncation
 from .semiwave import SemiWaveParams
 from .speed import SpeedSolution, solve_c0
@@ -36,6 +31,7 @@ __all__ = [
     "OutcomeTag",
     "OutcomeThresholds",
     "SimConfig",
+    "Snapshot",
     "stability_dt",
     "step",
     "simulate",
@@ -72,15 +68,13 @@ def _active_range(g: float, h: float, dx: float) -> tuple[int, int]:
     return j_lo, j_hi
 
 
-def _quad_weights(state: FieldState) -> np.ndarray:
+def _quad_weights(state: FieldState, x: np.ndarray) -> np.ndarray:
     """Trapezoid weights over [g, h] including the two boundary partial cells."""
-    n = state.u.size
-    x = state.positions()
-    w = np.full(n, state.dx)
-    if n == 1:
+    if x.size == 1:
         return np.array([0.5 * (state.h - state.g)])
-    w[0] = 0.5 * state.dx + 0.5 * (x[0] - state.g)
-    w[-1] = 0.5 * state.dx + 0.5 * (state.h - x[-1])
+    w = trapezoid_weights(x.size, state.dx)
+    w[0] += 0.5 * (x[0] - state.g)
+    w[-1] += 0.5 * (state.h - x[-1])
     return w
 
 
@@ -112,8 +106,13 @@ def step(
     k: Kernel,
     r: Reaction,
     v_cap: float | None = None,
+    conv: LatticeConvolution | None = None,
 ) -> FieldState:
-    """One explicit Euler step of density and boundaries."""
+    """One explicit Euler step of density and boundaries.
+
+    ``conv`` is the kernel's lattice convolution at spacing ``s.dx``; a run
+    passes one so the kernel row is sampled once, not on every step.
+    """
     bound = stability_dt(d, r, s.dx, mu, s.m0star, k, v_cap)
     if dt > bound * (1.0 + 1e-9):
         raise RejectedStepError(f"dt={dt} exceeds stability bound {bound}")
@@ -121,17 +120,18 @@ def step(
     u, dx = s.u, s.dx
     n = u.size
     x = s.positions()
-    w = _quad_weights(s)
-    wu = w * u
-
-    offsets = np.arange(-(n - 1), n) * dx
-    jrow = np.asarray(k.density(offsets), dtype=float)
-    conv = np.convolve(wu, jrow)[n - 1 : 2 * n - 1] if n > 1 else wu * jrow
+    wu = _quad_weights(s, x) * u
+    if conv is None:
+        conv = LatticeConvolution(k.density, dx, n)
+    # a free-boundary density vanishes at a finite slope at g and h, so the
+    # FFT path's absolute rounding floor never meets an exponentially small
+    # leading edge (contrast cauchy_step)
+    Ju = conv(wu)
 
     flux_h = float(np.dot(wu, np.asarray(k.tail_mass(x - s.h), dtype=float)))
     flux_g = float(np.dot(wu, np.asarray(k.tail_mass(s.g - x), dtype=float)))
 
-    u_new = u + dt * (d * conv - d * u + r.f(u))
+    u_new = u + dt * (d * Ju - d * u + r.f(u))
     clamps = int(np.count_nonzero(u_new < 0.0))
     if clamps:
         u_new = np.maximum(u_new, 0.0)
@@ -184,6 +184,8 @@ class SimConfig:
 
 @dataclass(eq=False, kw_only=True)
 class Snapshot:
+    """Density ``u`` at nodes ``x`` at time ``t``; both solvers store these."""
+
     t: float
     x: np.ndarray
     u: np.ndarray
@@ -227,6 +229,7 @@ def simulate(cfg: SimConfig) -> FrontTrajectory:
     dt = cfg.dt or stability_dt(
         cfg.d, cfg.reaction, cfg.dx, cfg.mu, state.m0star, cfg.kernel, cfg.v_cap
     )
+    conv = LatticeConvolution(cfg.kernel.density, cfg.dx, state.u.size)
     ts, gs, hs = [state.t], [state.g], [state.h]
     snapshots: list[Snapshot] = []
     if cfg.snap_dt:
@@ -237,7 +240,9 @@ def simulate(cfg: SimConfig) -> FrontTrajectory:
     t_end = cfg.t_max
     while state.t < t_end - 1e-12:
         step_dt = min(dt, t_end - state.t)
-        state = step(state, step_dt, cfg.d, cfg.mu, cfg.kernel, cfg.reaction, cfg.v_cap)
+        state = step(
+            state, step_dt, cfg.d, cfg.mu, cfg.kernel, cfg.reaction, cfg.v_cap, conv=conv
+        )
         at_end = state.t >= t_end - 1e-12
         if state.t >= next_sample - 1e-9 or at_end:
             ts.append(state.t)
@@ -410,23 +415,17 @@ def principal_eigenvalue(
     k: Kernel,
     a_const: float,
     n_cells: int = 400,
-    tol: float = 1e-12,
-    max_iters: int = 100_000,
 ) -> float:
     """Top eigenvalue of the truncated convolution operator plus a constant.
 
-    The trapezoid discretization is symmetrized by a diagonal similarity so
-    power iteration with a Rayleigh quotient converges at the squared gap
-    rate; the iteration runs on a shifted nonnegative matrix.
+    The trapezoid discretization is symmetrized by a diagonal similarity, so
+    a dense symmetric eigensolver gives its spectrum exactly.
     """
     if ell <= 0:
         raise ValueError("ell must be positive")
     n = n_cells
     x = np.linspace(-ell, ell, n + 1)
-    hx = 2.0 * ell / n
-    w = np.full(n + 1, hx)
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    w = trapezoid_weights(n + 1, 2.0 * ell / n)
     J = np.asarray(k.density(x[:, None] - x[None, :]), dtype=float)
     # exact-mass row scaling keeps the discrete operator norm below d*mass,
     # so the eigenvalue approaches its limit from below as in the continuum
@@ -436,21 +435,4 @@ def principal_eigenvalue(
     m = np.sqrt(rho * w)
     A = d * (m[:, None] * J * m[None, :])
     np.fill_diagonal(A, A.diagonal() + (a_const - d))
-    shift = d + max(0.0, -a_const)
-    np.fill_diagonal(A, A.diagonal() + shift)
-
-    v = np.ones(n + 1) / math.sqrt(n + 1.0)
-    lam_old = math.inf
-    for _ in range(max_iters):
-        Av = A @ v
-        lam = float(v @ Av)
-        nv = float(np.linalg.norm(Av))
-        if nv == 0.0:
-            raise NonconvergenceError("power iteration hit the zero vector")
-        v = Av / nv
-        if abs(lam - lam_old) <= tol * max(1.0, abs(lam)):
-            return lam - shift
-        lam_old = lam
-    raise NonconvergenceError(
-        f"power iteration stagnated short of tolerance after {max_iters} iterations"
-    )
+    return float(np.linalg.eigvalsh(A)[-1])

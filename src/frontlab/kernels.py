@@ -9,6 +9,7 @@ error budget.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -250,7 +251,10 @@ def make_power(sigma_exp: float) -> Kernel:
     )
 
 
-_COJ_CACHE: dict[tuple[int, float, float], tuple[Kernel, float]] = {}
+# weak keys, so a cached value never keeps its kernel alive
+_COJ_CACHE: weakref.WeakKeyDictionary[Kernel, dict[tuple[float, float], float]] = (
+    weakref.WeakKeyDictionary()
+)
 
 
 def c_of_J(k: Kernel, truncation_depth: float = 40.0, nodes_per_unit: float = 2000.0) -> float:
@@ -260,10 +264,10 @@ def c_of_J(k: Kernel, truncation_depth: float = 40.0, nodes_per_unit: float = 20
     the kernel supplies one.  Cached per kernel: time steppers consult this
     value inside their stability bound.
     """
-    key = (id(k), float(truncation_depth), float(nodes_per_unit))
-    hit = _COJ_CACHE.get(key)
-    if hit is not None and hit[0] is k:
-        return hit[1]
+    per_kernel = _COJ_CACHE.setdefault(k, {})
+    key = (float(truncation_depth), float(nodes_per_unit))
+    if key in per_kernel:
+        return per_kernel[key]
     cls = classify_tail(k)
     if cls is TailClass.FAT_TAIL:
         raise DivergentIntegralError(f"kernel {k.name!r} fails double-tail integrability")
@@ -284,7 +288,7 @@ def c_of_J(k: Kernel, truncation_depth: float = 40.0, nodes_per_unit: float = 20
         raise DivergentIntegralError(
             f"kernel {k.name!r} lacks a tail-integral closure beyond depth {D}"
         )
-    _COJ_CACHE[key] = (k, value)
+    per_kernel[key] = value
     return value
 
 

@@ -1,4 +1,5 @@
-"""Shared low-level numerics: quadrature, bisection, scalar minimization, regression."""
+"""Shared low-level numerics: quadrature, lattice convolution, bisection,
+scalar minimization, regression."""
 
 from __future__ import annotations
 
@@ -6,10 +7,20 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import BracketError
 
-__all__ = ["UniformGrid", "trapezoid", "bisect", "minimize_scalar", "fit_slope"]
+__all__ = [
+    "UniformGrid",
+    "trapezoid",
+    "trapezoid_weights",
+    "LatticeConvolution",
+    "FFT_MIN_NODES",
+    "bisect",
+    "minimize_scalar",
+    "fit_slope",
+]
 
 _INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -43,6 +54,71 @@ def trapezoid(values: Sequence[float] | np.ndarray, grid: UniformGrid) -> float:
     if v.ndim != 1 or v.size != grid.n_cells + 1:
         raise ValueError(f"expected {grid.n_cells + 1} node values, got shape {v.shape}")
     return float(grid.spacing * (v.sum() - 0.5 * (v[0] + v[-1])))
+
+
+def trapezoid_weights(n_nodes: int, spacing: float) -> np.ndarray:
+    """Composite trapezoid weights of ``n_nodes`` equally spaced nodes."""
+    w = np.full(n_nodes, spacing)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
+
+# Inputs shorter than this convolve directly.  Measured on a 2-core Xeon
+# (numpy 2.4, scipy 1.17): np.convolve takes 0.026 ms against 0.034-0.042 ms
+# for the cached-transform path at 200 nodes, the two meet near 280, and the
+# transform is 7x faster at 1 601 nodes and 9x at 2 559.
+FFT_MIN_NODES = 300
+
+
+class LatticeConvolution:
+    """``out[i] = sum_j wu[j] * J((i - j) * dx)`` on n consecutive lattice nodes.
+
+    The kernel row ``J(m * dx)``, ``|m| < N``, is sampled once for a capacity
+    N >= n that at least doubles whenever a longer input arrives, and its
+    real FFT of length ``L >= 2N - 1`` is kept.  Entries ``N-1 ... N-2+n`` of
+    the circular convolution of length L are then the exact linear
+    convolution, so an FFT-path call costs one forward and one inverse
+    transform of the input.
+
+    Only the density function is held, not the kernel, so a cache keyed
+    weakly on the kernel lets it and this object go together.
+    """
+
+    def __init__(self, density: Callable[[np.ndarray], np.ndarray], dx: float, capacity: int = 1):
+        self.density = density
+        self.dx = float(dx)
+        self.capacity = 0
+        self._grow(capacity)
+
+    def _grow(self, n: int) -> None:
+        N = max(n, 2 * self.capacity)
+        self.row = np.asarray(self.density(np.arange(-(N - 1), N) * self.dx), dtype=float)
+        self._size = next_fast_len(2 * N - 1, real=True)
+        self._row_hat = rfft(self.row, self._size)
+        self.capacity = N
+
+    def _fit(self, n: int) -> int:
+        if n > self.capacity:
+            self._grow(n)
+        return self.capacity
+
+    def __call__(self, wu: np.ndarray) -> np.ndarray:
+        """Convolve by the path that is faster at this input size."""
+        return self.direct(wu) if wu.size < FFT_MIN_NODES else self.fft(wu)
+
+    def direct(self, wu: np.ndarray) -> np.ndarray:
+        """Direct summation: on nonnegative input every output keeps its
+        relative accuracy, however small it is."""
+        n = wu.size
+        N = self._fit(n)
+        return np.convolve(wu, self.row[N - n : N + n - 1])[n - 1 : 2 * n - 1]
+
+    def fft(self, wu: np.ndarray) -> np.ndarray:
+        """Cached-transform path: absolute error ~1e-16 of the largest term."""
+        n = wu.size
+        N = self._fit(n)
+        return irfft(rfft(wu, self._size) * self._row_hat, self._size)[N - 1 : N - 1 + n]
 
 
 def bisect(

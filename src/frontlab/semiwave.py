@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import math
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve, lfilter
+from scipy.signal import lfilter
 
 from .errors import NonconvergenceError, NoCrossingError, UnsupportedTailError
 from .kernels import Kernel, TailClass, classify_tail
-from .numerics import UniformGrid, minimize_scalar
+from .numerics import LatticeConvolution, UniformGrid, minimize_scalar, trapezoid_weights
 from .reactions import Reaction
 
 __all__ = [
@@ -103,40 +104,40 @@ class _Workspace:
     """Per-(kernel, depth, n_cells) precomputation shared across iterations."""
 
     def __init__(self, k: Kernel, L: float, n_cells: int):
-        self.kernel = k
         self.grid = UniformGrid(-L, 0.0, n_cells)
         self.h = self.grid.spacing
         self.x = self.grid.nodes()
-        self.trap_w = np.full(n_cells + 1, self.h)
-        self.trap_w[0] *= 0.5
-        self.trap_w[-1] *= 0.5
-        offsets = np.arange(-n_cells, n_cells + 1) * self.h
-        self.jrow = np.asarray(k.density(offsets), dtype=float)
+        self.trap_w = trapezoid_weights(n_cells + 1, self.h)
+        self.lattice = LatticeConvolution(k.density, self.h, n_cells + 1)
         self.a_x = np.asarray(k.tail_mass(self.x), dtype=float)
         # plateau closure: phi = 1 on (-inf, -L) adds the tail mass beyond -L
         self.far = np.asarray(k.tail_mass(-self.x - L), dtype=float)
         # row normalization makes the inner quadrature exact on constants,
         # which keeps the discrete operator strictly below 1 at the plateau
-        row_sums = fftconvolve(self.trap_w, self.jrow)[n_cells : 2 * n_cells + 1]
+        row_sums = self.lattice(self.trap_w)
         exact = np.asarray(k.tail_mass(self.x + L), dtype=float) - self.a_x
         with np.errstate(divide="ignore", invalid="ignore"):
             self.row_scale = np.where(row_sums > 0.0, exact / row_sums, 1.0)
 
     def convolve(self, phi: np.ndarray) -> np.ndarray:
-        n = self.grid.n_cells
-        conv = fftconvolve(self.trap_w * phi, self.jrow)[n : 2 * n + 1]
-        return self.row_scale * conv
+        # a semi-wave profile vanishes at a finite slope at the front, so the
+        # FFT path's absolute rounding floor is harmless here
+        return self.row_scale * self.lattice(self.trap_w * phi)
 
 
-_WORKSPACES: dict[tuple[int, float, int], _Workspace] = {}
+# weak keys: a workspace goes when its kernel does, so long sweeps over
+# fresh kernels (truncate(), configs) keep memory bounded
+_WORKSPACES: weakref.WeakKeyDictionary[Kernel, dict[tuple[float, int], _Workspace]] = (
+    weakref.WeakKeyDictionary()
+)
 
 
 def _workspace(k: Kernel, L: float, n_cells: int) -> _Workspace:
-    key = (id(k), float(L), int(n_cells))
-    ws = _WORKSPACES.get(key)
-    if ws is None or ws.kernel is not k:
-        ws = _Workspace(k, L, n_cells)
-        _WORKSPACES[key] = ws
+    per_kernel = _WORKSPACES.setdefault(k, {})
+    key = (float(L), int(n_cells))
+    ws = per_kernel.get(key)
+    if ws is None:
+        ws = per_kernel[key] = _Workspace(k, L, n_cells)
     return ws
 
 
@@ -344,9 +345,7 @@ def half_level_shift(p: SemiWaveProfile) -> tuple[float, tuple[UniformGrid, np.n
 def front_slope(p: SemiWaveProfile, d: float, k: Kernel) -> float:
     """One-sided derivative of the profile at the front via the flux identity."""
     x = p.grid.nodes()
-    w = np.full(x.size, p.grid.spacing)
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    w = trapezoid_weights(x.size, p.grid.spacing)
     inner = float(np.dot(w, np.asarray(k.density(-x), dtype=float) * p.phi))
     far = float(k.tail_mass(np.asarray(p.grid.left)))  # mass beyond -L, phi = 1 there
     return -(d / p.c) * (inner + far)

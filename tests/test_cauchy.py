@@ -3,8 +3,11 @@ import pytest
 
 from frontlab import (
     CauchyConfig,
+    CauchyState,
     MuLimitConfig,
+    UniformGrid,
     cauchy_simulate,
+    cauchy_step,
     compare_mu_limit,
     fit_slope,
     make_laplace,
@@ -27,6 +30,33 @@ def _cfg(kernel, reaction, **kw):
     )
     defaults.update(kw)
     return CauchyConfig(**defaults)
+
+
+class TestCauchyStep:
+    def test_far_field_keeps_relative_accuracy(self, laplace, logistic):
+        """The exponentially small leading edge must survive every step.
+
+        An FFT convolution would bury the domain-end density (~1e-13 here)
+        under its ~1e-16 absolute rounding floor; the textbook direct sum
+        below is the reference.
+        """
+        grid = UniformGrid(-80.0, 80.0, 800)
+        x, h = grid.nodes(), grid.spacing
+        n, dt = x.size, 0.05
+        w = np.full(n, h)
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        jrow = laplace.density(np.arange(-(n - 1), n) * h)
+        u0 = parabola_u0(5.0)(x)
+        state = CauchyState(grid=grid, u=u0, t=0.0)
+        ref = u0.copy()
+        for _ in range(300):
+            state = cauchy_step(state, dt, 1.0, laplace, logistic)
+            Ju = np.convolve(w * ref, jrow)[n - 1 : 2 * n - 1]
+            ref = np.maximum(ref + dt * (Ju - ref + logistic.f(ref)), 0.0)
+        assert 0.0 < ref[-1] < 1e-10
+        assert state.u[-1] == pytest.approx(ref[-1], rel=1e-10)
+        assert state.u[0] == pytest.approx(ref[0], rel=1e-10)
 
 
 class TestCauchySimulate:

@@ -198,6 +198,26 @@ class TestCli:
         assert main(["--config", str(cfg), "--out", str(out), "semiwave", "--c", "1.0"]) == 3
         assert "nonconvergence" in capsys.readouterr().err
 
+    def test_no_finite_speed_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[kernel]\ntype = power\nsigma = 0.8\n[reaction]\ntype = logistic\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "speed"]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "NoFiniteSpeedError" in err
+        assert "Traceback" not in err
+
+    def test_rejected_step_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            MINIMAL + "[model]\nh0 = 2.0\n[time]\nt_max = 1.0\ndt = 0.5\n[grid]\ndx = 0.2\n"
+        )
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "RejectedStepError" in err
+        assert "Traceback" not in err
+
     def test_speed_curve_threads(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(MINIMAL + "[semiwave]\ndepth = 30.0\nn_cells = 1200\n")

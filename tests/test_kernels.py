@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from frontlab.errors import (
     NonNormalizableError,
     UndecidableTailError,
 )
+from frontlab.kernels import _COJ_CACHE
 
 ALL_BUILTINS = [
     make_laplace(),
@@ -109,6 +112,17 @@ class TestFluxConstant:
 
     def test_power2(self):
         assert c_of_J(make_power(2.0)) == pytest.approx(1.0 / math.pi, abs=1e-6)
+
+    def test_cache_entry_goes_with_its_kernel(self):
+        kernel = truncate(make_laplace(), 5.0)
+        c_of_J(kernel)
+        assert kernel in _COJ_CACHE
+        held = len(_COJ_CACHE)
+        alive = weakref.ref(kernel)
+        del kernel
+        gc.collect()
+        assert alive() is None
+        assert len(_COJ_CACHE) == held - 1
 
 
 class TestExpMoment:

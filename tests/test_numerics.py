@@ -1,8 +1,19 @@
 import numpy as np
 import pytest
 
-from frontlab import UniformGrid, bisect, fit_slope, minimize_scalar, trapezoid
+from frontlab import (
+    LatticeConvolution,
+    UniformGrid,
+    bisect,
+    fit_slope,
+    make_laplace,
+    make_power,
+    minimize_scalar,
+    trapezoid,
+    trapezoid_weights,
+)
 from frontlab.errors import BracketError
+from frontlab.numerics import FFT_MIN_NODES
 
 
 class TestUniformGrid:
@@ -47,6 +58,54 @@ class TestTrapezoid:
         g = UniformGrid(0.0, 1.0, 10)
         with pytest.raises(ValueError):
             trapezoid(np.ones(10), g)
+
+
+class TestTrapezoidWeights:
+    def test_matches_trapezoid_rule(self):
+        g = UniformGrid(-1.0, 2.0, 30)
+        v = np.cos(g.nodes())
+        w = trapezoid_weights(g.n_cells + 1, g.spacing)
+        assert float(np.dot(w, v)) == pytest.approx(trapezoid(v, g), rel=1e-14)
+
+
+def _reference_convolution(density, dx, wu):
+    """The textbook sum, with the kernel row sampled for exactly this size."""
+    n = wu.size
+    row = np.asarray(density(np.arange(-(n - 1), n) * dx), dtype=float)
+    return np.convolve(wu, row)[n - 1 : 2 * n - 1]
+
+
+_KERNELS = {"laplace": make_laplace(), "power0.8": make_power(0.8)}
+
+
+class TestLatticeConvolution:
+    @pytest.mark.parametrize("kname", sorted(_KERNELS))
+    @pytest.mark.parametrize("n", [1, 2, FFT_MIN_NODES - 1, FFT_MIN_NODES + 1, 1024, 2559])
+    def test_direct_and_fft_agree(self, kname, n):
+        density = _KERNELS[kname].density
+        wu = np.random.default_rng(n).uniform(0.0, 0.1, n)
+        conv = LatticeConvolution(density, 0.15)
+        ref = _reference_convolution(density, 0.15, wu)
+        direct, fft = conv.direct(wu), conv.fft(wu)
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(direct - ref)) <= 1e-14 * scale
+        assert np.max(np.abs(fft - direct)) <= 1e-12 * scale
+        picked = conv(wu)
+        assert np.array_equal(picked, direct if n < FFT_MIN_NODES else fft)
+
+    @pytest.mark.parametrize("kname", sorted(_KERNELS))
+    def test_capacity_regrowth(self, kname):
+        density = _KERNELS[kname].density
+        conv = LatticeConvolution(density, 0.05, 1024)
+        rng = np.random.default_rng(7)
+        for n in (1024, 1025, 2, 1500):
+            wu = rng.uniform(0.0, 0.05, n)
+            ref = _reference_convolution(density, 0.05, wu)
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(conv.direct(wu) - ref)) <= 1e-14 * scale
+            assert np.max(np.abs(conv.fft(wu) - ref)) <= 1e-12 * scale
+        # 1025 nodes outgrew 1024 and doubled it; shorter inputs reuse the row
+        assert conv.capacity == 2048
 
 
 class TestBisect:

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -14,12 +16,13 @@ from frontlab import (
     front_slope,
     half_level_shift,
     linear_determinacy_speed,
+    make_laplace,
     make_power,
     make_uniform,
     solve_semiwave,
 )
 from frontlab.errors import NoCrossingError, UnsupportedTailError
-from frontlab.semiwave import _workspace
+from frontlab.semiwave import _WORKSPACES, _workspace
 
 from .oracles import backward_ode_picard, logistic_scalar
 
@@ -92,6 +95,20 @@ class TestOperator:
             )
             # piecewise-linear product quadrature carries O(h^2) interpolation error
             assert out[j] == pytest.approx(val / c, abs=2e-5)
+
+
+class TestWorkspaceCache:
+    def test_entry_goes_with_its_kernel(self, logistic, quick_params):
+        kernel = make_laplace()
+        solve_semiwave(1.0, 1.0, kernel, logistic, quick_params)
+        assert kernel in _WORKSPACES
+        held = len(_WORKSPACES)
+        alive = weakref.ref(kernel)
+        lattice = weakref.ref(_workspace(kernel, quick_params.depth, quick_params.n_cells).lattice)
+        del kernel
+        gc.collect()
+        assert alive() is None and lattice() is None
+        assert len(_WORKSPACES) == held - 1
 
 
 class TestSolveSemiwave:
