@@ -18,7 +18,7 @@ from .errors import (
 from .numerics import (
     LatticeConvolution,
     UniformGrid,
-    bisect,
+    bracketed_root,
     fit_slope,
     minimize_scalar,
     trapezoid,

@@ -119,7 +119,6 @@ def _cmd_speed_curve(args) -> int:
         cfg.build_reaction(),
         cfg.semiwave_params(),
         cfg.get("speed", "tol"),
-        threads=max(args.threads, cfg.get("run", "threads")),
     )
     out_dir = args.out or cfg.get("run", "out")
     rows = []
@@ -247,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="path to a config file", default=None)
     parser.add_argument("--out", help="output directory (overrides config)", default=None)
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("semiwave", help="solve the semi-wave problem at one speed")

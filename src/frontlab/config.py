@@ -72,12 +72,9 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "expect": (str, "", lambda v: v in ("", "spreading", "vanishing", "undecided")),
         "radii": (str, "10,20,40,80", lambda v: True),
         "mus": (str, "1,10,100", lambda v: True),
-        "c": (float, 1.0, lambda v: v > 0),
     },
     "run": {
         "out": (str, "out", lambda v: True),
-        "seed": (int, 0, lambda v: v >= 0),
-        "threads": (int, 1, lambda v: v >= 1),
     },
 }
 

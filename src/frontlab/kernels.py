@@ -118,8 +118,8 @@ def make_laplace() -> Kernel:
 
     def a(x):
         x = np.asarray(x, dtype=float)
-        return np.where(x <= 0.0, 0.5 * np.exp(np.minimum(x, 0.0)),
-                        1.0 - 0.5 * np.exp(-np.maximum(x, 0.0)))
+        e = 0.5 * np.exp(-np.abs(x))
+        return np.where(x <= 0.0, e, 1.0 - e)
 
     def em(lam):
         return 1.0 / (1.0 - lam * lam) if abs(lam) < 1.0 else math.inf

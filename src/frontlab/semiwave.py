@@ -23,7 +23,13 @@ from scipy.signal import lfilter
 
 from .errors import NonconvergenceError, NoCrossingError, UnsupportedTailError
 from .kernels import Kernel, TailClass, classify_tail
-from .numerics import LatticeConvolution, UniformGrid, minimize_scalar, trapezoid_weights
+from .numerics import (
+    LatticeConvolution,
+    UniformGrid,
+    bracketed_root,
+    minimize_scalar,
+    trapezoid_weights,
+)
 from .reactions import Reaction
 
 __all__ = [
@@ -360,7 +366,8 @@ def estimate_cstar(
 ) -> float:
     """Threshold speed above which the semi-wave iteration loses its plateau.
 
-    Bisection on the acceptance predicate, warm-started from cached profiles.
+    Bisection on the acceptance predicate (``numerics.bracketed_root`` fed
+    -1 or +inf), warm-started from cached profiles.
     When the kernel has a finite exponential moment the linear-determinacy
     value is computed as a cross-check and a disagreement beyond 5% warns.
     """
@@ -398,13 +405,10 @@ def estimate_cstar(
         hi *= 2.0
         if hi > 1e6:
             raise NonconvergenceError("semi-wave acceptance never fails; no finite threshold")
-    while hi - lo > tol_c:
-        mid = 0.5 * (lo + hi)
-        if accepts(mid):
-            lo = mid
-        else:
-            hi = mid
-    estimate = 0.5 * (lo + hi)
+    estimate = bracketed_root(
+        lambda c: -1.0 if accepts(c) else math.inf,
+        lo, hi, ftol=0.0, xtol=tol_c, g_lo=-1.0, g_hi=math.inf,
+    )
 
     c_lin = linear_determinacy_speed(d, k, r)
     if c_lin is not None and abs(estimate - c_lin) > 0.05 * c_lin:

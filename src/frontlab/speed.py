@@ -1,10 +1,13 @@
 """Spreading speed selection: the unique root of c = mu * M(c).
 
 M(c) is the boundary flux of the semi-wave with speed c.  It is strictly
-decreasing in c, so G(c) = c - mu*M(c) is strictly increasing and bisection
-applies.  Semi-wave solves dominate the cost, so profiles are cached per
-speed and nearby evaluations warm-start from the cached profile of the
-nearest smaller speed, which stays above the target fixed point.
+decreasing in c, so G(c) = c - mu*M(c) is strictly increasing, and +inf
+past the existence threshold of the semi-wave.  A bracketed root finder
+bisects while the bracket reaches past that threshold and then converges
+superlinearly by Brent's method.  Semi-wave solves dominate the cost, so
+profiles are cached per speed and nearby evaluations warm-start from the
+cached profile of the nearest smaller speed, which stays above the target
+fixed point.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import numpy as np
 
 from .errors import NoFiniteSpeedError, NonconvergenceError
 from .kernels import Kernel, TailClass, c_of_J, classify_tail
+from .numerics import bracketed_root
 from .reactions import Reaction
 from .semiwave import NonExistence, SemiWaveParams, SemiWaveProfile, solve_semiwave
 
@@ -82,7 +86,12 @@ def solve_c0(
     params: SemiWaveParams | None = None,
     tol: float = 1e-8,
 ) -> SpeedSolution:
-    """Bisection of G(c) = c - mu*M(c) over a geometrically grown bracket."""
+    """Root of G(c) = c - mu*M(c) in a geometrically grown bracket.
+
+    ``numerics.bracketed_root`` bisects while the upper end has no semi-wave
+    (G = +inf there), then runs Brent's method on the finite bracket until
+    |G| <= tol.  The residual at the returned speed is checked against tol.
+    """
     if mu <= 0:
         raise ValueError("mu must be positive")
     if classify_tail(k) is TailClass.FAT_TAIL:
@@ -110,32 +119,24 @@ def solve_c0(
             raise NonconvergenceError("could not find a negative bracket end for G")
         g_lo = G(lo)
     hi = 2.0 * lo
+    g_hi = G(hi)
     grow = 0
-    while G(hi) < 0.0:
-        lo = hi
+    while g_hi < 0.0:
+        lo, g_lo = hi, g_hi
         hi *= 2.0
         grow += 1
         if grow > 60:
             raise NonconvergenceError("G never becomes positive; bracket search failed")
+        g_hi = G(hi)
     bracket = (lo, hi)
 
-    while hi - lo > tol * 1e-3:
-        mid = 0.5 * (lo + hi)
-        g_mid = G(mid)
-        if math.isfinite(g_mid) and abs(g_mid) <= tol:
-            lo = hi = mid
-            break
-        if g_mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    c0 = 0.5 * (lo + hi)
+    c0 = bracketed_root(G, lo, hi, ftol=tol, xtol=tol * 1e-3, g_lo=g_lo, g_hi=g_hi)
     out = cache.solve(c0)
     if isinstance(out, NonExistence):
-        raise NonconvergenceError(f"no semi-wave at the bisected speed c0={c0}")
+        raise NonconvergenceError(f"no semi-wave at the root-found speed c0={c0}")
     residual = abs(c0 - flux_M(out, k, mu))
     if residual > tol:
-        raise NonconvergenceError(f"bisection stalled with residual {residual:.3e} > {tol:.1e}")
+        raise NonconvergenceError(f"root finder stalled with residual {residual:.3e} > {tol:.1e}")
     return SpeedSolution(
         c0=c0,
         mu=mu,
@@ -160,13 +161,8 @@ def c0_curve(
     r: Reaction,
     params: SemiWaveParams | None = None,
     tol: float = 1e-8,
-    threads: int = 1,
 ) -> list[CurveEntry]:
-    """Per-mu speed solve; failures are recorded and the sweep continues.
-
-    Entries are independent, so the sweep optionally fans out over worker
-    threads; output order always follows the input order.
-    """
+    """Per-mu speed solve; failures are recorded and the sweep continues."""
     mus = [float(m) for m in mus]
     if any(m <= 0 for m in mus):
         raise ValueError("all mu values must be positive")
@@ -178,10 +174,4 @@ def c0_curve(
             return CurveEntry(mu=m, solution=solve_c0(m, d, k, r, params, tol))
         except Exception as exc:  # noqa: BLE001 - per-entry error capture is the contract
             return CurveEntry(mu=m, solution=None, error=f"{type(exc).__name__}: {exc}")
-
-    if threads > 1 and len(mus) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(solve_one, mus))
     return [solve_one(m) for m in mus]

@@ -39,6 +39,12 @@ class TestParseConfig:
             parse_config("[model]\nd = 1.0\nwibble = 3\n")
         assert any("wibble" in v for v in err.value.violations)
 
+    def test_unread_keys_removed(self):
+        # no code would read a seed, a thread count or experiment.c
+        with pytest.raises(ConfigError) as err:
+            parse_config("[run]\nseed = 0\nthreads = 2\n[experiment]\nc = 1.0\n")
+        assert len(err.value.violations) == 3
+
     def test_unknown_section(self):
         with pytest.raises(ConfigError) as err:
             parse_config("[banana]\nq = 1\n")
@@ -217,17 +223,6 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "RejectedStepError" in err
         assert "Traceback" not in err
-
-    def test_speed_curve_threads(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(MINIMAL + "[semiwave]\ndepth = 30.0\nn_cells = 1200\n")
-        out = tmp_path / "out"
-        code = main(
-            ["--config", str(cfg), "--out", str(out), "--threads", "2", "speed-curve", "--mus", "1,2"]
-        )
-        assert code == 0
-        lines = (out / "c0_curve.csv").read_text().splitlines()
-        assert len(lines) == 3
 
     def test_experiment_linear_speed_reduced(self, tmp_path):
         cfg = tmp_path / "ls.cfg"

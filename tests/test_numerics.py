@@ -4,7 +4,7 @@ import pytest
 from frontlab import (
     LatticeConvolution,
     UniformGrid,
-    bisect,
+    bracketed_root,
     fit_slope,
     make_laplace,
     make_power,
@@ -80,7 +80,9 @@ _KERNELS = {"laplace": make_laplace(), "power0.8": make_power(0.8)}
 
 class TestLatticeConvolution:
     @pytest.mark.parametrize("kname", sorted(_KERNELS))
-    @pytest.mark.parametrize("n", [1, 2, FFT_MIN_NODES - 1, FFT_MIN_NODES + 1, 1024, 2559])
+    @pytest.mark.parametrize(
+        "n", [1, 2, 299, 301, FFT_MIN_NODES - 1, FFT_MIN_NODES + 1, 1024, 2559]
+    )
     def test_direct_and_fft_agree(self, kname, n):
         density = _KERNELS[kname].density
         wu = np.random.default_rng(n).uniform(0.0, 0.1, n)
@@ -109,25 +111,92 @@ class TestLatticeConvolution:
 
 
 class TestBisect:
+    """numerics.bracketed_root: bisection while G(hi) is infinite, then Brent."""
+
     def test_affine(self):
-        assert bisect(lambda c: c - 1.0, 0.0, 2.0, 1e-10) == pytest.approx(1.0, abs=1e-9)
+        root = bracketed_root(lambda c: c - 1.0, 0.0, 2.0, 1e-10, 1e-12)
+        assert root == pytest.approx(1.0, abs=1e-9)
 
     def test_sqrt2(self):
-        root = bisect(lambda c: c * c - 2.0, 1.0, 2.0, 1e-12)
+        root = bracketed_root(lambda c: c * c - 2.0, 1.0, 2.0, 1e-12, 1e-14)
         assert root == pytest.approx(np.sqrt(2.0), abs=1e-10)
 
     def test_bad_bracket(self):
         with pytest.raises(BracketError):
-            bisect(lambda c: c + 10.0, 0.0, 1.0, 1e-8)
+            bracketed_root(lambda c: c + 10.0, 0.0, 1.0, 1e-8, 1e-11)
 
     def test_bracket_choice_insensitive(self):
-        r1 = bisect(lambda c: c**3 - 5.0, 0.0, 3.0, 1e-12)
-        r2 = bisect(lambda c: c**3 - 5.0, 1.5, 1.8, 1e-12)
+        r1 = bracketed_root(lambda c: c**3 - 5.0, 0.0, 3.0, 1e-12, 1e-14)
+        r2 = bracketed_root(lambda c: c**3 - 5.0, 1.5, 1.8, 1e-12, 1e-14)
         assert abs(r1 - r2) <= 1e-10
 
     def test_accepts_infinite_values(self):
-        G = lambda c: c - 1.0 if c < 1.5 else float("inf")
-        assert bisect(G, 0.0, 2.0, 1e-10) == pytest.approx(1.0, abs=1e-9)
+        G = lambda c: c**3 - 1.0 if c < 1.5 else float("inf")
+        assert bracketed_root(G, 0.0, 2.0, 1e-10, 1e-12) == pytest.approx(1.0, abs=1e-9)
+
+    def test_infinite_value_inside_finite_bracket(self):
+        # G is finite at both ends but not at the first point Brent probes
+        # above the root: that point becomes the upper end, and bisection
+        # resumes before Brent's method sees +inf
+        probes = []
+
+        def smooth(c):
+            probes.append(c)
+            return c**3 - 2.0
+
+        bracketed_root(smooth, 0.0, 3.0, 0.0, 1e-12)
+        first_above = next(c for c in probes[2:] if c**3 > 2.0)
+
+        def G(c):
+            if abs(c - first_above) < 1e-3:
+                return float("inf")
+            return c**3 - 2.0
+
+        root = bracketed_root(G, 0.0, 3.0, 1e-12, 1e-14)
+        assert root == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-10)
+
+    def test_stops_once_within_ftol(self):
+        probes = []
+
+        def G(c):
+            probes.append(c)
+            return np.expm1(c - 1.0)
+
+        root = bracketed_root(G, 0.0, 3.0, ftol=0.05, xtol=1e-12)
+        within = [abs(np.expm1(c - 1.0)) <= 0.05 for c in probes]
+        assert probes[-1] == root and within == [False] * (len(probes) - 1) + [True]
+
+    def test_superlinear_on_smooth_G(self):
+        # plain bisection needs log2(0.2 / 1e-11) > 34 evaluations here
+        calls = []
+
+        def G(c):
+            calls.append(c)
+            return c - 0.6 * np.exp(-c)
+
+        root = bracketed_root(G, 0.3, 0.5, ftol=0.0, xtol=1e-11)
+        assert len(calls) <= 12
+        assert abs(root - 0.6 * np.exp(-root)) <= 1e-11
+
+    def test_predicate_repeats_bisection(self):
+        threshold = 0.8947
+        probes = []
+
+        def G(c):
+            probes.append(c)
+            return -1.0 if c < threshold else float("inf")
+
+        got = bracketed_root(G, 0.5, 1.0, 0.0, 0.02, g_lo=-1.0, g_hi=float("inf"))
+        lo, hi, expected = 0.5, 1.0, []
+        while hi - lo > 0.02:
+            mid = 0.5 * (lo + hi)
+            expected.append(mid)
+            if mid < threshold:
+                lo = mid
+            else:
+                hi = mid
+        assert probes == expected
+        assert got == 0.5 * (lo + hi)
 
 
 class TestMinimizeScalar:

@@ -91,7 +91,7 @@ class TestSolveC0:
         assert np.all(np.diff(cs - Ms) > 0.0)
 
     def test_bracket_insensitive(self, laplace, logistic, quick_params):
-        from frontlab import bisect
+        from frontlab import bracketed_root
 
         tol = 1e-9
         sol = solve_c0(1.0, 1.0, laplace, logistic, quick_params, tol=tol)
@@ -105,8 +105,23 @@ class TestSolveC0:
             return cache[c]
 
         # a hand-picked bracket, different from the grown one inside solve_c0
-        other = bisect(G, 0.05, 0.45, tol)
+        other = bracketed_root(G, 0.05, 0.45, tol, tol * 1e-3)
         assert abs(other - sol.c0) <= 10.0 * tol
+
+    def test_few_semiwave_solves(self, laplace, logistic, quick_params, monkeypatch):
+        import frontlab.speed
+
+        speeds = []
+
+        def counted(c, *args, **kwargs):
+            speeds.append(c)
+            return solve_semiwave(c, *args, **kwargs)
+
+        monkeypatch.setattr(frontlab.speed, "solve_semiwave", counted)
+        sol = solve_c0(1.0, 1.0, laplace, logistic, quick_params)
+        # plain bisection to width tol*1e-3 = 1e-11 needs over 25 solves here
+        assert len(speeds) <= 12
+        assert sol.residual <= 1e-8
 
     def test_below_minimal_wave_speed(self, c0_mu1):
         assert c0_mu1.c0 < 3.0 * np.sqrt(3.0) / 2.0
