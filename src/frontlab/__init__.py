@@ -66,7 +66,6 @@ from .fbsim import (
     FrontTrajectory,
     Outcome,
     OutcomeTag,
-    OutcomeThresholds,
     SimConfig,
     classify_outcome,
     measure_speed,

@@ -44,7 +44,7 @@ class CauchyConfig:
     dt: float | None = None
     sample_dt: float = 0.5
     snap_dt: float | None = None
-    levels: tuple[float, ...] = (0.5,)
+    level: float = 0.5
     boundary_eps: float = 1e-3
 
 
@@ -67,7 +67,7 @@ class LevelSetTrack:
 
 @dataclass(eq=False, kw_only=True)
 class CauchyRun:
-    tracks: dict[float, LevelSetTrack]
+    track: LevelSetTrack
     snapshots: list[Snapshot]
     final_state: CauchyState
     domain_too_small: bool
@@ -134,7 +134,7 @@ def cauchy_simulate(cfg: CauchyConfig) -> CauchyRun:
     conv = LatticeConvolution(cfg.kernel.density, grid.spacing, x.size)
 
     ts = [0.0]
-    crossings = {lam: [_level_crossings(x, u, lam)] for lam in cfg.levels}
+    crossings = [_level_crossings(x, u, cfg.level)]
     snapshots: list[Snapshot] = []
     if cfg.snap_dt:
         snapshots.append(Snapshot(t=0.0, x=x, u=u.copy()))
@@ -150,8 +150,7 @@ def cauchy_simulate(cfg: CauchyConfig) -> CauchyRun:
         at_end = state.t >= cfg.t_max - 1e-12
         if state.t >= next_sample - 1e-9 or at_end:
             ts.append(state.t)
-            for lam in cfg.levels:
-                crossings[lam].append(_level_crossings(x, state.u, lam))
+            crossings.append(_level_crossings(x, state.u, cfg.level))
             while next_sample <= state.t + 1e-9:
                 next_sample += cfg.sample_dt
         if state.t >= next_snap - 1e-9 or (at_end and cfg.snap_dt):
@@ -159,18 +158,14 @@ def cauchy_simulate(cfg: CauchyConfig) -> CauchyRun:
             while next_snap <= state.t + 1e-9:
                 next_snap += cfg.snap_dt
 
-    ts_arr = np.asarray(ts)
-    tracks = {
-        lam: LevelSetTrack(
-            lam=lam,
-            ts=ts_arr,
-            x_minus=np.asarray([c[0] for c in crossings[lam]]),
-            x_plus=np.asarray([c[1] for c in crossings[lam]]),
-        )
-        for lam in cfg.levels
-    }
+    track = LevelSetTrack(
+        lam=cfg.level,
+        ts=np.asarray(ts),
+        x_minus=np.asarray([c[0] for c in crossings]),
+        x_plus=np.asarray([c[1] for c in crossings]),
+    )
     return CauchyRun(
-        tracks=tracks,
+        track=track,
         snapshots=snapshots,
         final_state=state,
         domain_too_small=flagged,

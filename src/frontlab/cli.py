@@ -26,7 +26,7 @@ from .experiments import (
 )
 from .fbsim import classify_outcome, measure_speed, simulate
 from .kernels import TailClass, c_of_J, classify_tail
-from .semiwave import NonExistence, linear_determinacy_speed, solve_semiwave
+from .semiwave import linear_determinacy_speed, solve_semiwave
 from .speed import c0_curve, solve_c0
 
 
@@ -44,7 +44,7 @@ def _cmd_semiwave(args) -> int:
         args.c, cfg.get("model", "d"), cfg.build_kernel(), cfg.build_reaction(), params
     )
     out_dir = args.out or cfg.get("run", "out")
-    if isinstance(out, NonExistence):
+    if not out.accepted:
         write_summary(
             os.path.join(out_dir, "summary.json"),
             {
@@ -111,7 +111,7 @@ def _cmd_speed(args) -> int:
 
 def _cmd_speed_curve(args) -> int:
     cfg = _load_config(args.config)
-    mus = [float(m) for m in args.mus.split(",")] if args.mus else cfg.mu_list()
+    mus = [float(m) for m in args.mus.split(",")] if args.mus else cfg.experiment_mus()
     entries = c0_curve(
         mus,
         cfg.get("model", "d"),
@@ -190,13 +190,12 @@ def _cmd_cauchy(args) -> int:
             dt=cfg.get("time", "dt") or None,
             sample_dt=cfg.get("time", "sample_dt"),
             snap_dt=cfg.get("time", "snap_dt") or None,
-            levels=(cfg.get("grid", "level"),),
+            level=cfg.get("grid", "level"),
             boundary_eps=cfg.get("grid", "boundary_eps"),
         )
     )
     out_dir = args.out or cfg.get("run", "out")
-    lam = cfg.get("grid", "level")
-    tr = run.tracks[lam]
+    tr = run.track
     write_csv(
         os.path.join(out_dir, "levelset.csv"),
         ["t", "x_minus", "x_plus"],
@@ -209,11 +208,11 @@ def _cmd_cauchy(args) -> int:
         {
             "domain_halfwidth": X,
             "domain_too_small": run.domain_too_small,
-            "level": lam,
+            "level": tr.lam,
             "final_x_plus": float(tr.x_plus[-1]),
         },
     )
-    print(f"level {lam} front at t={tr.ts[-1]:g}: x+ = {tr.x_plus[-1]:.6g}"
+    print(f"level {tr.lam} front at t={tr.ts[-1]:g}: x+ = {tr.x_plus[-1]:.6g}"
           + (" [domain-too-small]" if run.domain_too_small else ""))
     return 0
 

@@ -22,7 +22,7 @@ from .semiwave import SemiWaveParams
 __all__ = ["RunConfig", "parse_config", "DEFAULT_CONFIG_TEXT"]
 
 _SCHEMA: dict[str, dict[str, tuple]] = {
-    # section -> key -> (type, default, constraint, description)
+    # section -> key -> (type, default, constraint)
     "kernel": {
         "type": (str, "laplace", lambda v: v in ("laplace", "gaussian", "uniform", "power")),
         "sd": (float, 1.0, lambda v: v > 0),
@@ -65,7 +65,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "plateau_eps": (float, 1e-2, lambda v: 0 < v < 0.1),
     },
     "speed": {
-        "mu_list": (str, "1,10,100", lambda v: True),
         "tol": (float, 1e-8, lambda v: v > 0),
     },
     "experiment": {
@@ -142,9 +141,6 @@ class RunConfig:
             plateau_eps=self.get("semiwave", "plateau_eps"),
         )
 
-    def mu_list(self) -> list[float]:
-        return _parse_float_list(self.get("speed", "mu_list"))
-
     def radii(self) -> list[float]:
         return _parse_float_list(self.get("experiment", "radii"))
 
@@ -190,7 +186,7 @@ def parse_config(text: str) -> RunConfig:
             violations.append(f"line {lineno}: duplicate key {key!r} in section [{section}]")
             continue
         seen.add((section, key))
-        typ, _default, constraint = _SCHEMA[section][key][:3]
+        typ, _default, constraint = _SCHEMA[section][key]
         try:
             parsed = typ(val)
         except ValueError:
@@ -223,14 +219,6 @@ def _cross_validate(cfg: RunConfig, violations: list[str]) -> None:
             return
         if len(coeffs) < 2:
             violations.append("reaction.coeffs needs at least two coefficients")
-    for key in ("mu_list",):
-        try:
-            vals = _parse_float_list(cfg.get("speed", key))
-        except ValueError:
-            violations.append(f"speed.{key} is not a comma-separated float list")
-            continue
-        if any(v <= 0 for v in vals):
-            violations.append(f"speed.{key} entries must be positive")
     for key in ("radii", "mus"):
         try:
             vals = _parse_float_list(cfg.get("experiment", key))

@@ -29,7 +29,6 @@ __all__ = [
     "FrontTrajectory",
     "Outcome",
     "OutcomeTag",
-    "OutcomeThresholds",
     "SimConfig",
     "Snapshot",
     "stability_dt",
@@ -270,20 +269,15 @@ class OutcomeTag(Enum):
     UNDECIDED = "Undecided"
 
 
-@dataclass(frozen=True)
-class OutcomeThresholds:
-    """Finite-horizon proxies for the asymptotic dichotomy.
-
-    span_factor scales h0; the reference spreading run (mu=1, Laplace,
-    logistic) covers about 10.8 * h0 by T=200, so 20 * h0 is out of reach at
-    that horizon and 10 * h0 is used instead.
-    """
-
-    span_factor: float = 10.0
-    core_eps: float = 0.05
-    vanish_eps: float = 1e-6
-    stall_eps: float = 1e-6
-    tail_fraction: float = 0.1
+# Finite-horizon proxies for the asymptotic dichotomy.  The span threshold
+# scales h0: the reference spreading run (mu=1, Laplace, logistic) covers
+# about 10.8 * h0 by T=200, so 20 * h0 is out of reach at that horizon and
+# 10 * h0 is used instead.
+_SPAN_FACTOR = 10.0
+_CORE_EPS = 0.05
+_VANISH_EPS = 1e-6
+_STALL_EPS = 1e-6
+_TAIL_FRACTION = 0.1
 
 
 @dataclass(eq=False, kw_only=True)
@@ -292,14 +286,9 @@ class Outcome:
     evidence: dict
 
 
-def classify_outcome(
-    traj: FrontTrajectory,
-    final_state: FieldState | None = None,
-    thresholds: OutcomeThresholds | None = None,
-) -> Outcome:
+def classify_outcome(traj: FrontTrajectory) -> Outcome:
     """Spreading / Vanishing / Undecided from the final window of a run."""
-    th = thresholds or OutcomeThresholds()
-    state = final_state or traj.final_state
+    state = traj.final_state
     h0 = traj.config.h0
     span = state.h - state.g
     sup_u = float(np.max(state.u)) if state.u.size else 0.0
@@ -308,7 +297,7 @@ def classify_outcome(
     core = np.abs(x) <= h0 + 1e-12
     core_min = float(np.min(state.u[core])) if core.any() else 0.0
 
-    k_tail = max(2, int(math.ceil(th.tail_fraction * traj.ts.size)))
+    k_tail = max(2, int(math.ceil(_TAIL_FRACTION * traj.ts.size)))
     tail = slice(traj.ts.size - k_tail, traj.ts.size)
     front_rate = abs(fit_slope(traj.ts[tail], traj.hs[tail])) + abs(
         fit_slope(traj.ts[tail], traj.gs[tail])
@@ -319,11 +308,11 @@ def classify_outcome(
         "sup_u": sup_u,
         "core_min_u": core_min,
         "front_rate": front_rate,
-        "span_threshold": th.span_factor * h0,
+        "span_threshold": _SPAN_FACTOR * h0,
     }
-    if span >= th.span_factor * h0 and core_min >= 1.0 - th.core_eps:
+    if span >= _SPAN_FACTOR * h0 and core_min >= 1.0 - _CORE_EPS:
         return Outcome(tag=OutcomeTag.SPREADING, evidence=evidence)
-    if sup_u <= th.vanish_eps and front_rate <= th.stall_eps:
+    if sup_u <= _VANISH_EPS and front_rate <= _STALL_EPS:
         return Outcome(tag=OutcomeTag.VANISHING, evidence=evidence)
     return Outcome(tag=OutcomeTag.UNDECIDED, evidence=evidence)
 
@@ -376,7 +365,6 @@ def truncated_speed_sequence(
     mu: float,
     r: Reaction,
     params: SemiWaveParams | None = None,
-    ramp: float = 1.0,
     tol: float = 1e-8,
 ) -> list[TruncationEntry]:
     """Speeds of the cutoff-kernel problems, which squeeze the original run.
@@ -390,7 +378,7 @@ def truncated_speed_sequence(
         raise ValueError("radii must be strictly increasing")
     out: list[TruncationEntry] = []
     for R in radii:
-        tk = truncate(k, R, ramp)
+        tk = truncate(k, R)
         adj = adjust_for_truncation(r, tk.sigma_n)
         unit = adj.to_unit_reaction()
         sol = solve_c0(

@@ -22,6 +22,7 @@ from .errors import (
     NonNormalizableError,
     UndecidableTailError,
 )
+from .numerics import UniformGrid, trapezoid
 
 __all__ = [
     "TailClass",
@@ -252,43 +253,37 @@ def make_power(sigma_exp: float) -> Kernel:
 
 
 # weak keys, so a cached value never keeps its kernel alive
-_COJ_CACHE: weakref.WeakKeyDictionary[Kernel, dict[tuple[float, float], float]] = (
-    weakref.WeakKeyDictionary()
-)
+_COJ_CACHE: weakref.WeakKeyDictionary[Kernel, float] = weakref.WeakKeyDictionary()
+# c_of_J quadrature: depth of the truncated half-line and its cell count
+# (2000 cells per unit of depth)
+_COJ_DEPTH = 40.0
+_COJ_CELLS = 80_000
 
 
-def c_of_J(k: Kernel, truncation_depth: float = 40.0, nodes_per_unit: float = 2000.0) -> float:
+def c_of_J(k: Kernel) -> float:
     """Integral of a(x) over the left half-line, the flux constant of the kernel.
 
-    Quadrature on [-truncation_depth, 0] plus the analytic remainder whenever
-    the kernel supplies one.  Cached per kernel: time steppers consult this
+    Quadrature on [-_COJ_DEPTH, 0] plus the analytic remainder whenever the
+    kernel supplies one.  Cached per kernel: time steppers consult this
     value inside their stability bound.
     """
-    per_kernel = _COJ_CACHE.setdefault(k, {})
-    key = (float(truncation_depth), float(nodes_per_unit))
-    if key in per_kernel:
-        return per_kernel[key]
+    if k in _COJ_CACHE:
+        return _COJ_CACHE[k]
     cls = classify_tail(k)
     if cls is TailClass.FAT_TAIL:
         raise DivergentIntegralError(f"kernel {k.name!r} fails double-tail integrability")
-    D = float(truncation_depth)
-    if D <= 0:
-        raise ValueError("truncation_depth must be positive")
-    n = max(1000, int(math.ceil(nodes_per_unit * D)))
-    from .numerics import UniformGrid, trapezoid
-
-    grid = UniformGrid(-D, 0.0, n)
+    grid = UniformGrid(-_COJ_DEPTH, 0.0, _COJ_CELLS)
     body = trapezoid(k.tail_mass(grid.nodes()), grid)
     if k.tail_integral_fn is not None:
-        value = body + k.tail_integral(-D)
-    elif k.support_radius is not None and D >= k.support_radius:
+        value = body + k.tail_integral(-_COJ_DEPTH)
+    elif k.support_radius is not None and _COJ_DEPTH >= k.support_radius:
         # no analytic remainder: legitimate only once the tail has been cut off
         value = body
     else:
         raise DivergentIntegralError(
-            f"kernel {k.name!r} lacks a tail-integral closure beyond depth {D}"
+            f"kernel {k.name!r} lacks a tail-integral closure beyond depth {_COJ_DEPTH}"
         )
-    per_kernel[key] = value
+    _COJ_CACHE[k] = value
     return value
 
 
@@ -314,8 +309,6 @@ def classify_tail(k: Kernel) -> TailClass:
         lam = 2.0 ** (-i)
         if math.isfinite(exp_moment(k, lam)):
             return TailClass.THIN_TAIL
-    from .numerics import UniformGrid, trapezoid
-
     partials = []
     depths = [10.0 * 2**j for j in range(11)]
     for D in depths:
@@ -371,8 +364,6 @@ def exp_moment(k: Kernel, lam: float) -> float:
 
 
 def _quad_moment(k: Kernel, lam: float, D: float) -> float:
-    from .numerics import UniformGrid, trapezoid
-
     grid = UniformGrid(-D, D, max(2000, int(400 * D)))
     x = grid.nodes()
     return trapezoid(k.density(x) * np.exp(lam * x), grid)

@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 _INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_MAX_ITER = 500
 
 
 @dataclass(frozen=True)
@@ -208,7 +209,6 @@ def minimize_scalar(
     lo: float,
     hi: float,
     tol: float = 1e-10,
-    max_iter: int = 500,
 ) -> tuple[float, float]:
     """Golden-section minimum of a unimodal function on [lo, hi].
 
@@ -221,7 +221,7 @@ def minimize_scalar(
     x2 = a + _INV_GOLDEN * (b - a)
     g1, g2 = g(x1), g(x2)
     it = 0
-    while b - a > tol and it < max_iter:
+    while b - a > tol and it < _GOLDEN_MAX_ITER:
         if g1 <= g2:
             b, x2, g2 = x2, x1, g1
             x1 = b - _INV_GOLDEN * (b - a)

@@ -9,6 +9,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateAdjustmentError
+from .numerics import bracketed_root
 
 __all__ = [
     "Reaction",
@@ -227,12 +228,8 @@ def adjust_for_truncation(r: Reaction, sigma_n: float) -> AdjustedReaction:
         u -= step
     if lo is None:
         raise DegenerateAdjustmentError("no interior zero found for the adjusted reaction")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f_n(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14:
-            break
-    return AdjustedReaction(base=r, sigma_n=sigma_n, f_n=f_n, eta_n=0.5 * (lo + hi))
+    eta_n = bracketed_root(
+        lambda v: -1.0 if f_n(v) > 0.0 else math.inf,
+        lo, hi, ftol=0.0, xtol=1e-14, g_lo=-1.0, g_hi=math.inf,
+    )
+    return AdjustedReaction(base=r, sigma_n=sigma_n, f_n=f_n, eta_n=eta_n)

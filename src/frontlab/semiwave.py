@@ -52,6 +52,9 @@ _DEPTH_DEFAULT = {
     TailClass.HEAVY_TAIL_J1_ONLY: 400.0,
     TailClass.FAT_TAIL: 400.0,
 }
+# a converged profile is accepted when its fixed-point residual is at most
+# this multiple of tol_iter
+_RESIDUAL_FACTOR = 100.0
 
 
 @dataclass(kw_only=True)
@@ -64,7 +67,6 @@ class SemiWaveParams:
     tol_iter: float = 1e-10
     max_iters: int = 100_000
     plateau_eps: float = 1e-2
-    residual_factor: float = 100.0
 
     def __post_init__(self):
         if self.depth is not None and self.depth <= 0:
@@ -301,7 +303,7 @@ def solve_semiwave(
         )
     residual = float(np.max(np.abs(_apply(phi, c, d, r, M.M, sigma, ws) - phi)))
     plateau = float(phi[0])
-    accept = plateau >= threshold and residual <= params.residual_factor * params.tol_iter
+    accept = plateau >= threshold and residual <= _RESIDUAL_FACTOR * params.tol_iter
     if not accept:
         return NonExistence(
             c=c,
@@ -357,6 +359,30 @@ def front_slope(p: SemiWaveProfile, d: float, k: Kernel) -> float:
     return -(d / p.c) * (inner + far)
 
 
+class _ProfileCache:
+    """Warm-started semi-wave solves keyed by speed; only accepted profiles
+    are kept."""
+
+    def __init__(self, d, k, r, params):
+        self.d, self.k, self.r, self.params = d, k, r, params
+        self.profiles: dict[float, SemiWaveProfile] = {}
+
+    def solve(self, c: float) -> SemiWaveProfile | NonExistence:
+        hit = self.profiles.get(c)
+        if hit is not None:
+            return hit
+        seeds = [cc for cc in self.profiles if cc < c]
+        initial = None
+        if seeds:
+            # profiles grow as c shrinks, so a smaller-c profile (nudged up to
+            # absorb discretization slack) still dominates the fixed point
+            initial = np.minimum(self.profiles[max(seeds)].phi + 1e-3, 1.0)
+        out = solve_semiwave(c, self.d, self.k, self.r, self.params, initial=initial)
+        if out.accepted:
+            self.profiles[c] = out
+        return out
+
+
 def estimate_cstar(
     d: float,
     k: Kernel,
@@ -376,24 +402,15 @@ def estimate_cstar(
         raise UnsupportedTailError(
             f"kernel {k.name!r} has tail class {cls.value}; no finite minimal wave speed"
         )
-    params = params or SemiWaveParams()
-    cache: dict[float, SemiWaveProfile] = {}
+    cache = _ProfileCache(d, k, r, params)
 
     def accepts(c: float) -> bool:
-        seeds = [cc for cc in cache if cc < c]
-        initial = cache[max(seeds)].phi if seeds else None
-        if initial is not None:
-            initial = np.minimum(initial + 1e-3, 1.0)
         try:
-            out = solve_semiwave(c, d, k, r, params, initial=initial)
+            return cache.solve(c).accepted
         except NonconvergenceError:
             # right at the threshold the iteration may stall; for bracketing
             # purposes that point is indistinguishable from a rejection
             return False
-        if isinstance(out, SemiWaveProfile):
-            cache[c] = out
-            return True
-        return False
 
     lo, hi = 0.1, 1.0
     while not accepts(lo):

@@ -19,9 +19,9 @@ import numpy as np
 
 from .errors import NoFiniteSpeedError, NonconvergenceError
 from .kernels import Kernel, TailClass, c_of_J, classify_tail
-from .numerics import bracketed_root
+from .numerics import bracketed_root, trapezoid_weights
 from .reactions import Reaction
-from .semiwave import NonExistence, SemiWaveParams, SemiWaveProfile, solve_semiwave
+from .semiwave import SemiWaveParams, SemiWaveProfile, _ProfileCache
 
 __all__ = ["SpeedSolution", "CurveEntry", "flux_M", "solve_c0", "c0_curve"]
 
@@ -48,34 +48,9 @@ def flux_M(p: SemiWaveProfile, k: Kernel, mu: float) -> float:
     if classify_tail(k) is TailClass.FAT_TAIL:
         raise NoFiniteSpeedError(f"kernel {k.name!r} has a divergent boundary-flux integral")
     x = p.grid.nodes()
-    w = np.full(x.size, p.grid.spacing)
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    w = trapezoid_weights(x.size, p.grid.spacing)
     body = float(np.dot(w, np.asarray(k.tail_mass(x), dtype=float) * p.phi))
     return mu * (body + k.tail_integral(p.grid.left))
-
-
-class _ProfileCache:
-    """Warm-started semi-wave solves keyed by speed."""
-
-    def __init__(self, d, k, r, params):
-        self.d, self.k, self.r, self.params = d, k, r, params
-        self.profiles: dict[float, SemiWaveProfile] = {}
-
-    def solve(self, c: float) -> SemiWaveProfile | NonExistence:
-        hit = self.profiles.get(c)
-        if hit is not None:
-            return hit
-        seeds = [cc for cc in self.profiles if cc < c]
-        initial = None
-        if seeds:
-            # profiles grow as c shrinks, so a smaller-c profile (nudged up to
-            # absorb discretization slack) still dominates the fixed point
-            initial = np.minimum(self.profiles[max(seeds)].phi + 1e-3, 1.0)
-        out = solve_semiwave(c, self.d, self.k, self.r, self.params, initial=initial)
-        if isinstance(out, SemiWaveProfile):
-            self.profiles[c] = out
-        return out
 
 
 def solve_c0(
@@ -104,7 +79,7 @@ def solve_c0(
 
     def G(c: float) -> float:
         out = cache.solve(c)
-        if isinstance(out, NonExistence):
+        if not out.accepted:
             # beyond the existence threshold G has the sign of its c* limit
             return math.inf
         return c - flux_M(out, k, mu)
@@ -132,7 +107,7 @@ def solve_c0(
 
     c0 = bracketed_root(G, lo, hi, ftol=tol, xtol=tol * 1e-3, g_lo=g_lo, g_hi=g_hi)
     out = cache.solve(c0)
-    if isinstance(out, NonExistence):
+    if not out.accepted:
         raise NonconvergenceError(f"no semi-wave at the root-found speed c0={c0}")
     residual = abs(c0 - flux_M(out, k, mu))
     if residual > tol:

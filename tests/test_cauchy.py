@@ -76,7 +76,7 @@ class TestCauchySimulate:
 
     def test_level_track_monotone_on_spreading_run(self, laplace, logistic):
         run = cauchy_simulate(_cfg(laplace, logistic, t_max=15.0))
-        tr = run.tracks[0.5]
+        tr = run.track
         ok = ~np.isnan(tr.x_plus)
         assert np.all(np.diff(tr.x_plus[ok]) >= -1e-9)
         assert np.all(tr.x_minus[ok] <= tr.x_plus[ok])
@@ -98,7 +98,7 @@ class TestCauchySimulate:
         )
         run = cauchy_simulate(cfg)
         assert not run.domain_too_small
-        tr = run.tracks[0.5]
+        tr = run.track
         n2 = tr.ts.size // 2
         slope = fit_slope(tr.ts[n2:], tr.x_plus[n2:])
         cstar = 3.0 * np.sqrt(3.0) / 2.0
@@ -117,7 +117,7 @@ class TestCauchySimulate:
             boundary_eps=0.05,
         )
         run = cauchy_simulate(cfg)
-        tr = run.tracks[0.5]
+        tr = run.track
         t_end = tr.ts[-1]
         slopes = []
         for m in range(4, 0, -1):

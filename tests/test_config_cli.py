@@ -1,11 +1,15 @@
 import json
 import os
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
+import frontlab
 from frontlab import parse_config
 from frontlab.cli import main
+from frontlab.config import _SCHEMA
 from frontlab.errors import ConfigError
 
 MINIMAL = """\
@@ -44,6 +48,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config("[run]\nseed = 0\nthreads = 2\n[experiment]\nc = 1.0\n")
         assert len(err.value.violations) == 3
+
+    def test_speed_mu_list_removed(self):
+        # experiment.mus is the one mu list; speed-curve falls back to it
+        with pytest.raises(ConfigError) as err:
+            parse_config("[speed]\nmu_list = 1,10,100\n")
+        assert any("mu_list" in v for v in err.value.violations)
+
+    def test_every_schema_key_is_read(self):
+        src = "".join(p.read_text() for p in pathlib.Path(frontlab.__file__).parent.glob("*.py"))
+        unread = [
+            (section, key)
+            for section, keys in _SCHEMA.items()
+            for key in keys
+            if not re.search(rf'get\(\s*"{section}",\s*"{key}"\s*\)', src)
+        ]
+        assert unread == []
 
     def test_unknown_section(self):
         with pytest.raises(ConfigError) as err:
@@ -144,6 +164,16 @@ class TestCli:
         lines = (out / "c0_curve.csv").read_text().splitlines()
         assert lines[0] == "mu,c0,residual"
         assert len(lines) == 3
+
+    def test_speed_curve_defaults_to_experiment_mus(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            MINIMAL + "[semiwave]\ndepth = 30.0\nn_cells = 1200\n[experiment]\nmus = 1,2\n"
+        )
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "speed-curve"]) == 0
+        rows = (out / "c0_curve.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == [1.0, 2.0]
 
     def test_simulate_and_rerun_byte_identical(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -71,6 +71,12 @@ class TestAdjustForTruncation:
         adj = adjust_for_truncation(logistic, sigma)
         assert adj.eta_n == pytest.approx(sigma, abs=1e-10)
 
+    @pytest.mark.parametrize("sigma", [0.5, 0.9])
+    def test_cubic_eta_closed_form(self, sigma):
+        # u - u^3 - (1-sigma) u = u (sigma - u^2) vanishes at sqrt(sigma)
+        adj = adjust_for_truncation(make_polynomial([0.0, 1.0, 0.0, -1.0]), sigma)
+        assert abs(adj.eta_n - np.sqrt(sigma)) <= 1e-14
+
     def test_eta_increases_with_sigma(self, logistic):
         etas = [adjust_for_truncation(logistic, s).eta_n for s in (0.7, 0.8, 0.9, 0.999)]
         assert all(b > a for a, b in zip(etas, etas[1:]))

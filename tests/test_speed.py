@@ -109,7 +109,7 @@ class TestSolveC0:
         assert abs(other - sol.c0) <= 10.0 * tol
 
     def test_few_semiwave_solves(self, laplace, logistic, quick_params, monkeypatch):
-        import frontlab.speed
+        import frontlab.semiwave
 
         speeds = []
 
@@ -117,7 +117,7 @@ class TestSolveC0:
             speeds.append(c)
             return solve_semiwave(c, *args, **kwargs)
 
-        monkeypatch.setattr(frontlab.speed, "solve_semiwave", counted)
+        monkeypatch.setattr(frontlab.semiwave, "solve_semiwave", counted)
         sol = solve_c0(1.0, 1.0, laplace, logistic, quick_params)
         # plain bisection to width tol*1e-3 = 1e-11 needs over 25 solves here
         assert len(speeds) <= 12
