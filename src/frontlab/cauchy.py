@@ -89,11 +89,12 @@ def cauchy_step(
     """
     n = s.u.size
     if conv is None:
-        conv = LatticeConvolution(k.density, s.grid.spacing, n)
-    # Always the direct path: a whole-line density is exponentially small
-    # toward the domain ends, and the FFT path's absolute rounding floor
-    # (~1e-16 of the peak) would replace those values with noise that KPP
-    # growth amplifies to O(1) within tens of time units.
+        conv = LatticeConvolution(k.density, s.grid.spacing, n, k.exp_rate)
+    # Always the relative-accuracy path (the recursion for an exponential
+    # kernel, the direct sum otherwise): a whole-line density is
+    # exponentially small toward the domain ends, and the FFT path's absolute
+    # rounding floor (~1e-16 of the peak) would replace those values with
+    # noise that KPP growth amplifies to O(1) within tens of time units.
     Ju = conv.direct(trapezoid_weights(n, s.grid.spacing) * s.u)
     u_new = np.maximum(s.u + dt * (d * (Ju - s.u) + r.f(s.u)), 0.0)
     return CauchyState(grid=s.grid, u=u_new, t=s.t + dt)
@@ -131,7 +132,7 @@ def cauchy_simulate(cfg: CauchyConfig) -> CauchyRun:
     state = CauchyState(grid=grid, u=u, t=0.0)
     dt = cfg.dt or stability_dt(cfg.d, cfg.reaction, cfg.dx, 0.0, 1.0, v_cap=0.0)
 
-    conv = LatticeConvolution(cfg.kernel.density, grid.spacing, x.size)
+    conv = LatticeConvolution(cfg.kernel.density, grid.spacing, x.size, cfg.kernel.exp_rate)
 
     ts = [0.0]
     crossings = [_level_crossings(x, u, cfg.level)]

@@ -121,7 +121,7 @@ def step(
     x = s.positions()
     wu = _quad_weights(s, x) * u
     if conv is None:
-        conv = LatticeConvolution(k.density, dx, n)
+        conv = LatticeConvolution(k.density, dx, n, k.exp_rate)
     # a free-boundary density vanishes at a finite slope at g and h, so the
     # FFT path's absolute rounding floor never meets an exponentially small
     # leading edge (contrast cauchy_step)
@@ -228,7 +228,7 @@ def simulate(cfg: SimConfig) -> FrontTrajectory:
     dt = cfg.dt or stability_dt(
         cfg.d, cfg.reaction, cfg.dx, cfg.mu, state.m0star, cfg.kernel, cfg.v_cap
     )
-    conv = LatticeConvolution(cfg.kernel.density, cfg.dx, state.u.size)
+    conv = LatticeConvolution(cfg.kernel.density, cfg.dx, state.u.size, cfg.kernel.exp_rate)
     ts, gs, hs = [state.t], [state.g], [state.h]
     snapshots: list[Snapshot] = []
     if cfg.snap_dt:

@@ -57,6 +57,9 @@ class Kernel:
     is the once-more integrated tail, integral of a over (-inf, x0], defined
     whenever the kernel satisfies the double-tail integrability condition.
     exp_moment_fn(lam) returns the one-sided exponential moment or +inf.
+    exp_rate is set only where J(x) = J(0) * exp(-exp_rate * |x|) holds
+    exactly, since the lattice convolution then sums its row as a
+    recursion; a cut-off or rescaled copy is a new Kernel without it.
 
     Kernels without an analytic tail_mass (density-only user kernels) must
     pass through truncate() before any solver touches them; the tails feed
@@ -73,6 +76,7 @@ class Kernel:
     exp_moment_fn: Callable[[float], float] | None = None
     lambda_sup: float = 0.0
     tail_integral_fn: Callable[[float], float] | None = None
+    exp_rate: float | None = None
     params: dict = field(default_factory=dict)
 
     def tail_integral(self, x0: float) -> float:
@@ -133,6 +137,7 @@ def make_laplace() -> Kernel:
         exp_moment_fn=em,
         lambda_sup=1.0,
         tail_integral_fn=_laplace_tail_int,
+        exp_rate=1.0,
     )
 
 

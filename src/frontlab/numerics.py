@@ -10,6 +10,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.optimize import brentq
+from scipy.signal import lfilter
 
 from .errors import BracketError, NonconvergenceError
 
@@ -72,7 +73,10 @@ def trapezoid_weights(n_nodes: int, spacing: float) -> np.ndarray:
 # takes 0.027-0.033 ms against 0.043-0.045 ms for the cached-transform path
 # with the row sampled for exactly n nodes; the two meet near 500 (0.049 ms
 # each), and near 650 when the row was sampled for 2n nodes, as it can be
-# after a doubling; the transform is 3.5x faster at 1 601 nodes.
+# after a doubling; the transform is 3.5x faster at 1 601 nodes.  The
+# recursion of an exponential kernel (two lfilter calls, ~10 us each) meets
+# np.convolve between 300 and 400 nodes and takes 0.027 against 0.041 ms at
+# 500, so it takes over at the same size.
 FFT_MIN_NODES = 500
 
 
@@ -86,21 +90,40 @@ class LatticeConvolution:
     convolution, so an FFT-path call costs one forward and one inverse
     transform of the input.
 
+    ``exp_rate`` marks an exactly exponential kernel, ``J(x) = J(0) *
+    exp(-exp_rate * |x|)``.  Its row is geometric, ``J(m * dx) = J(0) * r**|m|``
+    with ``r = exp(-exp_rate * dx)``, so from ``FFT_MIN_NODES`` nodes on both
+    ``__call__`` and ``direct`` sum it as two first-order recursions, one
+    in each direction, over nonnegative terms: O(n), and every output keeps
+    its relative accuracy like the direct sum.  Such a convolution never
+    takes the FFT path, so the row's transform is not kept.
+
     Only the density function is held, not the kernel, so a cache keyed
     weakly on the kernel lets it and this object go together.
     """
 
-    def __init__(self, density: Callable[[np.ndarray], np.ndarray], dx: float, capacity: int = 1):
+    def __init__(
+        self,
+        density: Callable[[np.ndarray], np.ndarray],
+        dx: float,
+        capacity: int = 1,
+        exp_rate: float | None = None,
+    ):
         self.density = density
         self.dx = float(dx)
+        self.exp_rate = exp_rate
         self.capacity = 0
         self._grow(capacity)
+        if exp_rate is not None:
+            self._r = math.exp(-exp_rate * self.dx)
+            self._amp = self.row[self.capacity - 1]
 
     def _grow(self, n: int) -> None:
         N = max(n, 2 * self.capacity)
         self.row = np.asarray(self.density(np.arange(-(N - 1), N) * self.dx), dtype=float)
-        self._size = next_fast_len(2 * N - 1, real=True)
-        self._row_hat = rfft(self.row, self._size)
+        if self.exp_rate is None:
+            self._size = next_fast_len(2 * N - 1, real=True)
+            self._row_hat = rfft(self.row, self._size)
         self.capacity = N
 
     def _fit(self, n: int) -> int:
@@ -109,18 +132,28 @@ class LatticeConvolution:
         return self.capacity
 
     def __call__(self, wu: np.ndarray) -> np.ndarray:
-        """Convolve by the path that is faster at this input size."""
-        return self.direct(wu) if wu.size < FFT_MIN_NODES else self.fft(wu)
+        """Convolve by the path that is faster for this kernel and input size."""
+        if wu.size < FFT_MIN_NODES or self.exp_rate is not None:
+            return self.direct(wu)
+        return self.fft(wu)
 
     def direct(self, wu: np.ndarray) -> np.ndarray:
-        """Direct summation: on nonnegative input every output keeps its
-        relative accuracy, however small it is."""
+        """Direct summation, or the recursion of an exponential kernel: on
+        nonnegative input every output keeps its relative accuracy, however
+        small it is."""
         n = wu.size
+        if self.exp_rate is not None and n >= FFT_MIN_NODES:
+            r = self._r
+            left = lfilter([1.0], [1.0, -r], wu)
+            right = lfilter([0.0, r], [1.0, -r], wu[::-1])[::-1]
+            return self._amp * (left + right)
         N = self._fit(n)
         return np.convolve(self.row[N - n : N + n - 1], wu, mode="valid")
 
     def fft(self, wu: np.ndarray) -> np.ndarray:
-        """Cached-transform path: absolute error ~1e-16 of the largest term."""
+        """Cached-transform path: absolute error ~1e-16 of the largest term.
+        Unavailable when ``exp_rate`` is set: that row's transform is never
+        computed."""
         n = wu.size
         N = self._fit(n)
         return irfft(rfft(wu, self._size) * self._row_hat, self._size)[N - 1 : N - 1 + n]

@@ -116,7 +116,7 @@ class _Workspace:
         self.h = self.grid.spacing
         self.x = self.grid.nodes()
         self.trap_w = trapezoid_weights(n_cells + 1, self.h)
-        self.lattice = LatticeConvolution(k.density, self.h, n_cells + 1)
+        self.lattice = LatticeConvolution(k.density, self.h, n_cells + 1, k.exp_rate)
         self.a_x = np.asarray(k.tail_mass(self.x), dtype=float)
         # plateau closure: phi = 1 on (-inf, -L) adds the tail mass beyond -L
         self.far = np.asarray(k.tail_mass(-self.x - L), dtype=float)

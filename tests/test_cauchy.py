@@ -37,8 +37,9 @@ class TestCauchyStep:
         """The exponentially small leading edge must survive every step.
 
         An FFT convolution would bury the domain-end density (~1e-13 here)
-        under its ~1e-16 absolute rounding floor; the textbook direct sum
-        below is the reference.
+        under its ~1e-16 absolute rounding floor.  At 801 nodes, above
+        FFT_MIN_NODES, the Laplace kernel's convolution runs as its O(n)
+        recursion; the textbook direct sum below is the reference.
         """
         grid = UniformGrid(-80.0, 80.0, 800)
         x, h = grid.nodes(), grid.spacing

@@ -227,3 +227,26 @@ class TestCustomKernel:
         lap = make_laplace()
         k = make_custom("wrapped", lap.density, lap.tail_mass)
         assert classify_tail(k) is TailClass.THIN_TAIL
+
+
+class TestExpRate:
+    """exp_rate selects the recursion in LatticeConvolution, so a wrong value
+    would silently give the wrong operator: only make_laplace sets it."""
+
+    def test_laplace_is_exponential(self):
+        assert make_laplace().exp_rate == 1.0
+
+    @pytest.mark.parametrize(
+        "k",
+        [
+            make_gaussian(1.0),
+            make_uniform(1.0),
+            make_power(2.0),
+            make_custom("user", make_laplace().density, make_laplace().tail_mass),
+            truncate(make_laplace(), 10.0),
+            truncate(make_laplace(), 10.0).normalized(),
+        ],
+        ids=lambda k: k.name,
+    )
+    def test_others_are_not(self, k):
+        assert k.exp_rate is None

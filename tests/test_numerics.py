@@ -1,5 +1,10 @@
+import pathlib
+import re
+
 import numpy as np
 import pytest
+
+import frontlab
 
 from frontlab import (
     LatticeConvolution,
@@ -108,6 +113,38 @@ class TestLatticeConvolution:
             assert np.max(np.abs(conv.fft(wu) - ref)) <= 1e-12 * scale
         # 1025 nodes outgrew 1024 and doubled it; shorter inputs reuse the row
         assert conv.capacity == 2048
+
+    @pytest.mark.parametrize("n", [FFT_MIN_NODES, FFT_MIN_NODES + 1, 1601, 2559])
+    def test_exponential_recursion_keeps_relative_accuracy(self, n):
+        """The Laplace row is geometric; from FFT_MIN_NODES on it is summed
+        as two recursions, and every output, down to the ~1e-100 ends, stays
+        within 1e-12 relative of the textbook sum."""
+        k = make_laplace()
+        dx = 0.05
+        x = (np.arange(n) - 0.5 * (n - 1)) * dx
+        wu = np.exp(-3.0 * np.abs(x)) * dx
+        conv = LatticeConvolution(k.density, dx, exp_rate=k.exp_rate)
+        ref = _reference_convolution(k.density, dx, wu)
+        out = conv(wu)
+        assert np.max(np.abs(out / ref - 1.0)) <= 1e-12
+        assert np.array_equal(out, conv.direct(wu))
+
+    def test_exponential_regrowth_across_crossover(self):
+        k = make_laplace()
+        conv = LatticeConvolution(k.density, 0.05, 400, k.exp_rate)
+        rng = np.random.default_rng(11)
+        for n in (400, 1601, 2):
+            wu = rng.uniform(0.0, 0.05, n)
+            ref = _reference_convolution(k.density, 0.05, wu)
+            out = conv(wu)
+            assert np.max(np.abs(out / ref - 1.0)) <= 1e-12
+            assert np.array_equal(out, conv.direct(wu))
+
+    def test_every_solver_passes_exp_rate(self):
+        """A solver that left exp_rate out would quietly lose the recursion."""
+        src = "".join(p.read_text() for p in pathlib.Path(frontlab.__file__).parent.glob("*.py"))
+        calls = re.findall(r"LatticeConvolution\(([^)]*)\)", src)
+        assert calls and all(re.search(r"\.exp_rate\s*$", args) for args in calls)
 
 
 class TestBisect:

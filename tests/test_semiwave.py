@@ -102,6 +102,9 @@ class TestWorkspaceCache:
         kernel = make_laplace()
         solve_semiwave(1.0, 1.0, kernel, logistic, quick_params)
         assert kernel in _WORKSPACES
+        # dead kernels left in reference cycles by earlier tests would leave
+        # with this collection and be counted against this one
+        gc.collect()
         held = len(_WORKSPACES)
         alive = weakref.ref(kernel)
         lattice = weakref.ref(_workspace(kernel, quick_params.depth, quick_params.n_cells).lattice)
