@@ -14,7 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .fbsim import SimConfig, Snapshot, simulate, stability_dt
+from . import fbsim
+from .fbsim import SimConfig, Snapshot, stability_dt, step
 from .kernels import Kernel
 from .numerics import LatticeConvolution, UniformGrid, trapezoid_weights
 from .reactions import Reaction
@@ -120,44 +121,38 @@ def _level_crossings(x: np.ndarray, u: np.ndarray, lam: float) -> tuple[float, f
     return x_minus, x_plus
 
 
-def cauchy_simulate(cfg: CauchyConfig) -> CauchyRun:
+def _initial_state(cfg: CauchyConfig) -> CauchyState:
     X = cfg.domain_halfwidth
-    n = max(2, int(round(2.0 * X / cfg.dx)))
-    grid = UniformGrid(-X, X, n)
+    grid = UniformGrid(-X, X, max(2, int(round(2.0 * X / cfg.dx))))
     x = grid.nodes()
     u = np.asarray(cfg.u0(x), dtype=float)
-    half = 0.5 * X
-    if np.any(u[np.abs(x) > half] > 0.0):
+    if np.any(u[np.abs(x) > 0.5 * X] > 0.0):
         raise ValueError("u0 must be compactly supported inside [-X/2, X/2]")
-    state = CauchyState(grid=grid, u=u, t=0.0)
+    return CauchyState(grid=grid, u=u, t=0.0)
+
+
+def cauchy_simulate(cfg: CauchyConfig) -> CauchyRun:
+    state = _initial_state(cfg)
+    x = state.grid.nodes()
     dt = cfg.dt or stability_dt(cfg.d, cfg.reaction, cfg.dx, 0.0, 1.0, v_cap=0.0)
+    conv = LatticeConvolution(cfg.kernel.density, state.grid.spacing, x.size, cfg.kernel.exp_rate)
 
-    conv = LatticeConvolution(cfg.kernel.density, grid.spacing, x.size, cfg.kernel.exp_rate)
-
-    ts = [0.0]
-    crossings = [_level_crossings(x, u, cfg.level)]
+    ts, crossings = [], []
     snapshots: list[Snapshot] = []
-    if cfg.snap_dt:
-        snapshots.append(Snapshot(t=0.0, x=x, u=u.copy()))
-    flagged = bool(max(u[0], u[-1]) > cfg.boundary_eps)
-    next_sample = cfg.sample_dt
-    next_snap = cfg.snap_dt if cfg.snap_dt else math.inf
-
-    while state.t < cfg.t_max - 1e-12:
-        step_dt = min(dt, cfg.t_max - state.t)
-        state = cauchy_step(state, step_dt, cfg.d, cfg.kernel, cfg.reaction, conv)
-        if max(state.u[0], state.u[-1]) > cfg.boundary_eps:
-            flagged = True
-        at_end = state.t >= cfg.t_max - 1e-12
-        if state.t >= next_sample - 1e-9 or at_end:
+    flagged = False
+    samples = fbsim._Schedule(cfg.sample_dt, cfg.t_max)
+    snaps = fbsim._Schedule(cfg.snap_dt, cfg.t_max)
+    while True:
+        flagged = flagged or bool(max(state.u[0], state.u[-1]) > cfg.boundary_eps)
+        if samples.due(state.t):
             ts.append(state.t)
             crossings.append(_level_crossings(x, state.u, cfg.level))
-            while next_sample <= state.t + 1e-9:
-                next_sample += cfg.sample_dt
-        if state.t >= next_snap - 1e-9 or (at_end and cfg.snap_dt):
+        if snaps.due(state.t):
             snapshots.append(Snapshot(t=state.t, x=x, u=state.u.copy()))
-            while next_snap <= state.t + 1e-9:
-                next_snap += cfg.snap_dt
+        if samples.ended(state.t):
+            break
+        step_dt = min(dt, cfg.t_max - state.t)
+        state = cauchy_step(state, step_dt, cfg.d, cfg.kernel, cfg.reaction, conv)
 
     track = LevelSetTrack(
         lam=cfg.level,
@@ -208,11 +203,13 @@ class MuLimitReport:
 
 
 def compare_mu_limit(mus, shared: MuLimitConfig) -> MuLimitReport:
-    """Free-boundary runs at each mu against one whole-line run.
+    """Free-boundary runs at each mu, stepped in lockstep with one whole-line run.
 
-    All runs share a single dt (the tightest of the individual stability
-    bounds): the discrete one-sided ordering between the constrained and
-    unconstrained evolutions survives only when time discretizations match.
+    Each run is compared with the whole line on the window whenever the
+    snapshot schedule fires.  All runs share a single dt (the tightest of the
+    individual stability bounds): the discrete one-sided ordering between the
+    constrained and unconstrained evolutions survives only when time
+    discretizations match.
     """
     mus = [float(m) for m in mus]
     if any(m <= 0 for m in mus):
@@ -222,79 +219,56 @@ def compare_mu_limit(mus, shared: MuLimitConfig) -> MuLimitReport:
         out = np.asarray(shared.u0(x), dtype=float)
         return np.where(np.abs(x) < shared.h0, out, 0.0)
 
-    m0star = max(
-        float(np.max(u0_compact(np.linspace(-shared.h0, shared.h0, 2001)))),
-        shared.reaction.cap_K0,
+    k, r, d, dx = shared.kernel, shared.reaction, shared.d, shared.dx
+    m0star = max(float(np.max(u0_compact(np.linspace(-shared.h0, shared.h0, 2001)))), r.cap_K0)
+    dt = min(
+        [stability_dt(d, r, dx, 0.0, 1.0, v_cap=0.0)]
+        + [stability_dt(d, r, dx, m, m0star, k) for m in mus]
     )
-    dts = [stability_dt(shared.d, shared.reaction, shared.dx, 0.0, 1.0, v_cap=0.0)]
-    for m in mus:
-        dts.append(stability_dt(shared.d, shared.reaction, shared.dx, m, m0star, shared.kernel))
-    dt = min(dts)
 
-    cauchy_cfg = CauchyConfig(
-        kernel=shared.kernel,
-        reaction=shared.reaction,
-        d=shared.d,
-        u0=u0_compact,
-        t_max=shared.t_max,
-        dx=shared.dx,
-        domain_halfwidth=shared.domain_halfwidth,
-        dt=dt,
-        sample_dt=shared.t_max,
-        snap_dt=shared.snap_dt,
-        boundary_eps=shared.boundary_eps,
+    common = dict(kernel=k, reaction=r, d=d, t_max=shared.t_max, dx=dx)
+    star = _initial_state(
+        CauchyConfig(u0=u0_compact, domain_halfwidth=shared.domain_halfwidth, **common)
     )
-    star = cauchy_simulate(cauchy_cfg)
-    star_x = star.snapshots[0].x
-    window = np.abs(star_x) <= shared.window_halfwidth + 1e-12
+    star_conv = LatticeConvolution(k.density, star.grid.spacing, star.u.size, k.exp_rate)
+    x = star.grid.nodes()
+    window = np.abs(x) <= shared.window_halfwidth + 1e-12
+    fbs = [
+        fbsim._initial_state(SimConfig(mu=m, h0=shared.h0, u0=shared.u0, **common))
+        for m in mus
+    ]
+    convs = [LatticeConvolution(k.density, dx, s.u.size, k.exp_rate) for s in fbs]
+    sup_excess = [0.0] * len(mus)
+    sup_abs = [0.0] * len(mus)
+    flagged = False
+    snaps = fbsim._Schedule(shared.snap_dt, shared.t_max)
+    while True:
+        flagged = flagged or bool(max(star.u[0], star.u[-1]) > shared.boundary_eps)
+        if snaps.due(star.t):
+            for i, s in enumerate(fbs):
+                start = int(round((s.j0 * dx - x[0]) / dx))
+                if start < 0 or start + s.u.size > x.size:
+                    raise ValueError("free-boundary window escaped the whole-line domain")
+                u_mu = np.zeros_like(x)
+                u_mu[start : start + s.u.size] = s.u
+                diff = (u_mu - star.u)[window]
+                sup_excess[i] = max(sup_excess[i], float(np.max(diff, initial=0.0)))
+                sup_abs[i] = max(sup_abs[i], float(np.max(np.abs(diff), initial=0.0)))
+        if snaps.ended(star.t):
+            break
+        step_dt = min(dt, shared.t_max - star.t)
+        star = cauchy_step(star, step_dt, d, k, r, star_conv)
+        fbs = [
+            step(s, step_dt, d, m, k, r, conv=conv) for s, m, conv in zip(fbs, mus, convs)
+        ]
 
-    entries = []
-    for m in mus:
-        fb_cfg = SimConfig(
-            kernel=shared.kernel,
-            reaction=shared.reaction,
-            d=shared.d,
-            mu=m,
-            h0=shared.h0,
-            u0=shared.u0,
-            t_max=shared.t_max,
-            dx=shared.dx,
-            dt=dt,
-            sample_dt=shared.t_max,
-            snap_dt=shared.snap_dt,
-        )
-        traj = simulate(fb_cfg)
-        if len(traj.snapshots) != len(star.snapshots):
-            raise ValueError("snapshot schedules of the two solvers diverged")
-        sup_excess = 0.0
-        sup_abs = 0.0
-        for fb_snap, st_snap in zip(traj.snapshots, star.snapshots):
-            if abs(fb_snap.t - st_snap.t) > 1e-9:
-                raise ValueError("snapshot times of the two solvers diverged")
-            u_mu = _on_lattice(fb_snap.x, fb_snap.u, star_x, shared.dx)
-            diff = (u_mu - st_snap.u)[window]
-            sup_excess = max(sup_excess, float(np.max(diff, initial=0.0)))
-            sup_abs = max(sup_abs, float(np.max(np.abs(diff), initial=0.0)))
-        entries.append(
-            MuLimitEntry(
-                mu=m, sup_excess=sup_excess, sup_abs=sup_abs, h_final=float(traj.hs[-1])
-            )
-        )
+    entries = [
+        MuLimitEntry(mu=m, sup_excess=e, sup_abs=a, h_final=float(s.h))
+        for m, e, a, s in zip(mus, sup_excess, sup_abs, fbs)
+    ]
     return MuLimitReport(
         entries=entries,
         shared_dt=dt,
-        domain_too_small=star.domain_too_small,
+        domain_too_small=flagged,
         window_halfwidth=shared.window_halfwidth,
     )
-
-
-def _on_lattice(x_sub: np.ndarray, u_sub: np.ndarray, x_full: np.ndarray, dx: float) -> np.ndarray:
-    """Embed an active-window density into the full lattice (zero outside)."""
-    out = np.zeros_like(x_full)
-    if u_sub.size == 0:
-        return out
-    start = int(round((x_sub[0] - x_full[0]) / dx))
-    if start < 0 or start + u_sub.size > x_full.size:
-        raise ValueError("free-boundary window escaped the whole-line domain")
-    out[start : start + u_sub.size] = u_sub
-    return out

@@ -222,6 +222,31 @@ def _initial_state(cfg: SimConfig) -> FieldState:
     return FieldState(t=0.0, g=-cfg.h0, h=cfg.h0, dx=cfg.dx, j0=j_lo, u=u, m0star=m0star)
 
 
+class _Schedule:
+    """Sampling times of a run: 0, every multiple of ``period``, and ``t_end``.
+
+    ``due(t)`` is asked once at every time the run reaches, in order.  A
+    multiple counts as reached within 1e-9 and the end within 1e-12, which is
+    also where ``ended`` stops the run.  Without a period (None or 0) nothing
+    is due, not even the end.
+    """
+
+    def __init__(self, period: float | None, t_end: float):
+        self.period = period
+        self.t_end = t_end
+        self.next = 0.0
+
+    def ended(self, t: float) -> bool:
+        return t >= self.t_end - 1e-12
+
+    def due(self, t: float) -> bool:
+        if not self.period or (t < self.next - 1e-9 and not self.ended(t)):
+            return False
+        while self.next <= t + 1e-9:
+            self.next += self.period
+        return True
+
+
 def simulate(cfg: SimConfig) -> FrontTrajectory:
     """Run to the horizon, sampling fronts and storing periodic snapshots."""
     state = _initial_state(cfg)
@@ -229,30 +254,23 @@ def simulate(cfg: SimConfig) -> FrontTrajectory:
         cfg.d, cfg.reaction, cfg.dx, cfg.mu, state.m0star, cfg.kernel, cfg.v_cap
     )
     conv = LatticeConvolution(cfg.kernel.density, cfg.dx, state.u.size, cfg.kernel.exp_rate)
-    ts, gs, hs = [state.t], [state.g], [state.h]
+    ts, gs, hs = [], [], []
     snapshots: list[Snapshot] = []
-    if cfg.snap_dt:
-        snapshots.append(Snapshot(t=state.t, x=state.positions(), u=state.u.copy()))
-    next_sample = cfg.sample_dt
-    next_snap = cfg.snap_dt if cfg.snap_dt else math.inf
-
-    t_end = cfg.t_max
-    while state.t < t_end - 1e-12:
-        step_dt = min(dt, t_end - state.t)
-        state = step(
-            state, step_dt, cfg.d, cfg.mu, cfg.kernel, cfg.reaction, cfg.v_cap, conv=conv
-        )
-        at_end = state.t >= t_end - 1e-12
-        if state.t >= next_sample - 1e-9 or at_end:
+    samples = _Schedule(cfg.sample_dt, cfg.t_max)
+    snaps = _Schedule(cfg.snap_dt, cfg.t_max)
+    while True:
+        if samples.due(state.t):
             ts.append(state.t)
             gs.append(state.g)
             hs.append(state.h)
-            while next_sample <= state.t + 1e-9:
-                next_sample += cfg.sample_dt
-        if state.t >= next_snap - 1e-9 or (at_end and cfg.snap_dt):
+        if snaps.due(state.t):
             snapshots.append(Snapshot(t=state.t, x=state.positions(), u=state.u.copy()))
-            while next_snap <= state.t + 1e-9:
-                next_snap += cfg.snap_dt
+        if samples.ended(state.t):
+            break
+        step_dt = min(dt, cfg.t_max - state.t)
+        state = step(
+            state, step_dt, cfg.d, cfg.mu, cfg.kernel, cfg.reaction, cfg.v_cap, conv=conv
+        )
     return FrontTrajectory(
         ts=np.asarray(ts),
         gs=np.asarray(gs),

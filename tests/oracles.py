@@ -82,3 +82,51 @@ def dense_principal_eigenvalue(ell: float, d: float, kernel, a_const: float, n_c
 def laplace_linear_speed_objective(lam: float, d: float = 1.0, df0: float = 1.0) -> float:
     """Closed-form dispersion objective for the two-sided exponential kernel."""
     return (d * (1.0 / (1.0 - lam * lam) - 1.0) + df0) / lam
+
+
+def mu_limit_by_separate_runs(mus, shared):
+    """The mu-limit comparison run the long way: one whole-line run and one
+    free-boundary run per mu, each storing its snapshots; every window is then
+    embedded in the whole line and compared at the matching snapshot.
+
+    Returns (entries as (mu, sup_excess, sup_abs, h_final) tuples, shared dt,
+    domain_too_small).
+    """
+    from frontlab import CauchyConfig, SimConfig, cauchy_simulate, simulate, stability_dt
+
+    mus = [float(m) for m in mus]
+
+    def u0_compact(x):
+        out = np.asarray(shared.u0(x), dtype=float)
+        return np.where(np.abs(x) < shared.h0, out, 0.0)
+
+    m0star = max(
+        float(np.max(u0_compact(np.linspace(-shared.h0, shared.h0, 2001)))),
+        shared.reaction.cap_K0,
+    )
+    dt = min(
+        [stability_dt(shared.d, shared.reaction, shared.dx, 0.0, 1.0, v_cap=0.0)]
+        + [stability_dt(shared.d, shared.reaction, shared.dx, m, m0star, shared.kernel) for m in mus]
+    )
+    common = dict(kernel=shared.kernel, reaction=shared.reaction, d=shared.d,
+                  t_max=shared.t_max, dx=shared.dx, dt=dt, sample_dt=shared.t_max,
+                  snap_dt=shared.snap_dt)
+    star = cauchy_simulate(CauchyConfig(u0=u0_compact, domain_halfwidth=shared.domain_halfwidth,
+                                        boundary_eps=shared.boundary_eps, **common))
+    x = star.snapshots[0].x
+    window = np.abs(x) <= shared.window_halfwidth + 1e-12
+    entries = []
+    for m in mus:
+        traj = simulate(SimConfig(mu=m, h0=shared.h0, u0=shared.u0, **common))
+        assert [s.t for s in traj.snapshots] == [s.t for s in star.snapshots]
+        sup_excess = sup_abs = 0.0
+        for fb, st in zip(traj.snapshots, star.snapshots):
+            start = int(round((fb.x[0] - x[0]) / shared.dx))
+            assert 0 <= start and start + fb.u.size <= x.size
+            u_mu = np.zeros_like(x)
+            u_mu[start : start + fb.u.size] = fb.u
+            diff = (u_mu - st.u)[window]
+            sup_excess = max(sup_excess, float(np.max(diff, initial=0.0)))
+            sup_abs = max(sup_abs, float(np.max(np.abs(diff), initial=0.0)))
+        entries.append((m, sup_excess, sup_abs, float(traj.hs[-1])))
+    return entries, dt, star.domain_too_small

@@ -14,7 +14,10 @@ from frontlab import (
     make_power,
 )
 
+from frontlab.fbsim import _Schedule
+
 from .conftest import parabola_u0
+from .oracles import mu_limit_by_separate_runs
 
 
 def _cfg(kernel, reaction, **kw):
@@ -133,11 +136,32 @@ class TestCauchySimulate:
         assert run.domain_too_small
 
 
-@pytest.fixture(scope="module")
-def mu_limit_report(laplace, logistic):
-    shared = MuLimitConfig(
-        kernel=laplace,
-        reaction=logistic,
+class TestSchedule:
+    def test_fires_at_start_multiples_and_end(self):
+        s = _Schedule(1.0, 3.5)
+        times = [0.0, 0.4, 1.0 - 5e-10, 1.5, 2.5, 2.9, 3.5]
+        assert [s.due(t) for t in times] == [True, False, True, False, True, False, True]
+
+    def test_end_within_its_tolerance(self):
+        s = _Schedule(2.0, 3.0)
+        assert [s.due(t) for t in (0.0, 2.0, 3.0 - 1e-11, 3.0 - 5e-13)] == [True, True, False, True]
+
+    def test_long_step_fires_once_and_skips_ahead(self):
+        s = _Schedule(0.5, 10.0)
+        assert s.due(0.0) and s.due(1.7)
+        assert not s.due(1.9)
+        assert s.due(2.0)
+
+    @pytest.mark.parametrize("period", [None, 0.0])
+    def test_no_period_never_fires(self, period):
+        s = _Schedule(period, 2.0)
+        assert not any(s.due(t) for t in (0.0, 1.0, 2.0))
+
+
+def _mu_shared(kernel, reaction, **kw):
+    defaults = dict(
+        kernel=kernel,
+        reaction=reaction,
         d=1.0,
         h0=5.0,
         u0=parabola_u0(5.0),
@@ -147,7 +171,13 @@ def mu_limit_report(laplace, logistic):
         window_halfwidth=10.0,
         snap_dt=1.0,
     )
-    return compare_mu_limit([1.0, 10.0, 100.0], shared)
+    defaults.update(kw)
+    return MuLimitConfig(**defaults)
+
+
+@pytest.fixture(scope="module")
+def mu_limit_report(laplace, logistic):
+    return compare_mu_limit([1.0, 10.0, 100.0], _mu_shared(laplace, logistic))
 
 
 class TestCompareMuLimit:
@@ -164,16 +194,29 @@ class TestCompareMuLimit:
         assert all(b > a for a, b in zip(hs, hs[1:]))
 
     def test_rejects_bad_mu(self, laplace, logistic):
-        shared = MuLimitConfig(
-            kernel=laplace,
-            reaction=logistic,
-            d=1.0,
-            h0=5.0,
-            u0=parabola_u0(5.0),
-            t_max=1.0,
-            dx=0.2,
-            domain_halfwidth=30.0,
-            window_halfwidth=10.0,
-        )
+        shared = _mu_shared(laplace, logistic, t_max=1.0, domain_halfwidth=30.0)
         with pytest.raises(ValueError):
             compare_mu_limit([0.0, 1.0], shared)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [{}, dict(t_max=3.7, snap_dt=1.5, dx=0.1, domain_halfwidth=30.0)],
+        ids=["fixture", "end-off-schedule"],
+    )
+    def test_lockstep_equals_separate_runs(self, laplace, logistic, kw):
+        mus = [1.0, 10.0, 100.0]
+        shared = _mu_shared(laplace, logistic, **kw)
+        report = compare_mu_limit(mus, shared)
+        entries, dt, flagged = mu_limit_by_separate_runs(mus, shared)
+        got = [(e.mu, e.sup_excess, e.sup_abs, e.h_final) for e in report.entries]
+        assert got == entries
+        assert report.shared_dt == dt
+        assert report.domain_too_small == flagged
+
+    def test_window_escaping_the_line_raises(self, laplace, logistic):
+        # the mu = 100 front passes x = 12 before t = 6
+        shared = _mu_shared(
+            laplace, logistic, t_max=6.0, domain_halfwidth=12.0, window_halfwidth=5.0
+        )
+        with pytest.raises(ValueError, match="escaped"):
+            compare_mu_limit([100.0], shared)
