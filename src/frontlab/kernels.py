@@ -9,7 +9,6 @@ error budget.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -257,39 +256,16 @@ def make_power(sigma_exp: float) -> Kernel:
     )
 
 
-# weak keys, so a cached value never keeps its kernel alive
-_COJ_CACHE: weakref.WeakKeyDictionary[Kernel, float] = weakref.WeakKeyDictionary()
-# c_of_J quadrature: depth of the truncated half-line and its cell count
-# (2000 cells per unit of depth)
-_COJ_DEPTH = 40.0
-_COJ_CELLS = 80_000
-
-
 def c_of_J(k: Kernel) -> float:
     """Integral of a(x) over the left half-line, the flux constant of the kernel.
 
-    Quadrature on [-_COJ_DEPTH, 0] plus the analytic remainder whenever the
-    kernel supplies one.  Cached per kernel: time steppers consult this
-    value inside their stability bound.
+    That is the tail integral at 0, which every kernel with a finite flux
+    constant carries: in closed form for the built-ins, tabulated once the
+    kernel has been truncated.
     """
-    if k in _COJ_CACHE:
-        return _COJ_CACHE[k]
-    cls = classify_tail(k)
-    if cls is TailClass.FAT_TAIL:
+    if classify_tail(k) is TailClass.FAT_TAIL:
         raise DivergentIntegralError(f"kernel {k.name!r} fails double-tail integrability")
-    grid = UniformGrid(-_COJ_DEPTH, 0.0, _COJ_CELLS)
-    body = trapezoid(k.tail_mass(grid.nodes()), grid)
-    if k.tail_integral_fn is not None:
-        value = body + k.tail_integral(-_COJ_DEPTH)
-    elif k.support_radius is not None and _COJ_DEPTH >= k.support_radius:
-        # no analytic remainder: legitimate only once the tail has been cut off
-        value = body
-    else:
-        raise DivergentIntegralError(
-            f"kernel {k.name!r} lacks a tail-integral closure beyond depth {_COJ_DEPTH}"
-        )
-    _COJ_CACHE[k] = value
-    return value
+    return k.tail_integral(0.0)
 
 
 def classify_tail(k: Kernel) -> TailClass:
