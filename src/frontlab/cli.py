@@ -31,15 +31,23 @@ from .speed import c0_curve, solve_c0
 
 
 def _load_config(path: str | None) -> RunConfig:
-    text = DEFAULT_CONFIG_TEXT if path is None else open(path, "r", encoding="utf-8").read()
+    if path is None:
+        return parse_config(DEFAULT_CONFIG_TEXT)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError([f"cannot read {path}: {exc.strerror or exc}"]) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}"]) from exc
     return parse_config(text)
 
 
 def _cmd_semiwave(args) -> int:
     cfg = _load_config(args.config)
-    params = cfg.semiwave_params()
     if args.sigma is not None:
-        params.sigma_homotopy = args.sigma
+        cfg.override("semiwave", "sigma", args.sigma)
+    params = cfg.semiwave_params()
     out = solve_semiwave(
         args.c, cfg.get("model", "d"), cfg.build_kernel(), cfg.build_reaction(), params
     )

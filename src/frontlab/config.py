@@ -100,6 +100,12 @@ class RunConfig:
     def get(self, section: str, key: str):
         return self.values[section][key]
 
+    def override(self, section: str, key: str, value) -> None:
+        """Replace one value (a CLI flag), held to the key's config constraint."""
+        if not _SCHEMA[section][key][2](value):
+            raise ConfigError([f"{section}.{key} violates its constraint: {value!r}"])
+        self.values[section][key] = value
+
     def build_kernel(self) -> Kernel:
         kind = self.get("kernel", "type")
         if kind == "laplace":

@@ -65,6 +65,14 @@ class TestParseConfig:
         ]
         assert unread == []
 
+    def test_readme_config_block_is_the_defaults(self):
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = parse_config(block)
+        for section, keys in _SCHEMA.items():
+            for key, (_typ, default, _constraint) in keys.items():
+                assert cfg.get(section, key) == default, f"{section}.{key}"
+
     def test_unknown_section(self):
         with pytest.raises(ConfigError) as err:
             parse_config("[banana]\nq = 1\n")
@@ -114,6 +122,24 @@ class TestCli:
         bad.write_text("[model]\nmu = -1\n")
         assert main(["--config", str(bad), "classify-kernel"]) == 2
         assert "mu" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [None, b"[model]\nd = \xff\n"], ids=["missing", "not-utf8"])
+    def test_unreadable_config_exit_code(self, tmp_path, capsys, content):
+        path = tmp_path / "nope.cfg"
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["--config", str(path), "speed"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "nope.cfg" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("sigma", ["-0.5", "1.5"])
+    def test_semiwave_sigma_flag_out_of_range(self, tmp_path, capsys, sigma):
+        out = tmp_path / "out"
+        code = main(["--out", str(out), "semiwave", "--c", "1.0", "--sigma", sigma])
+        assert code == 2
+        assert "semiwave.sigma" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_semiwave_emits_profile(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
