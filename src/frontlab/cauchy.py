@@ -123,10 +123,12 @@ def _level_crossings(x: np.ndarray, u: np.ndarray, lam: float) -> tuple[float, f
 
 def _initial_state(cfg: CauchyConfig) -> CauchyState:
     X = cfg.domain_halfwidth
-    grid = UniformGrid(-X, X, max(2, int(round(2.0 * X / cfg.dx))))
+    n = max(2, int(round(2.0 * X / cfg.dx)))
+    grid = UniformGrid(-X, X, n)
     x = grid.nodes()
     u = np.asarray(cfg.u0(x), dtype=float)
-    if np.any(u[np.abs(x) > 0.5 * X] > 0.0):
+    half = 0.5 * X
+    if np.any(u[np.abs(x) > half] > 0.0):
         raise ValueError("u0 must be compactly supported inside [-X/2, X/2]")
     return CauchyState(grid=grid, u=u, t=0.0)
 
