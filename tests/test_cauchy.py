@@ -13,7 +13,6 @@ from frontlab import (
     make_laplace,
     make_power,
 )
-
 from frontlab.fbsim import _Schedule
 
 from .conftest import parabola_u0
