@@ -20,7 +20,6 @@ from .numerics import (
     UniformGrid,
     bracketed_root,
     fit_slope,
-    minimize_scalar,
     trapezoid,
     trapezoid_weights,
 )
@@ -48,7 +47,6 @@ from .reactions import (
     validate_kpp,
 )
 from .semiwave import (
-    MConstant,
     NonExistence,
     SemiWaveParams,
     SemiWaveProfile,

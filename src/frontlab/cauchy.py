@@ -81,16 +81,14 @@ def cauchy_step(
     d: float,
     k: Kernel,
     r: Reaction,
-    conv: LatticeConvolution | None = None,
+    conv: LatticeConvolution,
 ) -> CauchyState:
     """One explicit Euler step of u_t = d(J*u - u) + f(u) on the truncated line.
 
-    ``conv`` is the kernel's lattice convolution at the grid spacing; a run
-    passes one so the kernel row is sampled once.
+    ``conv`` is the kernel's lattice convolution at the grid spacing, built
+    once per run so the kernel row is sampled once.
     """
     n = s.u.size
-    if conv is None:
-        conv = LatticeConvolution(k.density, s.grid.spacing, n, k.exp_rate)
     # Always the relative-accuracy path (the recursion for an exponential
     # kernel, the direct sum otherwise): a whole-line density is
     # exponentially small toward the domain ends, and the FFT path's absolute
@@ -137,7 +135,7 @@ def cauchy_simulate(cfg: CauchyConfig) -> CauchyRun:
     state = _initial_state(cfg)
     x = state.grid.nodes()
     dt = cfg.dt or stability_dt(cfg.d, cfg.reaction, cfg.dx, 0.0, 1.0, v_cap=0.0)
-    conv = LatticeConvolution(cfg.kernel.density, state.grid.spacing, x.size, cfg.kernel.exp_rate)
+    conv = LatticeConvolution(cfg.kernel, state.grid.spacing, x.size)
 
     ts, crossings = [], []
     snapshots: list[Snapshot] = []
@@ -232,14 +230,14 @@ def compare_mu_limit(mus, shared: MuLimitConfig) -> MuLimitReport:
     star = _initial_state(
         CauchyConfig(u0=u0_compact, domain_halfwidth=shared.domain_halfwidth, **common)
     )
-    star_conv = LatticeConvolution(k.density, star.grid.spacing, star.u.size, k.exp_rate)
+    star_conv = LatticeConvolution(k, star.grid.spacing, star.u.size)
     x = star.grid.nodes()
     window = np.abs(x) <= shared.window_halfwidth + 1e-12
     fbs = [
         fbsim._initial_state(SimConfig(mu=m, h0=shared.h0, u0=shared.u0, **common))
         for m in mus
     ]
-    convs = [LatticeConvolution(k.density, dx, s.u.size, k.exp_rate) for s in fbs]
+    convs = [LatticeConvolution(k, dx, s.u.size) for s in fbs]
     sup_excess = [0.0] * len(mus)
     sup_abs = [0.0] * len(mus)
     flagged = False

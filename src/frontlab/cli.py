@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -44,6 +45,8 @@ def _load_config(path: str | None) -> RunConfig:
 
 
 def _cmd_semiwave(args) -> int:
+    if not (math.isfinite(args.c) and args.c > 0):
+        raise ConfigError([f"--c must be finite and positive, got {args.c!r}"])
     cfg = _load_config(args.config)
     if args.sigma is not None:
         cfg.override("semiwave", "sigma", args.sigma)
@@ -88,7 +91,9 @@ def _cmd_semiwave(args) -> int:
 
 def _cmd_speed(args) -> int:
     cfg = _load_config(args.config)
-    mu = args.mu if args.mu is not None else cfg.get("model", "mu")
+    if args.mu is not None:
+        cfg.override("model", "mu", args.mu)
+    mu = cfg.get("model", "mu")
     sol = solve_c0(
         mu,
         cfg.get("model", "d"),
@@ -119,7 +124,9 @@ def _cmd_speed(args) -> int:
 
 def _cmd_speed_curve(args) -> int:
     cfg = _load_config(args.config)
-    mus = [float(m) for m in args.mus.split(",")] if args.mus else cfg.experiment_mus()
+    if args.mus:
+        cfg.override("experiment", "mus", args.mus)
+    mus = cfg.experiment_mus()
     entries = c0_curve(
         mus,
         cfg.get("model", "d"),
@@ -161,7 +168,7 @@ def _cmd_simulate(args) -> int:
         "final_g": float(traj.gs[-1]),
     }
     try:
-        meas = measure_speed(traj, 0.25)
+        meas = measure_speed(traj)
         summary["slope_h"] = meas.slope_h
         summary["slope_g"] = meas.slope_g
         summary["dyadic_slopes"] = meas.dyadic_slopes

@@ -101,10 +101,15 @@ class RunConfig:
         return self.values[section][key]
 
     def override(self, section: str, key: str, value) -> None:
-        """Replace one value (a CLI flag), held to the key's config constraint."""
-        if not _SCHEMA[section][key][2](value):
+        """Replace one value (a CLI flag), held to the checks a config file gets."""
+        typ, _default, constraint = _SCHEMA[section][key]
+        if (typ is float and not math.isfinite(value)) or not constraint(value):
             raise ConfigError([f"{section}.{key} violates its constraint: {value!r}"])
         self.values[section][key] = value
+        violations: list[str] = []
+        _cross_validate(self, violations)
+        if violations:
+            raise ConfigError(violations)
 
     def build_kernel(self) -> Kernel:
         kind = self.get("kernel", "type")
@@ -225,11 +230,14 @@ def _cross_validate(cfg: RunConfig, violations: list[str]) -> None:
             return
         if len(coeffs) < 2:
             violations.append("reaction.coeffs needs at least two coefficients")
+    # truncated_speed_sequence and c0_curve take their lists in increasing order
     for key in ("radii", "mus"):
         try:
             vals = _parse_float_list(cfg.get("experiment", key))
         except ValueError:
             violations.append(f"experiment.{key} is not a comma-separated float list")
             continue
-        if any(v <= 0 for v in vals):
-            violations.append(f"experiment.{key} entries must be positive")
+        if not vals or not all(math.isfinite(v) and v > 0 for v in vals):
+            violations.append(f"experiment.{key} needs one or more finite, positive entries")
+        elif any(b <= a for a, b in zip(vals, vals[1:])):
+            violations.append(f"experiment.{key} must be strictly increasing")

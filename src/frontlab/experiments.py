@@ -106,7 +106,7 @@ def run_linear_speed(cfg: RunConfig, out_dir: str) -> ExperimentResult:
     )
     sim = build_sim_config(cfg)
     traj = simulate(sim)
-    meas = measure_speed(traj, 0.25)
+    meas = measure_speed(traj)
     rel_err = abs(meas.slope_h - sol.c0) / sol.c0
     sym = float(np.max(np.abs(traj.gs + traj.hs)))
     checks = {
@@ -137,7 +137,7 @@ def run_accelerated(cfg: RunConfig, out_dir: str) -> ExperimentResult:
     """Accelerating regime: dyadic front slopes must keep growing."""
     sim = build_sim_config(cfg)
     traj = simulate(sim)
-    meas = measure_speed(traj, 0.25)
+    meas = measure_speed(traj)
     dy = meas.dyadic_slopes
     checks = {
         "dyadic_slopes_strictly_increasing": all(b > a for a, b in zip(dy, dy[1:])),
@@ -233,6 +233,7 @@ def run_truncation(cfg: RunConfig, out_dir: str) -> ExperimentResult:
     kernel = cfg.build_kernel()
     reaction = cfg.build_reaction()
     params = cfg.semiwave_params()
+    tol = cfg.get("speed", "tol")
     entries = truncated_speed_sequence(
         kernel,
         cfg.radii(),
@@ -240,6 +241,7 @@ def run_truncation(cfg: RunConfig, out_dir: str) -> ExperimentResult:
         cfg.get("model", "mu"),
         reaction,
         params,
+        tol,
     )
     cs = [e.c_n for e in entries]
     checks = {"c_n_nondecreasing": all(b >= a * (1.0 - 1e-6) for a, b in zip(cs, cs[1:]))}
@@ -259,7 +261,7 @@ def run_truncation(cfg: RunConfig, out_dir: str) -> ExperimentResult:
             kernel,
             reaction,
             params,
-            cfg.get("speed", "tol"),
+            tol,
         )
         rel = abs(cs[-1] - sol.c0) / sol.c0
         checks["last_radius_within_5pct_of_untruncated"] = rel <= 0.05

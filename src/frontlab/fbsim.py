@@ -105,12 +105,13 @@ def step(
     k: Kernel,
     r: Reaction,
     v_cap: float | None = None,
-    conv: LatticeConvolution | None = None,
+    *,
+    conv: LatticeConvolution,
 ) -> FieldState:
     """One explicit Euler step of density and boundaries.
 
-    ``conv`` is the kernel's lattice convolution at spacing ``s.dx``; a run
-    passes one so the kernel row is sampled once, not on every step.
+    ``conv`` is the kernel's lattice convolution at spacing ``s.dx``, built
+    once per run so the kernel row is sampled once, not on every step.
     """
     bound = stability_dt(d, r, s.dx, mu, s.m0star, k, v_cap)
     if dt > bound * (1.0 + 1e-9):
@@ -120,8 +121,6 @@ def step(
     n = u.size
     x = s.positions()
     wu = _quad_weights(s, x) * u
-    if conv is None:
-        conv = LatticeConvolution(k.density, dx, n, k.exp_rate)
     # a free-boundary density vanishes at a finite slope at g and h, so the
     # FFT path's absolute rounding floor never meets an exponentially small
     # leading edge (contrast cauchy_step)
@@ -253,7 +252,7 @@ def simulate(cfg: SimConfig) -> FrontTrajectory:
     dt = cfg.dt or stability_dt(
         cfg.d, cfg.reaction, cfg.dx, cfg.mu, state.m0star, cfg.kernel, cfg.v_cap
     )
-    conv = LatticeConvolution(cfg.kernel.density, cfg.dx, state.u.size, cfg.kernel.exp_rate)
+    conv = LatticeConvolution(cfg.kernel, cfg.dx, state.u.size)
     ts, gs, hs = [], [], []
     snapshots: list[Snapshot] = []
     samples = _Schedule(cfg.sample_dt, cfg.t_max)
@@ -342,15 +341,17 @@ class SpeedMeasurement:
     dyadic_slopes: list[float]
 
 
-def measure_speed(traj: FrontTrajectory, window_fraction: float = 0.25) -> SpeedMeasurement:
+# measure_speed fits the front slope on this final fraction of the samples
+_WINDOW_FRACTION = 0.25
+
+
+def measure_speed(traj: FrontTrajectory) -> SpeedMeasurement:
     """Front speed from the final window plus slopes over dyadic windows."""
-    if not 0.0 < window_fraction <= 1.0:
-        raise ValueError("window_fraction must lie in (0, 1]")
     ts, hs, gs = traj.ts, traj.hs, traj.gs
     n = ts.size
     if n < 4:
         raise InsufficientDataError("trajectory has too few samples")
-    k = max(2, int(math.ceil(window_fraction * n)))
+    k = max(2, int(math.ceil(_WINDOW_FRACTION * n)))
     slope_h = fit_slope(ts[n - k :], hs[n - k :])
     slope_g = fit_slope(ts[n - k :], gs[n - k :])
 
@@ -415,12 +416,15 @@ def truncated_speed_sequence(
     return out
 
 
+# principal_eigenvalue discretizes [-ell, ell] with this many cells
+_EIGEN_CELLS = 400
+
+
 def principal_eigenvalue(
     ell: float,
     d: float,
     k: Kernel,
     a_const: float,
-    n_cells: int = 400,
 ) -> float:
     """Top eigenvalue of the truncated convolution operator plus a constant.
 
@@ -429,7 +433,7 @@ def principal_eigenvalue(
     """
     if ell <= 0:
         raise ValueError("ell must be positive")
-    n = n_cells
+    n = _EIGEN_CELLS
     x = np.linspace(-ell, ell, n + 1)
     w = trapezoid_weights(n + 1, 2.0 * ell / n)
     J = np.asarray(k.density(x[:, None] - x[None, :]), dtype=float)

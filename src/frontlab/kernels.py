@@ -94,9 +94,6 @@ class Kernel:
 class TruncatedKernel(Kernel):
     """Kernel multiplied by a smooth even cutoff; carries its mass deficit."""
 
-    base: Kernel
-    cutoff_radius: float
-    ramp: float
     sigma_n: float
 
     def normalized(self) -> Kernel:
@@ -368,15 +365,19 @@ def make_custom(
     )
 
 
-def truncate(k: Kernel, R: float, ramp: float = 1.0) -> TruncatedKernel:
-    """Multiply J by a C^1 even cutoff: 1 on [-R, R], 0 beyond R + ramp."""
-    if R <= 0 or ramp <= 0:
-        raise ValueError("R and ramp must be positive")
-    S = R + ramp
+# width of the cutoff's smooth step, from 1 at R down to 0 at R + _RAMP
+_RAMP = 1.0
+
+
+def truncate(k: Kernel, R: float) -> TruncatedKernel:
+    """Multiply J by a C^1 even cutoff: 1 on [-R, R], 0 beyond R + _RAMP."""
+    if R <= 0:
+        raise ValueError("R must be positive")
+    S = R + _RAMP
     base_density = k.density
 
     def cutoff(x):
-        t = np.clip((S - np.abs(np.asarray(x, dtype=float))) / ramp, 0.0, 1.0)
+        t = np.clip((S - np.abs(np.asarray(x, dtype=float))) / _RAMP, 0.0, 1.0)
         return t * t * (3.0 - 2.0 * t)
 
     def dens(x):
@@ -385,8 +386,7 @@ def truncate(k: Kernel, R: float, ramp: float = 1.0) -> TruncatedKernel:
     # mass from the exact complement: what the cutoff removes is the analytic
     # tail beyond S plus the ramp deficit, so sigma_n <= 1 by construction;
     # density-only kernels lose the tail term and simply assert it negligible
-    n_ramp = max(2001, int(4000 * ramp) + 1)
-    xr = np.linspace(R, S, n_ramp)
+    xr = np.linspace(R, S, int(4000 * _RAMP) + 1)
     deficit = base_density(xr) * (1.0 - cutoff(xr))
     hr = xr[1] - xr[0]
     ramp_loss = float(hr * (deficit.sum() - 0.5 * (deficit[0] + deficit[-1])))
@@ -425,9 +425,6 @@ def truncate(k: Kernel, R: float, ramp: float = 1.0) -> TruncatedKernel:
         exp_moment_fn=None,
         lambda_sup=math.inf,
         tail_integral_fn=tint,
-        params=dict(k.params, cutoff_radius=R, ramp=ramp),
-        base=k,
-        cutoff_radius=R,
-        ramp=ramp,
+        params=dict(k.params, cutoff_radius=R, ramp=_RAMP),
         sigma_n=sigma_n,
     )

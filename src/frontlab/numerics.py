@@ -1,11 +1,11 @@
 """Shared low-level numerics: quadrature, lattice convolution, a bracketed
-root finder, scalar minimization, regression."""
+root finder, regression."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -14,6 +14,9 @@ from scipy.signal import lfilter
 
 from .errors import BracketError, NonconvergenceError
 
+if TYPE_CHECKING:
+    from .kernels import Kernel
+
 __all__ = [
     "UniformGrid",
     "trapezoid",
@@ -21,12 +24,8 @@ __all__ = [
     "LatticeConvolution",
     "FFT_MIN_NODES",
     "bracketed_root",
-    "minimize_scalar",
     "fit_slope",
 ]
-
-_INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_MAX_ITER = 500
 
 
 @dataclass(frozen=True)
@@ -90,7 +89,7 @@ class LatticeConvolution:
     convolution, so an FFT-path call costs one forward and one inverse
     transform of the input.
 
-    ``exp_rate`` marks an exactly exponential kernel, ``J(x) = J(0) *
+    A kernel with ``exp_rate`` set is exactly exponential, ``J(x) = J(0) *
     exp(-exp_rate * |x|)``.  Its row is geometric, ``J(m * dx) = J(0) * r**|m|``
     with ``r = exp(-exp_rate * dx)``, so from ``FFT_MIN_NODES`` nodes on both
     ``__call__`` and ``direct`` sum it as two first-order recursions, one
@@ -98,24 +97,19 @@ class LatticeConvolution:
     its relative accuracy like the direct sum.  Such a convolution never
     takes the FFT path, so the row's transform is not kept.
 
-    Only the density function is held, not the kernel, so a cache keyed
-    weakly on the kernel lets it and this object go together.
+    The kernel's density and ``exp_rate`` are read once and the kernel is not
+    held, so a cache keyed weakly on the kernel lets it and this object go
+    together.
     """
 
-    def __init__(
-        self,
-        density: Callable[[np.ndarray], np.ndarray],
-        dx: float,
-        capacity: int = 1,
-        exp_rate: float | None = None,
-    ):
-        self.density = density
+    def __init__(self, k: Kernel, dx: float, capacity: int = 1):
+        self.density = k.density
         self.dx = float(dx)
-        self.exp_rate = exp_rate
+        self.exp_rate = k.exp_rate
         self.capacity = 0
         self._grow(capacity)
-        if exp_rate is not None:
-            self._r = math.exp(-exp_rate * self.dx)
+        if self.exp_rate is not None:
+            self._r = math.exp(-self.exp_rate * self.dx)
             self._amp = self.row[self.capacity - 1]
 
     def _grow(self, n: int) -> None:
@@ -235,37 +229,6 @@ def bracketed_root(
         if not info.converged:
             raise NonconvergenceError(f"Brent's method did not converge on [{lo}, {hi}]")
         return float(root)
-
-
-def minimize_scalar(
-    g: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-10,
-) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal function on [lo, hi].
-
-    Returns (argmin, min).
-    """
-    if not lo < hi:
-        raise ValueError(f"invalid interval [{lo}, {hi}]")
-    a, b = float(lo), float(hi)
-    x1 = b - _INV_GOLDEN * (b - a)
-    x2 = a + _INV_GOLDEN * (b - a)
-    g1, g2 = g(x1), g(x2)
-    it = 0
-    while b - a > tol and it < _GOLDEN_MAX_ITER:
-        if g1 <= g2:
-            b, x2, g2 = x2, x1, g1
-            x1 = b - _INV_GOLDEN * (b - a)
-            g1 = g(x1)
-        else:
-            a, x1, g1 = x1, x2, g2
-            x2 = a + _INV_GOLDEN * (b - a)
-            g2 = g(x2)
-        it += 1
-    x = x1 if g1 <= g2 else x2
-    return float(x), float(g(x))
 
 
 def fit_slope(ts: Sequence[float] | np.ndarray, xs: Sequence[float] | np.ndarray) -> float:

@@ -19,24 +19,18 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 from scipy.signal import lfilter
 
 from .errors import NonconvergenceError, NoCrossingError, UnsupportedTailError
 from .kernels import Kernel, TailClass, classify_tail
-from .numerics import (
-    LatticeConvolution,
-    UniformGrid,
-    bracketed_root,
-    minimize_scalar,
-    trapezoid_weights,
-)
+from .numerics import LatticeConvolution, UniformGrid, bracketed_root, trapezoid_weights
 from .reactions import Reaction
 
 __all__ = [
     "SemiWaveParams",
     "SemiWaveProfile",
     "NonExistence",
-    "MConstant",
     "choose_M",
     "apply_A",
     "solve_semiwave",
@@ -55,6 +49,8 @@ _DEPTH_DEFAULT = {
 # a converged profile is accepted when its fixed-point residual is at most
 # this multiple of tol_iter
 _RESIDUAL_FACTOR = 100.0
+# estimate_cstar bisects its acceptance threshold to a bracket this wide
+_CSTAR_TOL = 0.02
 
 
 @dataclass(kw_only=True)
@@ -86,15 +82,9 @@ class SemiWaveParams:
         return _DEPTH_DEFAULT[classify_tail(k)]
 
 
-@dataclass(eq=False)
-class MConstant:
-    """Integrating-factor constant; c*M - d + f' must stay nonnegative."""
-
-    M: float
-
-
-def choose_M(c: float, d: float, r: Reaction) -> MConstant:
-    """M large enough that (cM - d)u + f(u) is nondecreasing on [0, 1]."""
+def choose_M(c: float, d: float, r: Reaction) -> float:
+    """Integrating-factor constant M, large enough that (cM - d)u + f(u) is
+    nondecreasing on [0, 1]."""
     if c <= 0:
         raise ValueError("c must be positive")
     if d <= 0:
@@ -105,7 +95,7 @@ def choose_M(c: float, d: float, r: Reaction) -> MConstant:
     worst = float(np.min(np.diff(ftilde)))
     if worst < -1e-9:
         raise ValueError(f"chosen M leaves the shifted reaction decreasing (worst step {worst})")
-    return MConstant(M)
+    return M
 
 
 class _Workspace:
@@ -116,7 +106,7 @@ class _Workspace:
         self.h = self.grid.spacing
         self.x = self.grid.nodes()
         self.trap_w = trapezoid_weights(n_cells + 1, self.h)
-        self.lattice = LatticeConvolution(k.density, self.h, n_cells + 1, k.exp_rate)
+        self.lattice = LatticeConvolution(k, self.h, n_cells + 1)
         self.a_x = np.asarray(k.tail_mass(self.x), dtype=float)
         # plateau closure: phi = 1 on (-inf, -L) adds the tail mass beyond -L
         self.far = np.asarray(k.tail_mass(-self.x - L), dtype=float)
@@ -174,13 +164,13 @@ def apply_A(
     d: float,
     k: Kernel,
     r: Reaction,
-    M: MConstant,
+    M: float,
     sigma: float,
     params: SemiWaveParams,
 ) -> np.ndarray:
     """One application of the integrating-factor fixed-point operator."""
     ws = _workspace(k, params.resolve_depth(k), params.n_cells)
-    return _apply(phi, c, d, r, M.M, sigma, ws)
+    return _apply(phi, c, d, r, M, sigma, ws)
 
 
 def _apply(phi, c, d, r, M, sigma, ws: _Workspace) -> np.ndarray:
@@ -275,7 +265,7 @@ def solve_semiwave(
     slip = 0.0
     threshold = 1.0 - params.plateau_eps
     for it in range(1, params.max_iters + 1):
-        nxt = _apply(phi, c, d, r, M.M, sigma, ws)
+        nxt = _apply(phi, c, d, r, M, sigma, ws)
         delta = float(np.max(np.abs(nxt - phi)))
         slip = max(slip, float(np.max(nxt - phi)))
         phi = nxt
@@ -301,7 +291,7 @@ def solve_semiwave(
             RuntimeWarning,
             stacklevel=2,
         )
-    residual = float(np.max(np.abs(_apply(phi, c, d, r, M.M, sigma, ws) - phi)))
+    residual = float(np.max(np.abs(_apply(phi, c, d, r, M, sigma, ws) - phi)))
     plateau = float(phi[0])
     accept = plateau >= threshold and residual <= _RESIDUAL_FACTOR * params.tol_iter
     if not accept:
@@ -388,7 +378,6 @@ def estimate_cstar(
     k: Kernel,
     r: Reaction,
     params: SemiWaveParams | None = None,
-    tol_c: float = 0.02,
 ) -> float:
     """Threshold speed above which the semi-wave iteration loses its plateau.
 
@@ -424,7 +413,7 @@ def estimate_cstar(
             raise NonconvergenceError("semi-wave acceptance never fails; no finite threshold")
     estimate = bracketed_root(
         lambda c: -1.0 if accepts(c) else math.inf,
-        lo, hi, ftol=0.0, xtol=tol_c, g_lo=-1.0, g_hi=math.inf,
+        lo, hi, ftol=0.0, xtol=_CSTAR_TOL, g_lo=-1.0, g_hi=math.inf,
     )
 
     c_lin = linear_determinacy_speed(d, k, r)
@@ -456,5 +445,5 @@ def linear_determinacy_speed(d: float, k: Kernel, r: Reaction) -> float | None:
             if hi > 1e8:
                 return None
         hi *= 2.0
-    lam, val = minimize_scalar(objective, lo, hi, tol=1e-10)
-    return float(val)
+    res = minimize_scalar(objective, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10})
+    return float(res.fun)

@@ -61,7 +61,7 @@ def test_ac1_semiwave_oracle_equivalence(laplace, logistic):
 def test_ac2_cstar_consistency(laplace, logistic):
     t0 = time.perf_counter()
     params = SemiWaveParams(depth=80.0, n_cells=4000, tol_iter=1e-8)
-    est = estimate_cstar(1.0, laplace, logistic, params, tol_c=0.02)
+    est = estimate_cstar(1.0, laplace, logistic, params)
     rel = abs(est - CSTAR) / CSTAR
     accept2 = isinstance(solve_semiwave(2.0, 1.0, laplace, logistic), SemiWaveProfile)
     reject3 = isinstance(solve_semiwave(3.0, 1.0, laplace, logistic), NonExistence)
@@ -96,7 +96,7 @@ def test_ac3_speed_selection_structure(laplace, logistic, c0_mu1):
 def test_ac4_linear_spreading_speed(spreading_traj_T200, c0_mu1):
     traj = spreading_traj_T200["traj"]
     elapsed = spreading_traj_T200["seconds"]
-    meas = measure_speed(traj, 0.25)
+    meas = measure_speed(traj)
     rel = abs(meas.slope_h - c0_mu1.c0) / c0_mu1.c0
     sym = float(np.max(np.abs(traj.gs + traj.hs)))
     ok = rel <= 0.10 and sym < 1e-10 and elapsed < 300.0
@@ -122,7 +122,7 @@ def test_ac5_accelerating_spreading(logistic):
         v_cap=2.0,
     )
     traj = simulate(cfg)
-    dy = measure_speed(traj, 0.25).dyadic_slopes
+    dy = measure_speed(traj).dyadic_slopes
     increasing = all(b > a for a, b in zip(dy, dy[1:]))
     ratio = dy[-1] / dy[0]
     ok = increasing and ratio >= 2.0

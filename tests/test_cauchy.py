@@ -4,6 +4,7 @@ import pytest
 from frontlab import (
     CauchyConfig,
     CauchyState,
+    LatticeConvolution,
     MuLimitConfig,
     UniformGrid,
     cauchy_simulate,
@@ -52,9 +53,10 @@ class TestCauchyStep:
         jrow = laplace.density(np.arange(-(n - 1), n) * h)
         u0 = parabola_u0(5.0)(x)
         state = CauchyState(grid=grid, u=u0, t=0.0)
+        conv = LatticeConvolution(laplace, h, n)
         ref = u0.copy()
         for _ in range(300):
-            state = cauchy_step(state, dt, 1.0, laplace, logistic)
+            state = cauchy_step(state, dt, 1.0, laplace, logistic, conv)
             Ju = np.convolve(w * ref, jrow)[n - 1 : 2 * n - 1]
             ref = np.maximum(ref + dt * (Ju - ref + logistic.f(ref)), 0.0)
         assert 0.0 < ref[-1] < 1e-10

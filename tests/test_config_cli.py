@@ -98,6 +98,14 @@ class TestParseConfig:
             parse_config("[time]\nt_max = inf\n")
         assert any("finite" in v for v in err.value.violations)
 
+    @pytest.mark.parametrize("key", ["mus", "radii"])
+    @pytest.mark.parametrize("text", ["2,1", "1,1", "-1,2", "1,inf", ""])
+    def test_experiment_lists_positive_and_increasing(self, key, text):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[experiment]\n{key} = {text}\n")
+        violations = err.value.violations
+        assert len(violations) == 1 and f"experiment.{key}" in violations[0]
+
     def test_comments_and_blanks(self):
         cfg = parse_config("# header\n\n[model]\n# inline note\nd = 2.5\n")
         assert cfg.get("model", "d") == 2.5
@@ -139,6 +147,27 @@ class TestCli:
         code = main(["--out", str(out), "semiwave", "--c", "1.0", "--sigma", sigma])
         assert code == 2
         assert "semiwave.sigma" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["speed", "--mu", "-1"], "model.mu"),
+            (["speed", "--mu", "nan"], "model.mu"),
+            (["speed-curve", "--mus=-1,2"], "experiment.mus"),
+            (["speed-curve", "--mus=2,1"], "experiment.mus"),
+            (["speed-curve", "--mus=abc"], "experiment.mus"),
+            (["semiwave", "--c", "-1"], "--c"),
+            (["semiwave", "--c", "0"], "--c"),
+        ],
+        ids=["mu-negative", "mu-nan", "mus-negative", "mus-decreasing", "mus-unparseable",
+             "c-negative", "c-zero"],
+    )
+    def test_bad_flag_value_exit_code(self, tmp_path, capsys, argv, key):
+        out = tmp_path / "out"
+        assert main(["--out", str(out)] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error") and key in err
         assert not out.exists()
 
     def test_semiwave_emits_profile(self, tmp_path, capsys):
@@ -308,3 +337,24 @@ class TestCli:
         b1 = (out1 / "mu_limit.csv").read_bytes()
         assert b1 == (out2 / "mu_limit.csv").read_bytes()
         assert b1.splitlines()[0] == b"mu,sup_excess,sup_abs,h_final"
+
+
+class TestExperiments:
+    def test_truncation_solves_c_n_at_speed_tol(self, tmp_path, monkeypatch):
+        from frontlab import experiments, fbsim
+
+        tols = []
+        solve_c0 = fbsim.solve_c0
+
+        def recording(mu, d, k, r, params, tol):
+            tols.append(tol)
+            return solve_c0(mu, d, k, r, params, tol)
+
+        monkeypatch.setattr(fbsim, "solve_c0", recording)
+        cfg = parse_config(
+            MINIMAL
+            + "[semiwave]\ndepth = 30.0\nn_cells = 1200\n[speed]\ntol = 1e-7\n"
+            + "[experiment]\nradii = 5,10\n"
+        )
+        experiments.run_truncation(cfg, str(tmp_path))
+        assert tols == [1e-7, 1e-7]

@@ -5,6 +5,7 @@ import pytest
 
 from frontlab import (
     FieldState,
+    LatticeConvolution,
     OutcomeTag,
     SimConfig,
     classify_outcome,
@@ -46,7 +47,8 @@ class TestStep:
         cfg = _small_cfg(laplace, logistic, mu=1.0)
         traj = simulate(cfg)
         s0 = traj.final_state
-        s1 = step(s0, 0.01, 1.0, 0.0, laplace, logistic)
+        conv = LatticeConvolution(laplace, s0.dx, s0.u.size)
+        s1 = step(s0, 0.01, 1.0, 0.0, laplace, logistic, conv=conv)
         assert s1.g == s0.g and s1.h == s0.h
         assert s1.t > s0.t
 
@@ -54,7 +56,7 @@ class TestStep:
         s = FieldState(
             t=0.0, g=-1.0, h=1.0, dx=0.1, j0=-9, u=np.zeros(19), m0star=1.0
         )
-        s1 = step(s, 0.01, 1.0, 1.0, laplace, logistic)
+        s1 = step(s, 0.01, 1.0, 1.0, laplace, logistic, conv=LatticeConvolution(laplace, 0.1))
         assert np.all(s1.u == 0.0)
         assert s1.g == s.g and s1.h == s.h
 
@@ -63,7 +65,7 @@ class TestStep:
         from frontlab.fbsim import _initial_state
 
         s = _initial_state(cfg)
-        s1 = step(s, 0.01, 1.0, 1.0, laplace, logistic)
+        s1 = step(s, 0.01, 1.0, 1.0, laplace, logistic, conv=LatticeConvolution(laplace, 0.1))
         assert abs(s1.g + s1.h) < 1e-14
         np.testing.assert_allclose(s1.u, s1.u[::-1], atol=1e-14)
 
@@ -74,7 +76,7 @@ class TestStep:
         s = _initial_state(cfg)
         bound = stability_dt(1.0, logistic, 0.1, 1.0, s.m0star, laplace)
         with pytest.raises(RejectedStepError):
-            step(s, 2.0 * bound, 1.0, 1.0, laplace, logistic)
+            step(s, 2.0 * bound, 1.0, 1.0, laplace, logistic, conv=LatticeConvolution(laplace, 0.1))
 
 
 class TestSimulate:
@@ -110,8 +112,8 @@ class TestSimulate:
         assert np.all(t1.hs[:n] <= t2.hs[:n] + 0.1)
 
     def test_comparison_in_kernel_truncation(self, laplace, logistic):
-        k1 = truncate(laplace, 2.0, 1.0)
-        k2 = truncate(laplace, 4.0, 1.0)
+        k1 = truncate(laplace, 2.0)
+        k2 = truncate(laplace, 4.0)
         t1 = simulate(_small_cfg(k1, logistic))
         t2 = simulate(_small_cfg(k2, logistic))
         tf = simulate(_small_cfg(laplace, logistic))
@@ -235,7 +237,7 @@ class TestPrincipalEigenvalue:
         assert 0.9 < lam < 1.0
 
     def test_against_dense_solver(self, laplace):
-        lam = principal_eigenvalue(20.0, 1.0, laplace, 1.0, n_cells=400)
+        lam = principal_eigenvalue(20.0, 1.0, laplace, 1.0)
         dense = dense_principal_eigenvalue(20.0, 1.0, laplace, 1.0, 400)
         # same operator up to the exact-mass row scaling, an O(hx^2) touch-up
         assert lam == pytest.approx(dense, abs=5e-3)

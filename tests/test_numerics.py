@@ -1,10 +1,7 @@
-import pathlib
-import re
+import dataclasses
 
 import numpy as np
 import pytest
-
-import frontlab
 
 from frontlab import (
     LatticeConvolution,
@@ -13,10 +10,10 @@ from frontlab import (
     fit_slope,
     make_laplace,
     make_power,
-    minimize_scalar,
     trapezoid,
     trapezoid_weights,
 )
+from frontlab import numerics
 from frontlab.errors import BracketError
 from frontlab.numerics import FFT_MIN_NODES
 
@@ -80,7 +77,11 @@ def _reference_convolution(density, dx, wu):
     return np.convolve(wu, row)[n - 1 : 2 * n - 1]
 
 
-_KERNELS = {"laplace": make_laplace(), "power0.8": make_power(0.8)}
+# the Laplace row without exp_rate, so it takes the direct and FFT paths
+_KERNELS = {
+    "laplace": dataclasses.replace(make_laplace(), exp_rate=None),
+    "power0.8": make_power(0.8),
+}
 
 
 class TestLatticeConvolution:
@@ -91,7 +92,7 @@ class TestLatticeConvolution:
     def test_direct_and_fft_agree(self, kname, n):
         density = _KERNELS[kname].density
         wu = np.random.default_rng(n).uniform(0.0, 0.1, n)
-        conv = LatticeConvolution(density, 0.15)
+        conv = LatticeConvolution(_KERNELS[kname], 0.15)
         ref = _reference_convolution(density, 0.15, wu)
         direct, fft = conv.direct(wu), conv.fft(wu)
         scale = np.max(np.abs(ref))
@@ -103,7 +104,7 @@ class TestLatticeConvolution:
     @pytest.mark.parametrize("kname", sorted(_KERNELS))
     def test_capacity_regrowth(self, kname):
         density = _KERNELS[kname].density
-        conv = LatticeConvolution(density, 0.05, 1024)
+        conv = LatticeConvolution(_KERNELS[kname], 0.05, 1024)
         rng = np.random.default_rng(7)
         for n in (1024, 1025, 2, 1500):
             wu = rng.uniform(0.0, 0.05, n)
@@ -123,7 +124,7 @@ class TestLatticeConvolution:
         dx = 0.05
         x = (np.arange(n) - 0.5 * (n - 1)) * dx
         wu = np.exp(-3.0 * np.abs(x)) * dx
-        conv = LatticeConvolution(k.density, dx, exp_rate=k.exp_rate)
+        conv = LatticeConvolution(k, dx)
         ref = _reference_convolution(k.density, dx, wu)
         out = conv(wu)
         assert np.max(np.abs(out / ref - 1.0)) <= 1e-12
@@ -131,7 +132,7 @@ class TestLatticeConvolution:
 
     def test_exponential_regrowth_across_crossover(self):
         k = make_laplace()
-        conv = LatticeConvolution(k.density, 0.05, 400, k.exp_rate)
+        conv = LatticeConvolution(k, 0.05, 400)
         rng = np.random.default_rng(11)
         for n in (400, 1601, 2):
             wu = rng.uniform(0.0, 0.05, n)
@@ -140,11 +141,21 @@ class TestLatticeConvolution:
             assert np.max(np.abs(out / ref - 1.0)) <= 1e-12
             assert np.array_equal(out, conv.direct(wu))
 
-    def test_every_solver_passes_exp_rate(self):
-        """A solver that left exp_rate out would quietly lose the recursion."""
-        src = "".join(p.read_text() for p in pathlib.Path(frontlab.__file__).parent.glob("*.py"))
-        calls = re.findall(r"LatticeConvolution\(([^)]*)\)", src)
-        assert calls and all(re.search(r"\.exp_rate\s*$", args) for args in calls)
+    def test_path_follows_the_kernel(self, monkeypatch):
+        """Built from make_laplace(), the convolution runs the recursion (two
+        lfilter calls); the copy without exp_rate runs the FFT path."""
+        real_lfilter = numerics.lfilter
+        calls = []
+        monkeypatch.setattr(numerics, "lfilter", lambda *a: calls.append(a) or real_lfilter(*a))
+        wu = np.random.default_rng(5).uniform(0.0, 0.1, FFT_MIN_NODES)
+        recursive = LatticeConvolution(make_laplace(), 0.05)
+        out = recursive(wu)
+        assert len(calls) == 2
+        assert np.array_equal(out, recursive.direct(wu))
+        calls.clear()
+        plain = LatticeConvolution(dataclasses.replace(make_laplace(), exp_rate=None), 0.05)
+        assert np.array_equal(plain(wu), plain.fft(wu))
+        assert calls == []
 
 
 class TestBisect:
@@ -234,28 +245,6 @@ class TestBisect:
                 hi = mid
         assert probes == expected
         assert got == 0.5 * (lo + hi)
-
-
-class TestMinimizeScalar:
-    def test_parabola(self):
-        x, v = minimize_scalar(lambda t: (t - 0.5) ** 2, 0.0, 1.0, 1e-12)
-        assert x == pytest.approx(0.5, abs=1e-8)
-        assert v == pytest.approx(0.0, abs=1e-15)
-
-    def test_dispersion_objective(self):
-        # analytic minimizer of 1/(t - t^3) on (0, 1) sits at 1/sqrt(3)
-        x, v = minimize_scalar(lambda t: 1.0 / (t - t**3), 1e-6, 1.0 - 1e-6, 1e-12)
-        assert x == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-7)
-        assert v == pytest.approx(3.0 * np.sqrt(3.0) / 2.0, rel=1e-10)
-
-    def test_hyperbola(self):
-        x, v = minimize_scalar(lambda t: t + 1.0 / t, 0.1, 10.0, 1e-12)
-        assert x == pytest.approx(1.0, abs=1e-7)
-        assert v == pytest.approx(2.0, rel=1e-12)
-
-    def test_bad_interval(self):
-        with pytest.raises(ValueError):
-            minimize_scalar(lambda t: t, 1.0, 1.0, 1e-8)
 
 
 class TestFitSlope:

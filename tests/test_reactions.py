@@ -53,10 +53,6 @@ class TestValidateKpp:
         assert "df0_positive" not in failed
         assert "df1_negative" not in failed
 
-    def test_sample_floor(self, logistic):
-        with pytest.raises(ValueError):
-            validate_kpp(logistic, n_samples=10)
-
 
 class TestAdjustForTruncation:
     def test_identity_at_full_mass(self, logistic):

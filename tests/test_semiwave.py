@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from frontlab import (
     NonExistence,
@@ -16,6 +17,7 @@ from frontlab import (
     front_slope,
     half_level_shift,
     linear_determinacy_speed,
+    make_gaussian,
     make_laplace,
     make_power,
     make_uniform,
@@ -29,18 +31,18 @@ from .oracles import backward_ode_picard, logistic_scalar
 
 class TestChooseM:
     def test_reference_value(self, logistic):
-        assert choose_M(1.0, 1.0, logistic).M == pytest.approx(2.1)
-        assert choose_M(2.0, 1.0, logistic).M == pytest.approx(1.05)
+        assert choose_M(1.0, 1.0, logistic) == pytest.approx(2.1)
+        assert choose_M(2.0, 1.0, logistic) == pytest.approx(1.05)
 
     def test_inverse_in_c(self, logistic):
-        assert choose_M(2.0, 1.0, logistic).M == pytest.approx(
-            0.5 * choose_M(1.0, 1.0, logistic).M
+        assert choose_M(2.0, 1.0, logistic) == pytest.approx(
+            0.5 * choose_M(1.0, 1.0, logistic)
         )
 
     def test_shifted_reaction_monotone(self, logistic):
         M = choose_M(0.3, 1.0, logistic)
         u = np.linspace(0.0, 1.0, 1001)
-        ft = (0.3 * M.M - 1.0) * u + logistic.f(u)
+        ft = (0.3 * M - 1.0) * u + logistic.f(u)
         assert np.all(np.diff(ft) >= -1e-12)
 
     def test_invalid_args(self, logistic):
@@ -91,7 +93,7 @@ class TestOperator:
         for j in (0, quick_params.n_cells // 3, 2 * quick_params.n_cells // 3):
             x = ws.x[j]
             val, _ = quad(
-                lambda xi: math.exp(M.M * (x - xi)) * d * a(-xi - L), x, 0.0, limit=200
+                lambda xi: math.exp(M * (x - xi)) * d * a(-xi - L), x, 0.0, limit=200
             )
             # piecewise-linear product quadrature carries O(h^2) interpolation error
             assert out[j] == pytest.approx(val / c, abs=2e-5)
@@ -249,7 +251,7 @@ class TestFrontSlope:
 class TestEstimateCstar:
     def test_laplace_against_dispersion_value(self, laplace, logistic):
         params = SemiWaveParams(depth=80.0, n_cells=4000, tol_iter=1e-8)
-        est = estimate_cstar(1.0, laplace, logistic, params, tol_c=0.02)
+        est = estimate_cstar(1.0, laplace, logistic, params)
         exact = 3.0 * math.sqrt(3.0) / 2.0
         assert abs(est - exact) / exact <= 0.05
 
@@ -257,17 +259,24 @@ class TestEstimateCstar:
         k = make_uniform(1.0)
         c_lin = linear_determinacy_speed(1.0, k, logistic)
         params = SemiWaveParams(depth=80.0, n_cells=4000, tol_iter=1e-8)
-        est = estimate_cstar(1.0, k, logistic, params, tol_c=0.02)
+        est = estimate_cstar(1.0, k, logistic, params)
         assert abs(est - c_lin) / c_lin <= 0.05
 
     def test_unsupported_tail(self, logistic):
         with pytest.raises(UnsupportedTailError):
             estimate_cstar(1.0, make_power(2.0), logistic)
 
-    def test_linear_determinacy_uniform_closed_form(self, logistic):
-        # objective [d(sinh(l)/l - 1) + 1]/l minimized on (0, inf)
-        k = make_uniform(1.0)
-        val = linear_determinacy_speed(1.0, k, logistic)
-        grid = np.linspace(0.05, 5.0, 20000)
-        obj = (np.sinh(grid) / grid - 1.0 + 1.0) / grid
-        assert val == pytest.approx(float(np.min(obj)), rel=1e-6)
+    @pytest.mark.parametrize("kname", ["laplace", "gaussian", "uniform"])
+    def test_linear_determinacy_closed_form(self, logistic, kname):
+        # min over l > 0 of [d(J-hat(l) - 1) + 1]/l with d = 1, i.e. J-hat(l)/l
+        if kname == "laplace":
+            # 1/(l - l^3), smallest at l = 1/sqrt(3)
+            k, exact = make_laplace(), 3.0 * math.sqrt(3.0) / 2.0
+        elif kname == "gaussian":
+            # exp(l^2/2)/l, smallest at l = 1
+            k, exact = make_gaussian(1.0), math.exp(0.5)
+        else:
+            # sinh(l)/l^2, smallest where tanh(l) = l/2
+            lam = brentq(lambda t: math.tanh(t) - 0.5 * t, 1.0, 3.0, xtol=1e-15)
+            k, exact = make_uniform(1.0), math.sinh(lam) / lam**2
+        assert linear_determinacy_speed(1.0, k, logistic) == pytest.approx(exact, rel=1e-12)
