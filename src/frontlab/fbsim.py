@@ -5,7 +5,10 @@ move continuously between lattice nodes.  Integrals over [g, h] combine the
 composite trapezoid rule over interior nodes with the two partial cells that
 end exactly at the boundaries, where the density vanishes by definition.
 Boundary fluxes use the tail-mass identity, so the half-infinite inner
-integrals of the boundary laws never need quadrature.
+integrals of the boundary laws never need quadrature.  For an exactly
+exponential kernel (``Kernel.exp_rate``) the tail is the density over the
+rate, so both fluxes are read off the end values of the lattice convolution
+the step computes anyway, and the tail is never evaluated.
 """
 
 from __future__ import annotations
@@ -67,13 +70,15 @@ def _active_range(g: float, h: float, dx: float) -> tuple[int, int]:
     return j_lo, j_hi
 
 
-def _quad_weights(state: FieldState, x: np.ndarray) -> np.ndarray:
-    """Trapezoid weights over [g, h] including the two boundary partial cells."""
-    if x.size == 1:
+def _quad_weights(state: FieldState, x_0: float, x_last: float) -> np.ndarray:
+    """Trapezoid weights over [g, h] including the two boundary partial cells;
+    ``x_0`` and ``x_last`` are the first and last active node."""
+    n = state.u.size
+    if n == 1:
         return np.array([0.5 * (state.h - state.g)])
-    w = trapezoid_weights(x.size, state.dx)
-    w[0] += 0.5 * (x[0] - state.g)
-    w[-1] += 0.5 * (state.h - x[-1])
+    w = trapezoid_weights(n, state.dx)
+    w[0] += 0.5 * (x_0 - state.g)
+    w[-1] += 0.5 * (state.h - x_last)
     return w
 
 
@@ -119,15 +124,26 @@ def step(
 
     u, dx = s.u, s.dx
     n = u.size
-    x = s.positions()
-    wu = _quad_weights(s, x) * u
+    # the same products as the ends of positions()
+    x_0, x_last = s.j0 * dx, (s.j0 + n - 1) * dx
+    wu = _quad_weights(s, x_0, x_last) * u
     # a free-boundary density vanishes at a finite slope at g and h, so the
     # FFT path's absolute rounding floor never meets an exponentially small
     # leading edge (contrast cauchy_step)
     Ju = conv(wu)
 
-    flux_h = float(np.dot(wu, np.asarray(k.tail_mass(x - s.h), dtype=float)))
-    flux_g = float(np.dot(wu, np.asarray(k.tail_mass(s.g - x), dtype=float)))
+    lam = k.exp_rate
+    if lam is not None:
+        # a(y) = J(y)/lam for y <= 0, so flux_h = sum_j wu_j J(x_j - h)/lam
+        # = e^{-lam (h - x_last)}/lam * Ju[-1], and flux_g mirrors it with
+        # Ju[0].  An exp_rate convolution sums directly or by recursion,
+        # never by FFT, so both end values keep their relative accuracy.
+        flux_h = math.exp(-lam * (s.h - x_last)) / lam * float(Ju[-1])
+        flux_g = math.exp(-lam * (x_0 - s.g)) / lam * float(Ju[0])
+    else:
+        x = s.positions()
+        flux_h = float(np.dot(wu, np.asarray(k.tail_mass(x - s.h), dtype=float)))
+        flux_g = float(np.dot(wu, np.asarray(k.tail_mass(s.g - x), dtype=float)))
 
     u_new = u + dt * (d * Ju - d * u + r.f(u))
     clamps = int(np.count_nonzero(u_new < 0.0))

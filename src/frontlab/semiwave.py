@@ -383,8 +383,10 @@ def estimate_cstar(
 
     Bisection on the acceptance predicate (``numerics.bracketed_root`` fed
     -1 or +inf), warm-started from cached profiles.
-    When the kernel has a finite exponential moment the linear-determinacy
-    value is computed as a cross-check and a disagreement beyond 5% warns.
+    A probe whose iteration budget runs out counts as a rejection, and one
+    warning names every such speed.  When the kernel has a finite
+    exponential moment the linear-determinacy value is computed as a
+    cross-check and a disagreement beyond 5% warns.
     """
     cls = classify_tail(k)
     if cls not in (TailClass.THIN_TAIL, TailClass.COMPACT_SUPPORT):
@@ -392,13 +394,15 @@ def estimate_cstar(
             f"kernel {k.name!r} has tail class {cls.value}; no finite minimal wave speed"
         )
     cache = _ProfileCache(d, k, r, params)
+    exhausted: list[float] = []
 
     def accepts(c: float) -> bool:
         try:
             return cache.solve(c).accepted
         except NonconvergenceError:
-            # right at the threshold the iteration may stall; for bracketing
-            # purposes that point is indistinguishable from a rejection
+            # right at the threshold the iteration may stall; the bisection
+            # counts that speed as a rejection, and a warning names it
+            exhausted.append(c)
             return False
 
     lo, hi = 0.1, 1.0
@@ -416,6 +420,14 @@ def estimate_cstar(
         lo, hi, ftol=0.0, xtol=_CSTAR_TOL, g_lo=-1.0, g_hi=math.inf,
     )
 
+    if exhausted:
+        speeds = ", ".join(f"{c:.6g}" for c in exhausted)
+        warnings.warn(
+            f"semi-wave iteration budget exhausted at c = {speeds}; "
+            "the bisection counted these speeds as rejections",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     c_lin = linear_determinacy_speed(d, k, r)
     if c_lin is not None and abs(estimate - c_lin) > 0.05 * c_lin:
         warnings.warn(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,8 @@ from frontlab import (
     truncated_speed_sequence,
 )
 from frontlab.errors import InsufficientDataError, RejectedStepError
-from frontlab.fbsim import FrontTrajectory
+from frontlab.fbsim import FrontTrajectory, _initial_state
+from frontlab.numerics import FFT_MIN_NODES
 
 from .conftest import parabola_u0
 from .oracles import dense_principal_eigenvalue
@@ -77,6 +79,44 @@ class TestStep:
         bound = stability_dt(1.0, logistic, 0.1, 1.0, s.m0star, laplace)
         with pytest.raises(RejectedStepError):
             step(s, 2.0 * bound, 1.0, 1.0, laplace, logistic, conv=LatticeConvolution(laplace, 0.1))
+
+    @pytest.mark.parametrize("n", [1, 2, FFT_MIN_NODES - 1, FFT_MIN_NODES, 2559])
+    def test_exponential_fluxes_match_tail_mass(self, laplace, logistic, n):
+        # Laplace reads its fluxes off the convolution's end values; the same
+        # kernel without exp_rate sums the tail.  mu = 1e8 (dt bounded through
+        # v_cap) makes the boundary moves dwarf g and h, so g and h carry the
+        # fluxes to rounding.  The recursion's relative error grows with the
+        # nodes per decay length, 1/dx = 20 here.
+        dx = 0.05
+        j0 = -(n // 2)
+        x = (j0 + np.arange(n)) * dx
+        g, h = x[0] - 0.3 * dx, x[-1] + 0.7 * dx
+        u = (x - g) * (h - x) / (0.5 * (h - g)) ** 2
+        s = FieldState(t=0.0, g=g, h=h, dx=dx, j0=j0, u=u, m0star=1.0)
+        plain = dataclasses.replace(laplace, exp_rate=None)
+        got, want = (
+            step(s, 0.2 * dx, 1.0, 1e8, kk, logistic, 1.0, conv=LatticeConvolution(kk, dx))
+            for kk in (laplace, plain)
+        )
+        assert got.h - h > 100.0 * h
+        assert got.h == pytest.approx(want.h, rel=1e-14, abs=0.0)
+        assert got.g == pytest.approx(want.g, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "make, v_cap, per_step",
+        [(make_laplace, None, 0), (lambda: make_power(0.8), 2.0, 2)],
+        ids=["laplace", "power0.8"],
+    )
+    def test_tail_mass_calls_per_step(self, logistic, make, v_cap, per_step):
+        k = make()
+        calls = []
+        tail = k.tail_mass
+        k.tail_mass = lambda y: calls.append(y) or tail(y)
+        s = _initial_state(_small_cfg(k, logistic, v_cap=v_cap))
+        conv = LatticeConvolution(k, s.dx, s.u.size)
+        for _ in range(5):
+            s = step(s, 0.01, 1.0, 1.0, k, logistic, v_cap, conv=conv)
+        assert len(calls) == 5 * per_step
 
 
 class TestSimulate:

@@ -78,6 +78,14 @@ class TestTailMassValues:
         x = np.linspace(-10.0, 0.0, 101)
         np.testing.assert_allclose(k.tail_mass(x), 0.5 * np.exp(x), rtol=1e-14)
 
+    def test_exp_rate_tail_is_density_over_rate(self):
+        # the free-boundary step reads its fluxes off this identity
+        k = make_laplace()
+        y = np.concatenate([-np.logspace(-6.0, 2.5, 200), [0.0]])
+        want = np.asarray(k.density(y)) / k.exp_rate
+        got = np.asarray(k.tail_mass(y))
+        assert np.all(np.abs(got - want) <= np.spacing(want))
+
     def test_cauchy_closed_form(self):
         k = make_power(1.0)
         x = np.linspace(-30.0, 30.0, 301)

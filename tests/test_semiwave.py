@@ -1,5 +1,7 @@
 import gc
 import math
+import re
+import warnings
 import weakref
 
 import numpy as np
@@ -265,6 +267,18 @@ class TestEstimateCstar:
     def test_unsupported_tail(self, logistic):
         with pytest.raises(UnsupportedTailError):
             estimate_cstar(1.0, make_power(2.0), logistic)
+
+    def test_exhausted_budget_warns_once(self, logistic):
+        # a budget this small runs out at some probes near the threshold;
+        # each counts as a rejection, so the estimate lies below all of them
+        params = SemiWaveParams(depth=20.0, n_cells=400, max_iters=1000)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            est = estimate_cstar(1.0, make_uniform(1.0), logistic, params)
+        budget = [w for w in caught if "budget exhausted" in str(w.message)]
+        assert len(budget) == 1 and budget[0].category is RuntimeWarning
+        speeds = [float(c) for c in re.findall(r"\d+\.\d+", str(budget[0].message))]
+        assert speeds and all(c > est for c in speeds)
 
     @pytest.mark.parametrize("kname", ["laplace", "gaussian", "uniform"])
     def test_linear_determinacy_closed_form(self, logistic, kname):

@@ -1,6 +1,7 @@
 """The benchmark's traced pass (perfbench/tracing.py) wraps frontlab's public
 functions by name.  One small traced job here makes a renamed or removed
-wrapped name fail the test suite, not only a benchmark run."""
+wrapped name fail the test suite, not only a benchmark run.  Traced Laplace
+simulations show that the free-boundary step evaluates no kernel tail."""
 
 import importlib.util
 import pathlib
@@ -17,18 +18,42 @@ def _load_tracing():
     return module
 
 
-def test_traced_speed_job_counts_semiwave_solves(tmp_path):
-    tracing = _load_tracing()
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "[kernel]\ntype = laplace\n[reaction]\ntype = logistic\n"
-        "[semiwave]\ndepth = 30.0\nn_cells = 1200\n"
-    )
+def _traced_run(tracing, tmp_path, name, cfg_text, argv):
+    """Run one CLI command under the tracer; returns its per-layer metrics."""
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(cfg_text)
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        code = main(["--config", str(cfg), "--out", str(tmp_path / "out"), "speed", "--mu", "1"])
+        code = main(["--config", str(cfg), "--out", str(tmp_path / name)] + argv)
     finally:
         tracer.uninstall()
     assert code == 0
-    assert tracing.layer_metrics(tracer.spans)["semiwave.solves"] > 0
+    return tracing.layer_metrics(tracer.spans)
+
+
+def test_traced_speed_job_counts_semiwave_solves(tmp_path):
+    metrics = _traced_run(
+        _load_tracing(), tmp_path, "speed",
+        "[kernel]\ntype = laplace\n[reaction]\ntype = logistic\n"
+        "[semiwave]\ndepth = 30.0\nn_cells = 1200\n",
+        ["speed", "--mu", "1"],
+    )
+    assert metrics["semiwave.solves"] > 0
+
+
+def test_traced_laplace_simulate_steps_without_tail_mass(tmp_path):
+    # the Laplace step reads its boundary fluxes off the convolution, so a
+    # longer run takes more steps and no more tail evaluations
+    tracing = _load_tracing()
+    short, long = (
+        _traced_run(
+            tracing, tmp_path, f"simulate-{t_max:g}",
+            "[kernel]\ntype = laplace\n[reaction]\ntype = logistic\n[model]\nh0 = 2.0\n"
+            f"[time]\nt_max = {t_max!r}\nsample_dt = 0.25\n",
+            ["simulate"],
+        )
+        for t_max in (1.0, 2.0)
+    )
+    assert long["fbsim.steps"] > short["fbsim.steps"] > 0
+    assert long["kernels.tail_mass_calls"] == short["kernels.tail_mass_calls"]
