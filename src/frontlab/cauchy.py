@@ -135,7 +135,7 @@ def cauchy_simulate(cfg: CauchyConfig) -> CauchyRun:
     state = _initial_state(cfg)
     x = state.grid.nodes()
     dt = cfg.dt or stability_dt(cfg.d, cfg.reaction, cfg.dx, 0.0, 1.0, v_cap=0.0)
-    conv = LatticeConvolution(cfg.kernel, state.grid.spacing, x.size)
+    conv = LatticeConvolution(cfg.kernel, state.grid.spacing)
 
     ts, crossings = [], []
     snapshots: list[Snapshot] = []
@@ -220,24 +220,23 @@ def compare_mu_limit(mus, shared: MuLimitConfig) -> MuLimitReport:
         return np.where(np.abs(x) < shared.h0, out, 0.0)
 
     k, r, d, dx = shared.kernel, shared.reaction, shared.d, shared.dx
-    m0star = max(float(np.max(u0_compact(np.linspace(-shared.h0, shared.h0, 2001)))), r.cap_K0)
-    dt = min(
-        [stability_dt(d, r, dx, 0.0, 1.0, v_cap=0.0)]
-        + [stability_dt(d, r, dx, m, m0star, k) for m in mus]
-    )
-
     common = dict(kernel=k, reaction=r, d=d, t_max=shared.t_max, dx=dx)
-    star = _initial_state(
-        CauchyConfig(u0=u0_compact, domain_halfwidth=shared.domain_halfwidth, **common)
-    )
-    star_conv = LatticeConvolution(k, star.grid.spacing, star.u.size)
-    x = star.grid.nodes()
-    window = np.abs(x) <= shared.window_halfwidth + 1e-12
     fbs = [
         fbsim._initial_state(SimConfig(mu=m, h0=shared.h0, u0=shared.u0, **common))
         for m in mus
     ]
-    convs = [LatticeConvolution(k, dx, s.u.size) for s in fbs]
+    dt = min(
+        [stability_dt(d, r, dx, 0.0, 1.0, v_cap=0.0)]
+        + [stability_dt(d, r, dx, m, s.m0star, k) for m, s in zip(mus, fbs)]
+    )
+
+    star = _initial_state(
+        CauchyConfig(u0=u0_compact, domain_halfwidth=shared.domain_halfwidth, **common)
+    )
+    star_conv = LatticeConvolution(k, star.grid.spacing)
+    x = star.grid.nodes()
+    window = np.abs(x) <= shared.window_halfwidth + 1e-12
+    convs = [LatticeConvolution(k, dx) for _ in fbs]
     sup_excess = [0.0] * len(mus)
     sup_abs = [0.0] * len(mus)
     flagged = False

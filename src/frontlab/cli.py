@@ -16,7 +16,7 @@ import sys
 
 from .cauchy import CauchyConfig, cauchy_simulate
 from .config import DEFAULT_CONFIG_TEXT, RunConfig, parse_config
-from .errors import ConfigError, FrontlabError, NonconvergenceError
+from .errors import ConfigError, FrontlabError, InsufficientDataError, NonconvergenceError
 from .experiments import (
     EXPERIMENT_NAMES,
     build_sim_config,
@@ -172,7 +172,7 @@ def _cmd_simulate(args) -> int:
         summary["slope_h"] = meas.slope_h
         summary["slope_g"] = meas.slope_g
         summary["dyadic_slopes"] = meas.dyadic_slopes
-    except Exception as exc:  # noqa: BLE001 - slopes are optional extras here
+    except InsufficientDataError as exc:  # slopes are optional extras here
         summary["speed_measurement_error"] = str(exc)
     write_summary(os.path.join(out_dir, "summary.json"), summary)
     print(f"outcome: {outcome.tag.value}; artifacts in {out_dir} ({len(artifacts)} files)")

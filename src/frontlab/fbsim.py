@@ -268,7 +268,7 @@ def simulate(cfg: SimConfig) -> FrontTrajectory:
     dt = cfg.dt or stability_dt(
         cfg.d, cfg.reaction, cfg.dx, cfg.mu, state.m0star, cfg.kernel, cfg.v_cap
     )
-    conv = LatticeConvolution(cfg.kernel, cfg.dx, state.u.size)
+    conv = LatticeConvolution(cfg.kernel, cfg.dx)
     ts, gs, hs = [], [], []
     snapshots: list[Snapshot] = []
     samples = _Schedule(cfg.sample_dt, cfg.t_max)
@@ -414,7 +414,7 @@ def truncated_speed_sequence(
     out: list[TruncationEntry] = []
     for R in radii:
         tk = truncate(k, R)
-        adj = adjust_for_truncation(r, tk.sigma_n)
+        adj = adjust_for_truncation(r, tk.sigma_n, d)
         unit = adj.to_unit_reaction()
         sol = solve_c0(
             mu * tk.sigma_n * adj.eta_n,

@@ -1,5 +1,5 @@
-"""Shared low-level numerics: quadrature, lattice convolution, a bracketed
-root finder, regression."""
+"""Shared low-level numerics: quadrature, lattice convolution, a geometric
+bracket search and a bracketed root finder, regression."""
 
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ __all__ = [
     "trapezoid_weights",
     "LatticeConvolution",
     "FFT_MIN_NODES",
+    "grow_bracket",
     "bracketed_root",
     "fit_slope",
 ]
@@ -82,12 +83,12 @@ FFT_MIN_NODES = 500
 class LatticeConvolution:
     """``out[i] = sum_j wu[j] * J((i - j) * dx)`` on n consecutive lattice nodes.
 
-    The kernel row ``J(m * dx)``, ``|m| < N``, is sampled once for a capacity
-    N >= n that at least doubles whenever a longer input arrives, and its
-    real FFT of length ``L >= 2N - 1`` is kept.  Entries ``N-1 ... N-2+n`` of
-    the circular convolution of length L are then the exact linear
-    convolution, so an FFT-path call costs one forward and one inverse
-    transform of the input.
+    The kernel row ``J(m * dx)``, ``|m| < N``, is sampled with its real FFT
+    of length ``L >= 2N - 1`` for N = n of the first input that needs it,
+    and again for an N that at least doubles whenever a longer one arrives.
+    Entries ``N-1 ... N-2+n`` of the circular convolution of length L are
+    then the exact linear convolution, so an FFT-path call costs one forward
+    and one inverse transform of the input.
 
     A kernel with ``exp_rate`` set is exactly exponential, ``J(x) = J(0) *
     exp(-exp_rate * |x|)``.  Its row is geometric, ``J(m * dx) = J(0) * r**|m|``
@@ -95,34 +96,31 @@ class LatticeConvolution:
     ``__call__`` and ``direct`` sum it as two first-order recursions, one
     in each direction, over nonnegative terms: O(n), and every output keeps
     its relative accuracy like the direct sum.  Such a convolution never
-    takes the FFT path, so the row's transform is not kept.
+    takes the FFT path or keeps a transform, and it samples its row only for
+    inputs below ``FFT_MIN_NODES``, or else J(0) alone.
 
     The kernel's density and ``exp_rate`` are read once and the kernel is not
     held, so a cache keyed weakly on the kernel lets it and this object go
     together.
     """
 
-    def __init__(self, k: Kernel, dx: float, capacity: int = 1):
+    def __init__(self, k: Kernel, dx: float):
         self.density = k.density
         self.dx = float(dx)
         self.exp_rate = k.exp_rate
         self.capacity = 0
-        self._grow(capacity)
         if self.exp_rate is not None:
             self._r = math.exp(-self.exp_rate * self.dx)
-            self._amp = self.row[self.capacity - 1]
-
-    def _grow(self, n: int) -> None:
-        N = max(n, 2 * self.capacity)
-        self.row = np.asarray(self.density(np.arange(-(N - 1), N) * self.dx), dtype=float)
-        if self.exp_rate is None:
-            self._size = next_fast_len(2 * N - 1, real=True)
-            self._row_hat = rfft(self.row, self._size)
-        self.capacity = N
+            self._amp = None
 
     def _fit(self, n: int) -> int:
         if n > self.capacity:
-            self._grow(n)
+            N = max(n, 2 * self.capacity)
+            self.row = np.asarray(self.density(np.arange(-(N - 1), N) * self.dx), dtype=float)
+            if self.exp_rate is None:
+                self._size = next_fast_len(2 * N - 1, real=True)
+                self._row_hat = rfft(self.row, self._size)
+            self.capacity = N
         return self.capacity
 
     def __call__(self, wu: np.ndarray) -> np.ndarray:
@@ -137,6 +135,8 @@ class LatticeConvolution:
         small it is."""
         n = wu.size
         if self.exp_rate is not None and n >= FFT_MIN_NODES:
+            if self._amp is None:
+                self._amp = self.row[self.capacity - 1] if self.capacity else self.density(0.0)
             r = self._r
             left = lfilter([1.0], [1.0, -r], wu)
             right = lfilter([0.0, r], [1.0, -r], wu[::-1])[::-1]
@@ -151,6 +151,34 @@ class LatticeConvolution:
         n = wu.size
         N = self._fit(n)
         return irfft(rfft(wu, self._size) * self._row_hat, self._size)[N - 1 : N - 1 + n]
+
+
+BRACKET_MAX_STEPS = 60
+
+
+def grow_bracket(G: Callable[[float], float], lo: float, hi: float) -> tuple[float, ...]:
+    """``(lo, hi, G(lo), G(hi))`` with G(lo) < 0 <= G(hi), for ``bracketed_root``.
+
+    G increases wherever it is finite and may return +inf.  A lo with G(lo)
+    not negative becomes hi and halves, and a hi with G(hi) < 0 becomes lo
+    and doubles, each at most ``BRACKET_MAX_STEPS`` times before raising
+    ``NonconvergenceError``.  No end is evaluated twice.
+    """
+    if not 0.0 < lo < hi:
+        raise ValueError(f"need 0 < lo < hi, got [{lo}, {hi}]")
+    g_lo, g_hi, halvings, doublings = G(lo), None, 0, 0
+    while not g_lo < 0.0:
+        if halvings == BRACKET_MAX_STEPS:
+            raise NonconvergenceError(f"G is not negative anywhere down to {lo:.3g}")
+        hi, g_hi, lo, halvings = lo, g_lo, 0.5 * lo, halvings + 1
+        g_lo = G(lo)
+    g_hi = G(hi) if g_hi is None else g_hi
+    while g_hi < 0.0:
+        if doublings == BRACKET_MAX_STEPS:
+            raise NonconvergenceError(f"G is negative everywhere up to {hi:.3g}")
+        lo, g_lo, hi, doublings = hi, g_hi, 2.0 * hi, doublings + 1
+        g_hi = G(hi)
+    return lo, hi, g_lo, g_hi
 
 
 class _Stop(Exception):

@@ -164,10 +164,11 @@ def validate_kpp(r: Reaction) -> ValidationReport:
 
 @dataclass(eq=False, kw_only=True)
 class AdjustedReaction:
-    """f_n(u) = f(u) - (1 - sigma_n) u, with its interior zero eta_n."""
+    """f_n(u) = f(u) - d (1 - sigma_n) u, with its interior zero eta_n."""
 
     base: Reaction
     sigma_n: float
+    d: float
     f_n: Callable[[np.ndarray], np.ndarray]
     eta_n: float
 
@@ -182,7 +183,7 @@ class AdjustedReaction:
         def core(v):
             return fn(eta * np.asarray(v, dtype=float)) / eta
 
-        df0 = base.df0 - (1.0 - sig)
+        df0 = base.df0 - self.d * (1.0 - sig)
         h = 1e-7
         df1 = float((core(1.0 + h) - core(1.0 - h)) / (2.0 * h))
         vs = np.linspace(0.0, 1.0, 4001)
@@ -198,14 +199,14 @@ class AdjustedReaction:
         )
 
 
-def adjust_for_truncation(r: Reaction, sigma_n: float) -> AdjustedReaction:
-    """Reaction correction absorbing the truncated kernel's mass deficit."""
+def adjust_for_truncation(r: Reaction, sigma_n: float, d: float) -> AdjustedReaction:
+    """Reaction correction absorbing the truncated kernel's mass deficit d (1 - sigma_n) u."""
     if not 0.0 < sigma_n <= 1.0:
         raise ValueError(f"sigma_n must lie in (0, 1], got {sigma_n}")
-    loss = 1.0 - sigma_n
+    loss = d * (1.0 - sigma_n)
     if loss >= r.df0:
         raise DegenerateAdjustmentError(
-            f"mass deficit {loss:.3g} >= f'(0) = {r.df0:.3g}; adjusted growth rate vanishes"
+            f"mass deficit d(1 - sigma_n) = {loss:.3g} >= f'(0) = {r.df0:.3g}; growth vanishes"
         )
     base_f = r.f
 
@@ -215,7 +216,7 @@ def adjust_for_truncation(r: Reaction, sigma_n: float) -> AdjustedReaction:
         return out if out.ndim else float(out)
 
     if sigma_n == 1.0:
-        return AdjustedReaction(base=r, sigma_n=1.0, f_n=f_n, eta_n=1.0)
+        return AdjustedReaction(base=r, sigma_n=1.0, d=d, f_n=f_n, eta_n=1.0)
 
     # f_n(1) = -loss < 0 and f_n > 0 near 0; walk down from 1 to bracket the zero
     lo, hi = None, 1.0
@@ -233,4 +234,4 @@ def adjust_for_truncation(r: Reaction, sigma_n: float) -> AdjustedReaction:
         lambda v: -1.0 if f_n(v) > 0.0 else math.inf,
         lo, hi, ftol=0.0, xtol=1e-14, g_lo=-1.0, g_hi=math.inf,
     )
-    return AdjustedReaction(base=r, sigma_n=sigma_n, f_n=f_n, eta_n=eta_n)
+    return AdjustedReaction(base=r, sigma_n=sigma_n, d=d, f_n=f_n, eta_n=eta_n)

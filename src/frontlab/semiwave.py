@@ -24,7 +24,9 @@ from scipy.signal import lfilter
 
 from .errors import NonconvergenceError, NoCrossingError, UnsupportedTailError
 from .kernels import Kernel, TailClass, classify_tail
-from .numerics import LatticeConvolution, UniformGrid, bracketed_root, trapezoid_weights
+from .numerics import (
+    LatticeConvolution, UniformGrid, bracketed_root, grow_bracket, trapezoid_weights
+)
 from .reactions import Reaction
 
 __all__ = [
@@ -106,7 +108,7 @@ class _Workspace:
         self.h = self.grid.spacing
         self.x = self.grid.nodes()
         self.trap_w = trapezoid_weights(n_cells + 1, self.h)
-        self.lattice = LatticeConvolution(k, self.h, n_cells + 1)
+        self.lattice = LatticeConvolution(k, self.h)
         self.a_x = np.asarray(k.tail_mass(self.x), dtype=float)
         # plateau closure: phi = 1 on (-inf, -L) adds the tail mass beyond -L
         self.far = np.asarray(k.tail_mass(-self.x - L), dtype=float)
@@ -381,8 +383,8 @@ def estimate_cstar(
 ) -> float:
     """Threshold speed above which the semi-wave iteration loses its plateau.
 
-    Bisection on the acceptance predicate (``numerics.bracketed_root`` fed
-    -1 or +inf), warm-started from cached profiles.
+    Bisection on the acceptance predicate (-1 or +inf) by ``bracketed_root``
+    in a ``grow_bracket`` bracket, warm-started from cached profiles.
     A probe whose iteration budget runs out counts as a rejection, and one
     warning names every such speed.  When the kernel has a finite
     exponential moment the linear-determinacy value is computed as a
@@ -396,29 +398,17 @@ def estimate_cstar(
     cache = _ProfileCache(d, k, r, params)
     exhausted: list[float] = []
 
-    def accepts(c: float) -> bool:
+    def G(c: float) -> float:
         try:
-            return cache.solve(c).accepted
+            return -1.0 if cache.solve(c).accepted else math.inf
         except NonconvergenceError:
             # right at the threshold the iteration may stall; the bisection
             # counts that speed as a rejection, and a warning names it
             exhausted.append(c)
-            return False
+            return math.inf
 
-    lo, hi = 0.1, 1.0
-    while not accepts(lo):
-        lo *= 0.5
-        if lo < 1e-4:
-            raise NonconvergenceError("no accepted semi-wave found at any probed speed")
-    while accepts(hi):
-        lo = hi
-        hi *= 2.0
-        if hi > 1e6:
-            raise NonconvergenceError("semi-wave acceptance never fails; no finite threshold")
-    estimate = bracketed_root(
-        lambda c: -1.0 if accepts(c) else math.inf,
-        lo, hi, ftol=0.0, xtol=_CSTAR_TOL, g_lo=-1.0, g_hi=math.inf,
-    )
+    lo, hi, g_lo, g_hi = grow_bracket(G, 0.1, 1.0)
+    estimate = bracketed_root(G, lo, hi, ftol=0.0, xtol=_CSTAR_TOL, g_lo=g_lo, g_hi=g_hi)
 
     if exhausted:
         speeds = ", ".join(f"{c:.6g}" for c in exhausted)

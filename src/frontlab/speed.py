@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NoFiniteSpeedError, NonconvergenceError
 from .kernels import Kernel, TailClass, c_of_J, classify_tail
-from .numerics import bracketed_root, trapezoid_weights
+from .numerics import bracketed_root, grow_bracket, trapezoid_weights
 from .reactions import Reaction
 from .semiwave import SemiWaveParams, SemiWaveProfile, _ProfileCache
 
@@ -63,9 +63,9 @@ def solve_c0(
 ) -> SpeedSolution:
     """Root of G(c) = c - mu*M(c) in a geometrically grown bracket.
 
-    ``numerics.bracketed_root`` bisects while the upper end has no semi-wave
-    (G = +inf there), then runs Brent's method on the finite bracket until
-    |G| <= tol.  The residual at the returned speed is checked against tol.
+    ``numerics.grow_bracket`` grows it from ``min(0.1, mu*c(J)/10)`` and twice
+    that; ``numerics.bracketed_root`` bisects while G = +inf at the upper end
+    (no semi-wave), then runs Brent's method; the residual is checked against tol.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
@@ -84,27 +84,8 @@ def solve_c0(
             return math.inf
         return c - flux_M(out, k, mu)
 
-    lo = min(0.1, mu * cJ / 10.0)
-    g_lo = G(lo)
-    shrink = 0
-    while g_lo >= 0.0:
-        lo *= 0.5
-        shrink += 1
-        if shrink > 60:
-            raise NonconvergenceError("could not find a negative bracket end for G")
-        g_lo = G(lo)
-    hi = 2.0 * lo
-    g_hi = G(hi)
-    grow = 0
-    while g_hi < 0.0:
-        lo, g_lo = hi, g_hi
-        hi *= 2.0
-        grow += 1
-        if grow > 60:
-            raise NonconvergenceError("G never becomes positive; bracket search failed")
-        g_hi = G(hi)
-    bracket = (lo, hi)
-
+    start = min(0.1, mu * cJ / 10.0)
+    lo, hi, g_lo, g_hi = grow_bracket(G, start, 2.0 * start)
     c0 = bracketed_root(G, lo, hi, ftol=tol, xtol=tol * 1e-3, g_lo=g_lo, g_hi=g_hi)
     out = cache.solve(c0)
     if not out.accepted:
@@ -116,7 +97,7 @@ def solve_c0(
         c0=c0,
         mu=mu,
         residual=residual,
-        bracket=bracket,
+        bracket=(lo, hi),
         profile=out,
         flux_constant=mu * cJ,
     )

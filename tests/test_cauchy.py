@@ -53,7 +53,7 @@ class TestCauchyStep:
         jrow = laplace.density(np.arange(-(n - 1), n) * h)
         u0 = parabola_u0(5.0)(x)
         state = CauchyState(grid=grid, u=u0, t=0.0)
-        conv = LatticeConvolution(laplace, h, n)
+        conv = LatticeConvolution(laplace, h)
         ref = u0.copy()
         for _ in range(300):
             state = cauchy_step(state, dt, 1.0, laplace, logistic, conv)

@@ -248,6 +248,25 @@ class TestCli:
         s2 = (out2 / "snapshots" / "000.csv").read_bytes()
         assert s1 == s2
 
+    def test_simulate_records_too_few_samples(self, tmp_path):
+        # three samples are too few for a slope; the run itself still succeeds
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(MINIMAL + "[model]\nh0 = 2.0\n[time]\nt_max = 1.0\nsample_dt = 0.5\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert "too few samples" in summary["speed_measurement_error"]
+
+    def test_simulate_propagates_measurement_bugs(self, tmp_path, monkeypatch):
+        def broken(traj):
+            raise RuntimeError("bug in the measurement")
+
+        monkeypatch.setattr("frontlab.cli.measure_speed", broken)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(MINIMAL + "[model]\nh0 = 2.0\n[time]\nt_max = 1.0\nsample_dt = 0.5\n")
+        with pytest.raises(RuntimeError, match="bug in the measurement"):
+            main(["--config", str(cfg), "--out", str(tmp_path / "out"), "simulate"])
+
     def test_cauchy_subcommand(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(

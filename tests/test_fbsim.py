@@ -49,7 +49,7 @@ class TestStep:
         cfg = _small_cfg(laplace, logistic, mu=1.0)
         traj = simulate(cfg)
         s0 = traj.final_state
-        conv = LatticeConvolution(laplace, s0.dx, s0.u.size)
+        conv = LatticeConvolution(laplace, s0.dx)
         s1 = step(s0, 0.01, 1.0, 0.0, laplace, logistic, conv=conv)
         assert s1.g == s0.g and s1.h == s0.h
         assert s1.t > s0.t
@@ -113,7 +113,7 @@ class TestStep:
         tail = k.tail_mass
         k.tail_mass = lambda y: calls.append(y) or tail(y)
         s = _initial_state(_small_cfg(k, logistic, v_cap=v_cap))
-        conv = LatticeConvolution(k, s.dx, s.u.size)
+        conv = LatticeConvolution(k, s.dx)
         for _ in range(5):
             s = step(s, 0.01, 1.0, 1.0, k, logistic, v_cap, conv=conv)
         assert len(calls) == 5 * per_step
@@ -259,6 +259,12 @@ class TestTruncatedSpeedSequence:
         cs = [e.c_n for e in entries]
         assert all(b >= a * (1.0 - 1e-6) for a, b in zip(cs, cs[1:]))
         assert abs(cs[-1] - c0_mu1.c0) / c0_mu1.c0 <= 0.05
+
+    def test_diffusion_enters_the_adjusted_equilibrium(self, laplace, logistic, quick_params):
+        d = 2.0
+        (entry,) = truncated_speed_sequence(laplace, [5.0], d, 1.0, logistic, quick_params)
+        residual = float(logistic.f(entry.eta_n)) - d * (1.0 - entry.sigma_n) * entry.eta_n
+        assert abs(residual) <= 1e-12
 
     def test_radii_must_increase(self, laplace, logistic):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from frontlab import (
     trapezoid_weights,
 )
 from frontlab import numerics
-from frontlab.errors import BracketError
-from frontlab.numerics import FFT_MIN_NODES
+from frontlab.errors import BracketError, NonconvergenceError
+from frontlab.numerics import BRACKET_MAX_STEPS, FFT_MIN_NODES, grow_bracket
 
 
 class TestUniformGrid:
@@ -104,16 +105,19 @@ class TestLatticeConvolution:
     @pytest.mark.parametrize("kname", sorted(_KERNELS))
     def test_capacity_regrowth(self, kname):
         density = _KERNELS[kname].density
-        conv = LatticeConvolution(_KERNELS[kname], 0.05, 1024)
+        conv = LatticeConvolution(_KERNELS[kname], 0.05)
         rng = np.random.default_rng(7)
+        capacities = []
         for n in (1024, 1025, 2, 1500):
             wu = rng.uniform(0.0, 0.05, n)
             ref = _reference_convolution(density, 0.05, wu)
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(conv.direct(wu) - ref)) <= 1e-14 * scale
             assert np.max(np.abs(conv.fft(wu) - ref)) <= 1e-12 * scale
-        # 1025 nodes outgrew 1024 and doubled it; shorter inputs reuse the row
-        assert conv.capacity == 2048
+            capacities.append(conv.capacity)
+        # the first call sizes the row for its 1024 nodes, 1025 nodes double
+        # it, and shorter inputs reuse it
+        assert capacities == [1024, 2048, 2048, 2048]
 
     @pytest.mark.parametrize("n", [FFT_MIN_NODES, FFT_MIN_NODES + 1, 1601, 2559])
     def test_exponential_recursion_keeps_relative_accuracy(self, n):
@@ -131,15 +135,33 @@ class TestLatticeConvolution:
         assert np.array_equal(out, conv.direct(wu))
 
     def test_exponential_regrowth_across_crossover(self):
+        # J(0) comes from the row when a short input sampled it first, and
+        # from one density call when the recursion runs first; the recursion
+        # samples no row, and the first short input sizes it
         k = make_laplace()
-        conv = LatticeConvolution(k, 0.05, 400)
-        rng = np.random.default_rng(11)
-        for n in (400, 1601, 2):
-            wu = rng.uniform(0.0, 0.05, n)
-            ref = _reference_convolution(k.density, 0.05, wu)
-            out = conv(wu)
-            assert np.max(np.abs(out / ref - 1.0)) <= 1e-12
-            assert np.array_equal(out, conv.direct(wu))
+        for sizes, expected in (((400, 1601, 2), [400] * 3), ((1601, 400, 2), [0, 400, 400])):
+            conv = LatticeConvolution(k, 0.05)
+            rng = np.random.default_rng(11)
+            capacities = []
+            for n in sizes:
+                wu = rng.uniform(0.0, 0.05, n)
+                ref = _reference_convolution(k.density, 0.05, wu)
+                out = conv(wu)
+                assert np.max(np.abs(out / ref - 1.0)) <= 1e-12
+                assert np.array_equal(out, conv.direct(wu))
+                capacities.append(conv.capacity)
+            assert capacities == expected
+
+    def test_exponential_recursion_samples_one_density_value(self):
+        k = make_laplace()
+        points = []
+        density = k.density
+        k.density = lambda x: points.append(np.size(x)) or density(x)
+        conv = LatticeConvolution(k, 0.05)
+        wu = np.random.default_rng(3).uniform(0.0, 0.05, 1601)
+        conv(wu)
+        conv(wu)
+        assert points == [1]
 
     def test_path_follows_the_kernel(self, monkeypatch):
         """Built from make_laplace(), the convolution runs the recursion (two
@@ -245,6 +267,63 @@ class TestBisect:
                 hi = mid
         assert probes == expected
         assert got == 0.5 * (lo + hi)
+
+
+class TestGrowBracket:
+    """numerics.grow_bracket: halve lo while G(lo) >= 0, double hi while G(hi) < 0."""
+
+    @staticmethod
+    def _recording(G):
+        probes = []
+
+        def g(c):
+            probes.append(c)
+            return G(c)
+
+        return g, probes
+
+    def test_start_already_brackets(self):
+        G, probes = self._recording(lambda c: c - 0.15)
+        assert grow_bracket(G, 0.1, 0.2) == (0.1, 0.2, 0.1 - 0.15, 0.2 - 0.15)
+        assert probes == [0.1, 0.2]
+
+    def test_grow_path(self):
+        G, probes = self._recording(lambda c: c - 5.0)
+        lo, hi, g_lo, g_hi = grow_bracket(G, 0.1, 0.2)
+        assert (lo, hi) == (3.2, 6.4) and (g_lo, g_hi) == (3.2 - 5.0, 6.4 - 5.0)
+        assert probes == [0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4]
+
+    def test_shrink_path_reuses_the_known_end(self):
+        G, probes = self._recording(lambda c: c - 0.01)
+        lo, hi, g_lo, g_hi = grow_bracket(G, 0.1, 0.2)
+        assert (lo, hi) == (0.00625, 0.0125)
+        assert (g_lo, g_hi) == (0.00625 - 0.01, 0.0125 - 0.01)
+        # the old lo becomes hi with its value, and 0.2 is never probed
+        assert probes == [0.1, 0.05, 0.025, 0.0125, 0.00625]
+
+    def test_infinite_values(self):
+        # a predicate in the style of estimate_cstar: -1 below 3, +inf above
+        G, probes = self._recording(lambda c: -1.0 if c < 3.0 else math.inf)
+        assert grow_bracket(G, 0.1, 1.0) == (2.0, 4.0, -1.0, math.inf)
+        assert probes == [0.1, 1.0, 2.0, 4.0]
+        G, probes = self._recording(lambda c: -1.0 if c < 0.03 else math.inf)
+        assert grow_bracket(G, 0.1, 1.0) == (0.025, 0.05, -1.0, math.inf)
+        assert probes == [0.1, 0.05, 0.025]
+
+    def test_guards_raise_nonconvergence(self):
+        G, probes = self._recording(lambda c: 1.0)
+        with pytest.raises(NonconvergenceError):
+            grow_bracket(G, 0.1, 0.2)
+        assert len(probes) == 1 + BRACKET_MAX_STEPS
+        G, probes = self._recording(lambda c: -1.0)
+        with pytest.raises(NonconvergenceError):
+            grow_bracket(G, 0.1, 0.2)
+        assert len(probes) == 2 + BRACKET_MAX_STEPS
+
+    def test_bad_start(self):
+        for lo, hi in ((0.0, 1.0), (1.0, 1.0), (2.0, 1.0)):
+            with pytest.raises(ValueError):
+                grow_bracket(lambda c: c, lo, hi)
 
 
 class TestFitSlope:

@@ -56,7 +56,7 @@ class TestValidateKpp:
 
 class TestAdjustForTruncation:
     def test_identity_at_full_mass(self, logistic):
-        adj = adjust_for_truncation(logistic, 1.0)
+        adj = adjust_for_truncation(logistic, 1.0, 1.0)
         assert adj.eta_n == 1.0
         u = np.linspace(0, 1, 11)
         np.testing.assert_allclose(adj.f_n(u), logistic.f(u))
@@ -64,32 +64,46 @@ class TestAdjustForTruncation:
     @pytest.mark.parametrize("sigma", [0.9, 0.99])
     def test_logistic_eta_closed_form(self, logistic, sigma):
         # u(1-u) - (1-sigma) u = u (sigma - u) vanishes at sigma
-        adj = adjust_for_truncation(logistic, sigma)
+        adj = adjust_for_truncation(logistic, sigma, 1.0)
         assert adj.eta_n == pytest.approx(sigma, abs=1e-10)
 
     @pytest.mark.parametrize("sigma", [0.5, 0.9])
     def test_cubic_eta_closed_form(self, sigma):
         # u - u^3 - (1-sigma) u = u (sigma - u^2) vanishes at sqrt(sigma)
-        adj = adjust_for_truncation(make_polynomial([0.0, 1.0, 0.0, -1.0]), sigma)
+        adj = adjust_for_truncation(make_polynomial([0.0, 1.0, 0.0, -1.0]), sigma, 1.0)
         assert abs(adj.eta_n - np.sqrt(sigma)) <= 1e-14
 
     def test_eta_increases_with_sigma(self, logistic):
-        etas = [adjust_for_truncation(logistic, s).eta_n for s in (0.7, 0.8, 0.9, 0.999)]
+        etas = [adjust_for_truncation(logistic, s, 1.0).eta_n for s in (0.7, 0.8, 0.9, 0.999)]
         assert all(b > a for a, b in zip(etas, etas[1:]))
 
     def test_fn_below_f(self, logistic):
-        adj = adjust_for_truncation(logistic, 0.8)
+        adj = adjust_for_truncation(logistic, 0.8, 1.0)
         u = np.linspace(0.0, logistic.cap_K0, 500)
         assert np.all(adj.f_n(u) <= logistic.f(u) + 1e-15)
 
     def test_degenerate_mass_loss(self, logistic):
         with pytest.raises(DegenerateAdjustmentError):
-            adjust_for_truncation(logistic, 1e-6)
+            adjust_for_truncation(logistic, 1e-6, 1.0)
         with pytest.raises(ValueError):
-            adjust_for_truncation(logistic, 0.0)
+            adjust_for_truncation(logistic, 0.0, 1.0)
+
+    def test_diffusion_scales_the_loss(self, logistic):
+        # d (J_n*u - u) loses d (1 - sigma_n) u, so eta_n solves f(eta) = d (1 - sigma_n) eta
+        d, sigma = 2.0, 0.9
+        adj = adjust_for_truncation(logistic, sigma, d)
+        assert abs(float(logistic.f(adj.eta_n)) - d * (1.0 - sigma) * adj.eta_n) <= 1e-12
+        assert adj.to_unit_reaction().df0 == pytest.approx(logistic.df0 - d * (1.0 - sigma))
+
+    def test_degenerate_check_scales_with_d(self, logistic):
+        # at d = 2 the loss 2 (1 - sigma_n) reaches f'(0) = 1 at sigma_n = 0.5
+        adjust_for_truncation(logistic, 0.5, 1.0)
+        adjust_for_truncation(logistic, 0.6, 2.0)
+        with pytest.raises(DegenerateAdjustmentError):
+            adjust_for_truncation(logistic, 0.5, 2.0)
 
     def test_unit_rescale_is_scaled_logistic(self, logistic):
-        adj = adjust_for_truncation(logistic, 0.9)
+        adj = adjust_for_truncation(logistic, 0.9, 1.0)
         unit = adj.to_unit_reaction()
         v = np.linspace(0.0, 1.0, 200)
         np.testing.assert_allclose(unit.f(v), 0.9 * v * (1.0 - v), atol=1e-12)

@@ -1,19 +1,27 @@
 """The benchmark's traced pass (perfbench/tracing.py) wraps frontlab's public
 functions by name.  One small traced job here makes a renamed or removed
 wrapped name fail the test suite, not only a benchmark run.  Traced Laplace
-simulations show that the free-boundary step evaluates no kernel tail."""
+simulations show that the free-boundary step evaluates no kernel tail.  The
+config of every benchmark job must parse, so a schema change that rejects
+one fails here too, not only as a benchmark job failure."""
 
 import importlib.util
 import pathlib
+import sys
 
+import pytest
+
+from frontlab import parse_config
 from frontlab.cli import main
 
-_TRACING = pathlib.Path(__file__).parents[1] / "perfbench" / "tracing.py"
+_PERFBENCH = pathlib.Path(__file__).parents[1] / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", _PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up by name while the class is built
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -34,7 +42,7 @@ def _traced_run(tracing, tmp_path, name, cfg_text, argv):
 
 def test_traced_speed_job_counts_semiwave_solves(tmp_path):
     metrics = _traced_run(
-        _load_tracing(), tmp_path, "speed",
+        _load("tracing"), tmp_path, "speed",
         "[kernel]\ntype = laplace\n[reaction]\ntype = logistic\n"
         "[semiwave]\ndepth = 30.0\nn_cells = 1200\n",
         ["speed", "--mu", "1"],
@@ -45,7 +53,7 @@ def test_traced_speed_job_counts_semiwave_solves(tmp_path):
 def test_traced_laplace_simulate_steps_without_tail_mass(tmp_path):
     # the Laplace step reads its boundary fluxes off the convolution, so a
     # longer run takes more steps and no more tail evaluations
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     short, long = (
         _traced_run(
             tracing, tmp_path, f"simulate-{t_max:g}",
@@ -57,3 +65,11 @@ def test_traced_laplace_simulate_steps_without_tail_mass(tmp_path):
     )
     assert long["fbsim.steps"] > short["fbsim.steps"] > 0
     assert long["kernels.tail_mass_calls"] == short["kernels.tail_mass_calls"]
+
+
+@pytest.mark.parametrize("seed", [0, 4099])
+def test_every_benchmark_job_config_parses(seed):
+    workloads = _load("workloads")
+    for workload in workloads.WORKLOADS:
+        for job in workloads.jobs_for(workload, seed):
+            parse_config(job.config)
