@@ -88,14 +88,23 @@ def cauchy_step(
     ``conv`` is the kernel's lattice convolution at the grid spacing, built
     once per run so the kernel row is sampled once.
     """
-    n = s.u.size
+    u = s.u
+    wu = trapezoid_weights(u.size, s.grid.spacing)
+    wu *= u
     # Always the relative-accuracy path (the recursion for an exponential
     # kernel, the direct sum otherwise): a whole-line density is
     # exponentially small toward the domain ends, and the FFT path's absolute
     # rounding floor (~1e-16 of the peak) would replace those values with
     # noise that KPP growth amplifies to O(1) within tens of time units.
-    Ju = conv.direct(trapezoid_weights(n, s.grid.spacing) * s.u)
-    u_new = np.maximum(s.u + dt * (d * (Ju - s.u) + r.f(s.u)), 0.0)
+    u_new = conv.direct(wu)
+    # max(u + dt*(d*(Ju - u) + f(u)), 0), operation for operation, on the
+    # convolution's storage
+    u_new -= u
+    u_new *= d
+    u_new += r.f(u)
+    u_new *= dt
+    u_new += u
+    np.maximum(u_new, 0.0, out=u_new)
     return CauchyState(grid=s.grid, u=u_new, t=s.t + dt)
 
 

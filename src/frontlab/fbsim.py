@@ -9,6 +9,11 @@ integrals of the boundary laws never need quadrature.  For an exactly
 exponential kernel (``Kernel.exp_rate``) the tail is the density over the
 rate, so both fluxes are read off the end values of the lattice convolution
 the step computes anyway, and the tail is never evaluated.
+
+A step runs in a fixed operation order: the density update performs the
+floating-point operations of ``u + dt*(d*Ju - d*u + f(u))`` in that order,
+in place on the convolution's result.  The order, not the storage, fixes
+the bits, which keeps reruns and refactors of the step byte-identical.
 """
 
 from __future__ import annotations
@@ -70,16 +75,18 @@ def _active_range(g: float, h: float, dx: float) -> tuple[int, int]:
     return j_lo, j_hi
 
 
-def _quad_weights(state: FieldState, x_0: float, x_last: float) -> np.ndarray:
-    """Trapezoid weights over [g, h] including the two boundary partial cells;
-    ``x_0`` and ``x_last`` are the first and last active node."""
-    n = state.u.size
-    if n == 1:
-        return np.array([0.5 * (state.h - state.g)])
-    w = trapezoid_weights(n, state.dx)
-    w[0] += 0.5 * (x_0 - state.g)
-    w[-1] += 0.5 * (state.h - x_last)
-    return w
+def _quad_weighted(state: FieldState, x_0: float, x_last: float) -> np.ndarray:
+    """The density times its trapezoid weights over [g, h], the two boundary
+    partial cells included; ``x_0`` and ``x_last`` are the first and last
+    active node.  An end weight is ``0.5*dx + 0.5*(partial cell)``, summed
+    before it multiplies the density."""
+    u, dx = state.u, state.dx
+    if u.size == 1:
+        return 0.5 * (state.h - state.g) * u
+    wu = dx * u
+    wu[0] = (0.5 * dx + 0.5 * (x_0 - state.g)) * u[0]
+    wu[-1] = (0.5 * dx + 0.5 * (state.h - x_last)) * u[-1]
+    return wu
 
 
 def stability_dt(
@@ -126,7 +133,7 @@ def step(
     n = u.size
     # the same products as the ends of positions()
     x_0, x_last = s.j0 * dx, (s.j0 + n - 1) * dx
-    wu = _quad_weights(s, x_0, x_last) * u
+    wu = _quad_weighted(s, x_0, x_last)
     # a free-boundary density vanishes at a finite slope at g and h, so the
     # FFT path's absolute rounding floor never meets an exponentially small
     # leading edge (contrast cauchy_step)
@@ -145,14 +152,21 @@ def step(
         flux_h = float(np.dot(wu, np.asarray(k.tail_mass(x - s.h), dtype=float)))
         flux_g = float(np.dot(wu, np.asarray(k.tail_mass(s.g - x), dtype=float)))
 
-    u_new = u + dt * (d * Ju - d * u + r.f(u))
-    clamps = int(np.count_nonzero(u_new < 0.0))
-    if clamps:
-        u_new = np.maximum(u_new, 0.0)
+    # u + dt*(d*Ju - d*u + f(u)), operation for operation, on Ju's storage
+    u_new = Ju
+    u_new *= d
+    u_new -= d * u
+    u_new += r.f(u)
+    u_new *= dt
+    u_new += u
+    clamps = 0
+    if u_new.min() < 0.0:
+        clamps = int(np.count_nonzero(u_new < 0.0))
+        np.maximum(u_new, 0.0, out=u_new)
     # trapezoid convolution bias saturates the equilibrium O(dx^2/12 * J'')
     # above the continuum cap; the invariant check carries exactly that slack
     cap = s.m0star * (1.0 + 0.125 * dx * dx) + 1e-12
-    peak = float(np.max(u_new)) if n else 0.0
+    peak = float(u_new.max()) if n else 0.0
     if peak > cap:
         raise FrontlabError(f"density invariant violated: max u = {peak} > M0* = {s.m0star}")
 

@@ -102,6 +102,11 @@ class LatticeConvolution:
     The kernel's density and ``exp_rate`` are read once and the kernel is not
     held, so a cache keyed weakly on the kernel lets it and this object go
     together.
+
+    Every call returns a fresh array that the caller owns and may update in
+    place.  The FFT path copies its input into one zero-padded buffer kept by
+    this object, but no result is a view of that buffer, so a later call
+    never changes an earlier result.
     """
 
     def __init__(self, k: Kernel, dx: float):
@@ -110,7 +115,9 @@ class LatticeConvolution:
         self.exp_rate = k.exp_rate
         self.capacity = 0
         if self.exp_rate is not None:
-            self._r = math.exp(-self.exp_rate * self.dx)
+            r = math.exp(-self.exp_rate * self.dx)
+            self._left_b, self._right_b = np.array([1.0]), np.array([0.0, r])
+            self._a = np.array([1.0, -r])
             self._amp = None
 
     def _fit(self, n: int) -> int:
@@ -120,6 +127,8 @@ class LatticeConvolution:
             if self.exp_rate is None:
                 self._size = next_fast_len(2 * N - 1, real=True)
                 self._row_hat = rfft(self.row, self._size)
+                self._padded = np.zeros(self._size)
+                self._filled = 0
             self.capacity = N
         return self.capacity
 
@@ -137,10 +146,10 @@ class LatticeConvolution:
         if self.exp_rate is not None and n >= FFT_MIN_NODES:
             if self._amp is None:
                 self._amp = self.row[self.capacity - 1] if self.capacity else self.density(0.0)
-            r = self._r
-            left = lfilter([1.0], [1.0, -r], wu)
-            right = lfilter([0.0, r], [1.0, -r], wu[::-1])[::-1]
-            return self._amp * (left + right)
+            out = lfilter(self._left_b, self._a, wu)
+            out += lfilter(self._right_b, self._a, wu[::-1])[::-1]
+            out *= self._amp
+            return out
         N = self._fit(n)
         return np.convolve(self.row[N - n : N + n - 1], wu, mode="valid")
 
@@ -150,7 +159,13 @@ class LatticeConvolution:
         computed."""
         n = wu.size
         N = self._fit(n)
-        return irfft(rfft(wu, self._size) * self._row_hat, self._size)[N - 1 : N - 1 + n]
+        padded = self._padded
+        padded[:n] = wu
+        padded[n : self._filled] = 0.0
+        self._filled = n
+        spectrum = rfft(padded)
+        spectrum *= self._row_hat
+        return irfft(spectrum, self._size)[N - 1 : N - 1 + n]
 
 
 BRACKET_MAX_STEPS = 60

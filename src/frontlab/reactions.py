@@ -43,8 +43,14 @@ class Reaction:
 def _extend(core: Callable[[np.ndarray], np.ndarray], df0: float):
     def f(u):
         u = np.asarray(u, dtype=float)
-        out = np.where(u < 0.0, df0 * u, core(np.maximum(u, 0.0)))
-        return out if out.ndim else float(out)
+        # nothing below 0, the usual case: core alone gives the same values.
+        # An empty input counts as nonnegative (initial); a NaN fails the
+        # test and takes the masked branch.
+        if u.min(initial=0.0) >= 0.0:
+            out = core(u)
+        else:
+            out = np.where(u < 0.0, df0 * u, core(np.maximum(u, 0.0)))
+        return out if np.ndim(out) else float(out)
 
     return f
 
@@ -218,18 +224,18 @@ def adjust_for_truncation(r: Reaction, sigma_n: float, d: float) -> AdjustedReac
     if sigma_n == 1.0:
         return AdjustedReaction(base=r, sigma_n=1.0, d=d, f_n=f_n, eta_n=1.0)
 
-    # f_n(1) = -loss < 0 and f_n > 0 near 0; walk down from 1 to bracket the zero
+    # f_n(1) = -loss < 0 and f_n > 0 near 0; walk down from 1 to bracket the
+    # zero, halving the upper end where a full step would leave (0, hi)
     lo, hi = None, 1.0
     step = max(1e-3, loss / abs(r.df1) / 8.0)
-    u = 1.0 - step
-    while u > 0.0:
+    while lo is None:
+        u = hi - step if hi > step else 0.5 * hi
+        if u <= 0.0:
+            raise DegenerateAdjustmentError("no interior zero found for the adjusted reaction")
         if f_n(u) > 0.0:
             lo = u
-            break
-        hi = u
-        u -= step
-    if lo is None:
-        raise DegenerateAdjustmentError("no interior zero found for the adjusted reaction")
+        else:
+            hi = u
     eta_n = bracketed_root(
         lambda v: -1.0 if f_n(v) > 0.0 else math.inf,
         lo, hi, ftol=0.0, xtol=1e-14, g_lo=-1.0, g_hi=math.inf,

@@ -9,6 +9,13 @@ point keeps its plateau near 1.
 
 Beyond -L the profile is closed with its plateau value 1, which contributes
 the analytic tail mass of the kernel to every convolution.
+
+Each iteration runs in a fixed operation order (see ``_Operator``): the
+same floating-point operations as the operator's plain expression, in the
+same order, with the constants of a solve computed once before it.  That
+order is what keeps reruns and refactors byte-identical, and with them
+every verdict near the threshold c*, where a last-bit change can move a
+probe from collapse to an exhausted budget.
 """
 
 from __future__ import annotations
@@ -25,7 +32,8 @@ from scipy.signal import lfilter
 from .errors import NonconvergenceError, NoCrossingError, UnsupportedTailError
 from .kernels import Kernel, TailClass, classify_tail
 from .numerics import (
-    LatticeConvolution, UniformGrid, bracketed_root, grow_bracket, trapezoid_weights
+    BRACKET_MAX_STEPS, LatticeConvolution, UniformGrid, bracketed_root, grow_bracket,
+    trapezoid_weights,
 )
 from .reactions import Reaction
 
@@ -122,7 +130,9 @@ class _Workspace:
     def convolve(self, phi: np.ndarray) -> np.ndarray:
         # a semi-wave profile vanishes at a finite slope at the front, so the
         # FFT path's absolute rounding floor is harmless here
-        return self.row_scale * self.lattice(self.trap_w * phi)
+        out = self.lattice(self.trap_w * phi)
+        out *= self.row_scale
+        return out
 
 
 # weak keys: a workspace goes when its kernel does, so long sweeps over
@@ -172,27 +182,58 @@ def apply_A(
 ) -> np.ndarray:
     """One application of the integrating-factor fixed-point operator."""
     ws = _workspace(k, params.resolve_depth(k), params.n_cells)
-    return _apply(phi, c, d, r, M, sigma, ws)
+    return _Operator(c, d, r, M, sigma, ws)(phi)
 
 
-def _apply(phi, c, d, r, M, sigma, ws: _Workspace) -> np.ndarray:
-    w_tilde = (
-        d * (ws.convolve(phi) + ws.far)
-        + d * sigma * ws.a_x
-        + (c * M - d) * phi
-        + r.f(phi)
-    )
-    alpha, beta, E = _exp_cell_weights(M, ws.h)
-    cell = alpha * w_tilde[:-1] + beta * w_tilde[1:]
-    # I[j] = cell[j] + E * I[j+1], integrated from the right end
-    acc = lfilter([1.0], [1.0, -E], cell[::-1])[::-1]
-    out = np.empty_like(phi)
-    out[:-1] = acc / c
-    out[-1] = 0.0
-    if sigma != 0.0:
-        out[:-1] += sigma * np.exp(M * ws.x[:-1])
-        out[-1] = sigma
-    return out
+class _Operator:
+    """The fixed-point operator at one speed, with the constants of a solve
+    (cell weights, recursion coefficients, sigma terms) computed once.
+
+    A call performs the same floating-point operations in the same order as
+    the textbook expression
+
+        w = d*(convolve(phi) + far) + d*sigma*a_x + (c*M - d)*phi + f(phi)
+        cell = alpha*w[:-1] + beta*w[1:]
+        out[:-1] = I/c,  I[j] = cell[j] + E*I[j+1],  out[-1] = 0
+        (+ sigma*exp(M*x) when sigma != 0)
+
+    but updates its temporaries in place, so its result is bit for bit that
+    of the expression.  At sigma = 0 the sigma term is left out rather than
+    added as zeros: adding +0.0 changes only a -0.0, and the tail mass
+    ``far`` is never -0.0, so neither is ``convolve(phi) + far``.
+    """
+
+    def __init__(self, c: float, d: float, r: Reaction, M: float, sigma: float, ws: _Workspace):
+        self.ws, self.c, self.d, self.f = ws, c, d, r.f
+        self.shift = c * M - d
+        self.alpha, self.beta, E = _exp_cell_weights(M, ws.h)
+        self.b, self.a = np.array([1.0]), np.array([1.0, -E])
+        self.sigma = sigma
+        if sigma != 0.0:
+            self.source = d * sigma * ws.a_x
+            self.lift = sigma * np.exp(M * ws.x[:-1])
+
+    def __call__(self, phi: np.ndarray) -> np.ndarray:
+        ws = self.ws
+        w = ws.convolve(phi)
+        w += ws.far
+        w *= self.d
+        if self.sigma != 0.0:
+            w += self.source
+        w += self.shift * phi
+        w += self.f(phi)
+        cell = self.alpha * w[:-1]
+        w *= self.beta
+        cell += w[1:]
+        # I[j] = cell[j] + E * I[j+1], integrated from the right end
+        acc = lfilter(self.b, self.a, cell[::-1])[::-1]
+        out = np.empty_like(phi)
+        np.divide(acc, self.c, out=out[:-1])
+        out[-1] = 0.0
+        if self.sigma != 0.0:
+            out[:-1] += self.lift
+            out[-1] = self.sigma
+        return out
 
 
 @dataclass(eq=False, kw_only=True)
@@ -264,12 +305,16 @@ def solve_semiwave(
             raise ValueError("initial profile does not match the solver grid")
         cold_start = False
 
+    A = _Operator(c, d, r, M, sigma, ws)
     slip = 0.0
     threshold = 1.0 - params.plateau_eps
     for it in range(1, params.max_iters + 1):
-        nxt = _apply(phi, c, d, r, M, sigma, ws)
-        delta = float(np.max(np.abs(nxt - phi)))
-        slip = max(slip, float(np.max(nxt - phi)))
+        nxt = A(phi)
+        diff = nxt - phi
+        rise = float(diff.max())
+        # max |diff| without the abs temporary: the same value
+        delta = max(rise, -float(diff.min()))
+        slip = max(slip, rise)
         phi = nxt
         if phi[0] < threshold:
             # iterates only decrease from an upper start: plateau is gone
@@ -293,7 +338,7 @@ def solve_semiwave(
             RuntimeWarning,
             stacklevel=2,
         )
-    residual = float(np.max(np.abs(_apply(phi, c, d, r, M, sigma, ws) - phi)))
+    residual = float(np.max(np.abs(A(phi) - phi)))
     plateau = float(phi[0])
     accept = plateau >= threshold and residual <= _RESIDUAL_FACTOR * params.tol_iter
     if not accept:
@@ -430,7 +475,13 @@ def estimate_cstar(
 
 
 def linear_determinacy_speed(d: float, k: Kernel, r: Reaction) -> float | None:
-    """min over lam > 0 of [d (J-hat(lam) - 1) + f'(0)] / lam, if defined."""
+    """min over lam > 0 of [d (J-hat(lam) - 1) + f'(0)] / lam, if defined.
+
+    None means the kernel has no finite exponential moment.  Without an
+    upper end to the moments, the search doubles lam from 1 while the
+    objective decreases, at most ``BRACKET_MAX_STEPS`` times before raising
+    ``NonconvergenceError``.
+    """
     if k.lambda_sup <= 0:
         return None
 
@@ -441,11 +492,13 @@ def linear_determinacy_speed(d: float, k: Kernel, r: Reaction) -> float | None:
     if math.isfinite(k.lambda_sup):
         lo, hi = 1e-8 * k.lambda_sup, k.lambda_sup * (1.0 - 1e-10)
     else:
-        lo, hi = 1e-8, 1.0
+        lo, hi, doublings = 1e-8, 1.0, 0
         while objective(2.0 * hi) < objective(hi):
-            hi *= 2.0
-            if hi > 1e8:
-                return None
+            if doublings == BRACKET_MAX_STEPS:
+                raise NonconvergenceError(
+                    f"linear-determinacy objective still decreasing at lambda = {hi:.3g}"
+                )
+            hi, doublings = 2.0 * hi, doublings + 1
         hi *= 2.0
     res = minimize_scalar(objective, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10})
     return float(res.fun)

@@ -1,0 +1,253 @@
+"""The hot loops against their textbook expressions, bit for bit.
+
+The semi-wave operator, both explicit steps, the lattice convolution and the
+reaction extension update their temporaries in place.  Each must still do
+the same floating-point operations in the same order as the plain
+expression written out here, which is what keeps artifacts byte-identical
+across refactors; ``np.array_equal`` on fixed random inputs checks it.
+The diffusion rate is d = 0.7, not 1, and the time steps are as long as
+stability allows, so that a reordered operation shows in the last bits.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from scipy.fft import irfft, next_fast_len, rfft
+from scipy.signal import lfilter
+
+from frontlab import (
+    SemiWaveParams,
+    apply_A,
+    choose_M,
+    make_gaussian,
+    make_laplace,
+    make_polynomial,
+    make_uniform,
+    trapezoid_weights,
+)
+from frontlab.cauchy import CauchyState, cauchy_step
+from frontlab.fbsim import FieldState, _active_range, _quad_weighted, step
+from frontlab.numerics import FFT_MIN_NODES, LatticeConvolution, UniformGrid
+from frontlab.semiwave import _exp_cell_weights, _workspace
+
+
+def _reference_apply(phi, c, d, r, M, sigma, ws):
+    w_tilde = (
+        d * (ws.row_scale * ws.lattice(ws.trap_w * phi) + ws.far)
+        + d * sigma * ws.a_x
+        + (c * M - d) * phi
+        + r.f(phi)
+    )
+    alpha, beta, E = _exp_cell_weights(M, ws.h)
+    cell = alpha * w_tilde[:-1] + beta * w_tilde[1:]
+    acc = lfilter([1.0], [1.0, -E], cell[::-1])[::-1]
+    out = np.empty_like(phi)
+    out[:-1] = acc / c
+    out[-1] = 0.0
+    if sigma != 0.0:
+        out[:-1] += sigma * np.exp(M * ws.x[:-1])
+        out[-1] = sigma
+    return out
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.3])
+@pytest.mark.parametrize(
+    "kname, n_cells", [("uniform", 1200), ("laplace", 1200), ("gaussian", 300)]
+)
+def test_semiwave_operator(logistic, kname, n_cells, sigma):
+    make = {"uniform": make_uniform, "laplace": make_laplace, "gaussian": make_gaussian}[kname]
+    k = make() if kname == "laplace" else make(1.0)
+    params = SemiWaveParams(depth=30.0, n_cells=n_cells)
+    ws = _workspace(k, 30.0, n_cells)
+    phi = np.random.default_rng(n_cells).uniform(0.0, 1.0, n_cells + 1)
+    d = 0.7
+    for c in (0.5, 0.9):
+        M = choose_M(c, d, logistic)
+        out = apply_A(phi, c, d, k, logistic, M, sigma, params)
+        assert np.array_equal(out, _reference_apply(phi, c, d, logistic, M, sigma, ws))
+
+
+def _reference_weighted(s, x_0, x_last):
+    n = s.u.size
+    if n == 1:
+        w = np.array([0.5 * (s.h - s.g)])
+    else:
+        w = trapezoid_weights(n, s.dx)
+        w[0] += 0.5 * (x_0 - s.g)
+        w[-1] += 0.5 * (s.h - x_last)
+    return w * s.u
+
+
+def _reference_step(s, dt, d, mu, k, r, conv):
+    u, dx = s.u, s.dx
+    n = u.size
+    x_0, x_last = s.j0 * dx, (s.j0 + n - 1) * dx
+    wu = _reference_weighted(s, x_0, x_last)
+    Ju = conv(wu)
+    lam = k.exp_rate
+    if lam is not None:
+        flux_h = math.exp(-lam * (s.h - x_last)) / lam * float(Ju[-1])
+        flux_g = math.exp(-lam * (x_0 - s.g)) / lam * float(Ju[0])
+    else:
+        x = s.positions()
+        flux_h = float(np.dot(wu, np.asarray(k.tail_mass(x - s.h), dtype=float)))
+        flux_g = float(np.dot(wu, np.asarray(k.tail_mass(s.g - x), dtype=float)))
+    u_new = u + dt * (d * Ju - d * u + r.f(u))
+    clamps = int(np.count_nonzero(u_new < 0.0))
+    if clamps:
+        u_new = np.maximum(u_new, 0.0)
+    h_new = s.h + dt * mu * flux_h
+    g_new = s.g - dt * mu * flux_g
+    j_lo, j_hi = _active_range(g_new, h_new, dx)
+    grow_left = s.j0 - j_lo
+    grow_right = j_hi - (s.j0 + n - 1)
+    if grow_left or grow_right:
+        u_new = np.concatenate(
+            [np.zeros(max(grow_left, 0)), u_new, np.zeros(max(grow_right, 0))]
+        )
+    return u_new, g_new, h_new, j_lo, clamps
+
+
+def _field(n, dx, rng, *, negatives=False, edge_gap=0.5):
+    """A window of n nodes centred on 0; the boundaries sit ``edge_gap``
+    cells beyond the end nodes."""
+    j0 = -(n // 2)
+    u = rng.uniform(0.0, 1.0, n)
+    if negatives:
+        u[::5] = -rng.uniform(0.0, 0.1, u[::5].size)
+    return FieldState(
+        t=0.0, g=(j0 - edge_gap) * dx, h=(j0 + n - 1 + edge_gap) * dx, dx=dx, j0=j0, u=u,
+        m0star=1.0,
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 139])
+def test_free_boundary_quadrature(n):
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        s = _field(n, 0.05, rng, edge_gap=rng.uniform(0.0, 1.0))
+        x_0, x_last = s.j0 * s.dx, (s.j0 + n - 1) * s.dx
+        assert np.array_equal(_quad_weighted(s, x_0, x_last), _reference_weighted(s, x_0, x_last))
+
+
+@pytest.mark.parametrize("case", ["plain", "clamps", "grows"])
+@pytest.mark.parametrize(
+    "kname, n",
+    [("laplace", 139), ("laplace", 1601), ("gaussian", 139), ("gaussian", 601), ("gaussian", 1)],
+)
+def test_free_boundary_step(logistic, kname, n, case):
+    k = make_laplace() if kname == "laplace" else make_gaussian(1.0)
+    d, dx, mu, v_cap = 0.7, 0.05, 0.1, 0.2
+    rng = np.random.default_rng(n)
+    # an end node one part in 1e7 of a cell inside the boundary: any outward
+    # motion brings a new node into the window
+    gap = 1.0 - 1e-7 if case == "grows" else 0.5
+    s = _field(n, dx, rng, negatives=case == "clamps", edge_gap=gap)
+    dt = min(0.2 / (d + logistic.lipschitz_K), 0.25 * dx / v_cap)
+    out = step(s, dt, d, mu, k, logistic, v_cap, conv=LatticeConvolution(k, dx))
+    u_ref, g_ref, h_ref, j0_ref, clamps = _reference_step(
+        s, dt, d, mu, k, logistic, LatticeConvolution(k, dx)
+    )
+    assert np.array_equal(out.u, u_ref)
+    assert (out.g, out.h, out.j0, out.clamp_count) == (g_ref, h_ref, j0_ref, clamps)
+    assert (clamps > 0) == (case == "clamps")
+    assert (out.u.size > n) == (case == "grows")
+
+
+@pytest.mark.parametrize("kname, n", [("laplace", 1601), ("gaussian", 301)])
+def test_whole_line_step(logistic, kname, n):
+    k = make_laplace() if kname == "laplace" else make_gaussian(1.0)
+    grid = UniformGrid(-0.05 * (n - 1) / 2, 0.05 * (n - 1) / 2, n - 1)
+    u = np.random.default_rng(n).uniform(0.0, 1.0, n)
+    u[::7] = 0.0
+    s = CauchyState(grid=grid, u=u, t=0.0)
+    d, dt = 0.7, 0.2 / 1.7
+    out = cauchy_step(s, dt, d, k, logistic, LatticeConvolution(k, grid.spacing))
+    Ju = LatticeConvolution(k, grid.spacing).direct(trapezoid_weights(n, grid.spacing) * u)
+    ref = np.maximum(u + dt * (d * (Ju - u) + logistic.f(u)), 0.0)
+    assert np.array_equal(out.u, ref)
+
+
+def _reference_fft(density, dx, N, wu):
+    row = np.asarray(density(np.arange(-(N - 1), N) * dx), dtype=float)
+    size = next_fast_len(2 * N - 1, real=True)
+    n = wu.size
+    return irfft(rfft(wu, size) * rfft(row, size), size)[N - 1 : N - 1 + n]
+
+
+def _reference_recursion(k, dx, wu):
+    r = math.exp(-k.exp_rate * dx)
+    left = lfilter([1.0], [1.0, -r], wu)
+    right = lfilter([0.0, r], [1.0, -r], wu[::-1])[::-1]
+    return k.density(0.0) * (left + right)
+
+
+def test_lattice_fft():
+    # shrinking inputs exercise the zero fill of the reused padded buffer,
+    # and the last size outgrows it
+    k = make_uniform(1.0)
+    conv = LatticeConvolution(k, 0.025)
+    rng = np.random.default_rng(2)
+    for n in (1201, 700, 3, 1201, 2600):
+        wu = rng.uniform(0.0, 0.1, n)
+        out = conv.fft(wu)
+        assert np.array_equal(out, _reference_fft(k.density, 0.025, conv.capacity, wu)), n
+
+
+def test_lattice_recursion():
+    k = make_laplace()
+    conv = LatticeConvolution(k, 0.05)
+    rng = np.random.default_rng(3)
+    for n in (FFT_MIN_NODES, 1601, 2559):
+        wu = rng.uniform(0.0, 0.1, n)
+        assert np.array_equal(conv.direct(wu), _reference_recursion(k, 0.05, wu)), n
+
+
+@pytest.mark.parametrize(
+    "k, n",
+    [
+        (dataclasses.replace(make_laplace(), exp_rate=None), 1201),  # FFT path
+        (make_laplace(), 1201),  # recursion
+        (make_uniform(1.0), 301),  # direct sum
+    ],
+)
+def test_lattice_results_never_alias(k, n):
+    """A caller may update a result in place: a later call neither changes
+    it nor is changed by it."""
+    conv = LatticeConvolution(k, 0.05)
+    rng = np.random.default_rng(4)
+    a, b = rng.uniform(0.0, 0.1, n), rng.uniform(0.0, 0.1, n)
+    first = conv(a)
+    kept = first.copy()
+    second = conv(b)
+    assert np.array_equal(first, kept)
+    first *= 2.0
+    assert np.array_equal(conv(a), kept)
+    assert not np.shares_memory(conv(b), second)
+
+
+def _reference_reaction(core, df0, u):
+    u = np.asarray(u, dtype=float)
+    out = np.where(u < 0.0, df0 * u, core(np.maximum(u, 0.0)))
+    return out if out.ndim else float(out)
+
+
+@pytest.mark.parametrize("rname", ["logistic", "polynomial"])
+def test_reaction_extension(logistic, rname):
+    if rname == "logistic":
+        r, core = logistic, lambda u: u * (1.0 - u)
+    else:
+        coeffs = [0.0, 1.0, 0.5, -1.5]
+        r, core = make_polynomial(coeffs), lambda u: np.polyval(np.array(coeffs)[::-1], u)
+    rng = np.random.default_rng(5)
+    mixed = rng.uniform(-0.5, 1.5, 257)
+    mixed[::9] = 0.0
+    for u in (mixed, np.abs(mixed), np.zeros(4), np.array([])):
+        assert np.array_equal(r.f(u), _reference_reaction(core, r.df0, u))
+    for u in (0.3, -0.3, 0.0, 1.0):
+        out = r.f(u)
+        assert type(out) is float and out == _reference_reaction(core, r.df0, u)

@@ -73,6 +73,14 @@ class TestAdjustForTruncation:
         adj = adjust_for_truncation(make_polynomial([0.0, 1.0, 0.0, -1.0]), sigma, 1.0)
         assert abs(adj.eta_n - np.sqrt(sigma)) <= 1e-14
 
+    def test_logistic_eta_for_every_sigma(self, logistic):
+        # for small sigma_n the walk's last full step lands on the zero up to
+        # rounding; where the next step would leave (0, 1) it halves instead
+        for i in range(1, 1000):
+            sigma = i / 1000
+            eta = adjust_for_truncation(logistic, sigma, 1.0).eta_n
+            assert abs(eta - sigma) <= 1e-14, sigma
+
     def test_eta_increases_with_sigma(self, logistic):
         etas = [adjust_for_truncation(logistic, s, 1.0).eta_n for s in (0.7, 0.8, 0.9, 0.999)]
         assert all(b > a for a, b in zip(etas, etas[1:]))
@@ -83,8 +91,11 @@ class TestAdjustForTruncation:
         assert np.all(adj.f_n(u) <= logistic.f(u) + 1e-15)
 
     def test_degenerate_mass_loss(self, logistic):
+        # d (1 - sigma_n) >= f'(0): no growth is left
         with pytest.raises(DegenerateAdjustmentError):
-            adjust_for_truncation(logistic, 1e-6, 1.0)
+            adjust_for_truncation(logistic, 1e-6, 2.0)
+        # just below that, u (sigma_n - u) still has its zero at sigma_n
+        assert abs(adjust_for_truncation(logistic, 1e-6, 1.0).eta_n - 1e-6) <= 1e-14
         with pytest.raises(ValueError):
             adjust_for_truncation(logistic, 0.0, 1.0)
 

@@ -25,7 +25,7 @@ from frontlab import (
     make_uniform,
     solve_semiwave,
 )
-from frontlab.errors import NoCrossingError, UnsupportedTailError
+from frontlab.errors import NoCrossingError, NonconvergenceError, UnsupportedTailError
 from frontlab.semiwave import _WORKSPACES, _workspace
 
 from .oracles import backward_ode_picard, logistic_scalar
@@ -294,3 +294,15 @@ class TestEstimateCstar:
             lam = brentq(lambda t: math.tanh(t) - 0.5 * t, 1.0, 3.0, xtol=1e-15)
             k, exact = make_uniform(1.0), math.sinh(lam) / lam**2
         assert linear_determinacy_speed(1.0, k, logistic) == pytest.approx(exact, rel=1e-12)
+
+    def test_linear_determinacy_of_a_narrow_kernel(self, logistic):
+        # J_R(x) = J_1(x/R)/R has c_lin(J_R) = R c_lin(J_1); the minimiser
+        # sits near 2.4e9, thirty-odd doublings up from 1
+        c_one = linear_determinacy_speed(1.0, make_uniform(1.0), logistic)
+        c_lin = linear_determinacy_speed(1.0, make_uniform(1e-9), logistic)
+        assert c_lin == pytest.approx(1e-9 * c_one, rel=1e-9)
+
+    def test_linear_determinacy_doubling_is_capped(self, logistic):
+        # the minimiser near 2.4e30 lies beyond BRACKET_MAX_STEPS doublings
+        with pytest.raises(NonconvergenceError):
+            linear_determinacy_speed(1.0, make_uniform(1e-30), logistic)
