@@ -231,8 +231,15 @@ def make_power(sigma_exp: float) -> Kernel:
 
     def a(x):
         x = np.asarray(x, dtype=float)
-        z = 1.0 / (1.0 + x * x)
-        left = 0.5 * betainc(s - 0.5, 0.5, z)
+        xx = x * x
+        left = np.asarray(0.5 * betainc(s - 0.5, 0.5, 1.0 / (1.0 + xx)))
+        # z = 1/(1 + x^2) carries x^2 only in its last bits as x -> 0, where
+        # I_z then loses about eps/|x| absolute; below |x| = 1/2 take the
+        # complement 1 - I_w(1/2, s - 1/2) at w = x^2/(1 + x^2) instead
+        near = xx < 0.25
+        if near.any():
+            w = xx[near]
+            left[near] = 0.5 - 0.5 * betainc(0.5, s - 0.5, w / (1.0 + w))
         return np.where(x <= 0.0, left, 1.0 - left)
 
     tint = None

@@ -23,6 +23,8 @@ __all__ = [
     "trapezoid_weights",
     "LatticeConvolution",
     "FFT_MIN_NODES",
+    "TAIL_NODES",
+    "TAIL_TOL",
     "grow_bracket",
     "bracketed_root",
     "fit_slope",
@@ -79,6 +81,37 @@ def trapezoid_weights(n_nodes: int, spacing: float) -> np.ndarray:
 # 500, so it takes over at the same size.
 FFT_MIN_NODES = 500
 
+# The tail table samples each cell at TAIL_NODES Chebyshev points, both ends
+# included, and is kept only if its interpolant matches the tail at the
+# TAIL_NODES - 1 points halfway between them (in angle) to within TAIL_TOL of
+# the table's largest value.  Sixteen points leave at most 1e-15 there for
+# power kernels at dx <= 0.25 and for the Gaussian at dx <= 1.
+TAIL_NODES = 16
+TAIL_TOL = 1e-13
+_TAIL_NODES = (np.sin(0.5 * np.pi * np.arange(TAIL_NODES) / (TAIL_NODES - 1)) ** 2).tolist()
+_TAIL_CHECK = np.sin(0.5 * np.pi * (np.arange(TAIL_NODES - 1) + 0.5) / (TAIL_NODES - 1)) ** 2
+_TAIL_BARY = [(-1.0) ** k * (0.5 if k in (0, TAIL_NODES - 1) else 1.0) for k in range(TAIL_NODES)]
+
+
+def _interpolate(t: float, values: Sequence[float]) -> float:
+    """The polynomial through ``values`` at the table's nodes, at ``t`` (in
+    cells), by the second barycentric formula.  Plain floats: a step calls
+    this twice on 16 values, where numpy's per-call cost would dominate."""
+    num = den = 0.0
+    for node, b, v in zip(_TAIL_NODES, _TAIL_BARY, values):
+        if t == node:
+            return v
+        c = b / (t - node)
+        num += c * v
+        den += c
+    return num / den
+
+
+# row i: the weights that _interpolate gives the node values at _TAIL_CHECK[i]
+_TAIL_CHECK_WEIGHTS = np.array(
+    [[_interpolate(t, e) for e in np.eye(TAIL_NODES).tolist()] for t in _TAIL_CHECK.tolist()]
+)
+
 
 class LatticeConvolution:
     """``out[i] = sum_j wu[j] * J((i - j) * dx)`` on n consecutive lattice nodes.
@@ -99,9 +132,23 @@ class LatticeConvolution:
     takes the FFT path or keeps a transform, and it samples its row only for
     inputs below ``FFT_MIN_NODES``, or else J(0) alone.
 
-    The kernel's density and ``exp_rate`` are read once and the kernel is not
-    held, so a cache keyed weakly on the kernel lets it and this object go
-    together.
+    ``tail_sums`` gives the two boundary fluxes of a free-boundary window:
+    sums of ``wu`` against the tail a(-(m * dx + theta)) of nodes m cells in
+    from the end node, where the boundary lies theta beyond that node.  The
+    first call samples the tail at the ``TAIL_NODES`` Chebyshev points theta
+    of one cell for every m below N (N as for the row, at least doubling when
+    a longer input arrives) and checks the interpolant in between; after that
+    a call is one (``TAIL_NODES`` x n) product, with no tail evaluation.  Smooth tails
+    pass the check: the Gaussian, and power kernels up to dx = 0.5 except
+    sigma = 5 there.  Tails with a kink inside a cell fail: every
+    ``truncate()`` kernel, and a uniform kernel whose radius is not a whole
+    number of cells (one whose radius is, is linear on each cell and passes).
+    A failed check drops the table, and ``tail_sums`` returns None from then
+    on, for the caller to sum the tail itself.
+
+    The kernel's density, tail and ``exp_rate`` are read once and the kernel
+    is not held, so a cache keyed weakly on the kernel lets it and this object
+    go together.
 
     Every call returns a fresh array that the caller owns and may update in
     place.  The FFT path copies its input into one zero-padded buffer kept by
@@ -111,9 +158,11 @@ class LatticeConvolution:
 
     def __init__(self, k: Kernel, dx: float):
         self.density = k.density
+        self.tail_mass = k.tail_mass
         self.dx = float(dx)
         self.exp_rate = k.exp_rate
         self.capacity = 0
+        self._tail, self._tail_capacity = None, 0
         if self.exp_rate is not None:
             r = math.exp(-self.exp_rate * self.dx)
             self._left_b, self._right_b = np.array([1.0]), np.array([0.0, r])
@@ -166,6 +215,31 @@ class LatticeConvolution:
         spectrum = rfft(padded)
         spectrum *= self._row_hat
         return irfft(spectrum, self._size)[N - 1 : N - 1 + n]
+
+    def tail_sums(
+        self, wu: np.ndarray, theta_h: float, theta_g: float
+    ) -> tuple[float, float] | None:
+        """``sum_m wu[n-1-m] * a(-(m*dx + theta_h))`` and ``sum_m wu[m] *
+        a(-(m*dx + theta_g))`` from the tail table, for theta in (0, dx]; None
+        once the kernel's tail has failed the table's check."""
+        n = wu.size
+        if n > self._tail_capacity:
+            self._fit_tail(n)
+        if self._tail is None:
+            return None
+        sums_h, sums_g = (self._tail[:, :n] @ np.stack((wu[::-1], wu), axis=1)).T.tolist()
+        return _interpolate(theta_h / self.dx, sums_h), _interpolate(theta_g / self.dx, sums_g)
+
+    def _fit_tail(self, n: int) -> None:
+        N = max(n, 2 * self._tail_capacity)
+        points = np.concatenate((_TAIL_NODES, _TAIL_CHECK))[:, None] * self.dx
+        a = np.asarray(self.tail_mass(-(np.arange(N) * self.dx + points)), dtype=float)
+        table = a[:TAIL_NODES]
+        if np.max(np.abs(_TAIL_CHECK_WEIGHTS @ table - a[TAIL_NODES:])) > TAIL_TOL * np.max(table):
+            # a failed check is final: no later window samples the tail again
+            self._tail, self._tail_capacity = None, math.inf
+        else:
+            self._tail, self._tail_capacity = table.copy(), N
 
 
 BRACKET_MAX_STEPS = 60

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from frontlab import (
     classify_outcome,
     make_laplace,
     make_power,
+    make_uniform,
     measure_speed,
     principal_eigenvalue,
     simulate,
@@ -21,7 +23,7 @@ from frontlab import (
     truncated_speed_sequence,
 )
 from frontlab.errors import InsufficientDataError, RejectedStepError
-from frontlab.fbsim import FrontTrajectory, _initial_state
+from frontlab.fbsim import FrontTrajectory, _initial_state, _quad_weighted
 from frontlab.numerics import FFT_MIN_NODES
 
 from .conftest import parabola_u0
@@ -104,19 +106,61 @@ class TestStep:
 
     @pytest.mark.parametrize(
         "make, v_cap, per_step",
-        [(make_laplace, None, 0), (lambda: make_power(0.8), 2.0, 2)],
-        ids=["laplace", "power0.8"],
+        [
+            (make_laplace, None, 0),
+            (lambda: make_power(0.8), 2.0, 0),
+            (lambda: truncate(make_power(0.8), 10.0), None, 2),
+        ],
+        ids=["laplace", "power0.8", "truncated"],
     )
     def test_tail_mass_calls_per_step(self, logistic, make, v_cap, per_step):
+        # Laplace reads its fluxes off the convolution and the power kernel off
+        # its tail table; the truncated kernel's kinked tail fails the table's
+        # check, so it evaluates the tail at every node, twice per step
         k = make()
         calls = []
         tail = k.tail_mass
         k.tail_mass = lambda y: calls.append(y) or tail(y)
         s = _initial_state(_small_cfg(k, logistic, v_cap=v_cap))
         conv = LatticeConvolution(k, s.dx)
+        # h0 lies on the lattice, so the first step adds a node at each end
+        # and the second samples the table again for the grown window
+        for _ in range(2):
+            s = step(s, 0.01, 1.0, 1.0, k, logistic, v_cap, conv=conv)
+        calls.clear()
         for _ in range(5):
             s = step(s, 0.01, 1.0, 1.0, k, logistic, v_cap, conv=conv)
         assert len(calls) == 5 * per_step
+
+    @pytest.mark.parametrize(
+        "make, dx",
+        [
+            (lambda: make_uniform(1.0), 0.15),
+            (lambda: truncate(make_power(0.8), 10.0), 0.1),
+            (lambda: make_power(5.0), 1.0),
+        ],
+        ids=["uniform", "truncated", "power5-dx1"],
+    )
+    def test_rough_tails_keep_the_direct_sums(self, logistic, make, dx):
+        # these tails fail the tail table's check (the uniform kink lies inside
+        # a cell, the truncated tail is piecewise linear, and sigma = 5 is too
+        # steep for 16 points per cell at dx = 1), so the step moves the
+        # boundaries by the two tail sums over the nodes, bit for bit
+        k = make()
+        j0, n = -30, 61
+        x = (j0 + np.arange(n)) * dx
+        g, h = x[0] - 0.4 * dx, x[-1] + 0.8 * dx
+        s = FieldState(
+            t=0.0, g=g, h=h, dx=dx, j0=j0, u=(x - g) * (h - x) / (0.5 * (h - g)) ** 2,
+            m0star=1.0,
+        )
+        conv = LatticeConvolution(k, dx)
+        out = step(s, 0.01, 1.0, 1.0, k, logistic, 2.0, conv=conv)
+        wu = _quad_weighted(s, x[0], x[-1])
+        assert out.h == h + 0.01 * 1.0 * float(np.dot(wu, np.asarray(k.tail_mass(x - h))))
+        assert out.g == g - 0.01 * 1.0 * float(np.dot(wu, np.asarray(k.tail_mass(g - x))))
+        # the failed check is final, also for a window the table would cover
+        assert conv.tail_sums(wu[:10], 0.5 * dx, 0.5 * dx) is None
 
 
 class TestSimulate:
@@ -132,6 +176,19 @@ class TestSimulate:
         assert traj.clamp_count == 0
         assert np.min(state.u) >= 0.0
         assert np.max(state.u) <= state.m0star * (1.0 + 0.125 * state.dx**2) + 1e-12
+
+    def test_speed_cap_is_checked(self, logistic):
+        # the accelerated preset to t = 10: its fronts reach about 0.1, past a
+        # cap of 0.05 and well inside 2.0
+        cfg = _small_cfg(
+            make_power(0.8), logistic, mu=0.1, h0=4.0, u0=parabola_u0(4.0), dx=0.25,
+            v_cap=0.05,
+        )
+        with pytest.warns(RuntimeWarning, match=r"reached speed 0\.1\d*, above the speed cap 0\.05"):
+            simulate(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            simulate(dataclasses.replace(cfg, v_cap=2.0))
 
     def test_u0_preconditions(self, laplace, logistic):
         cfg = _small_cfg(laplace, logistic, u0=lambda x: np.ones_like(np.asarray(x)))

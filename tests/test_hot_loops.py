@@ -92,6 +92,8 @@ def _reference_step(s, dt, d, mu, k, r, conv):
     if lam is not None:
         flux_h = math.exp(-lam * (s.h - x_last)) / lam * float(Ju[-1])
         flux_g = math.exp(-lam * (x_0 - s.g)) / lam * float(Ju[0])
+    elif (fluxes := conv.tail_sums(wu, s.h - x_last, x_0 - s.g)) is not None:
+        flux_h, flux_g = fluxes
     else:
         x = s.positions()
         flux_h = float(np.dot(wu, np.asarray(k.tail_mass(x - s.h), dtype=float)))
@@ -134,13 +136,22 @@ def test_free_boundary_quadrature(n):
         assert np.array_equal(_quad_weighted(s, x_0, x_last), _reference_weighted(s, x_0, x_last))
 
 
+# the Gaussian takes its fluxes from the tail table; the uniform kernel's tail
+# kinks 0.6 of a cell past node 20, fails the table's check and is summed
+# directly
+_STEP_KERNELS = {
+    "laplace": make_laplace, "gaussian": make_gaussian, "uniform": lambda: make_uniform(1.03)
+}
+
+
 @pytest.mark.parametrize("case", ["plain", "clamps", "grows"])
 @pytest.mark.parametrize(
     "kname, n",
-    [("laplace", 139), ("laplace", 1601), ("gaussian", 139), ("gaussian", 601), ("gaussian", 1)],
+    [("laplace", 139), ("laplace", 1601), ("gaussian", 139), ("gaussian", 601), ("gaussian", 1),
+     ("uniform", 139), ("uniform", 601)],
 )
 def test_free_boundary_step(logistic, kname, n, case):
-    k = make_laplace() if kname == "laplace" else make_gaussian(1.0)
+    k = _STEP_KERNELS[kname]()
     d, dx, mu, v_cap = 0.7, 0.05, 0.1, 0.2
     rng = np.random.default_rng(n)
     # an end node one part in 1e7 of a cell inside the boundary: any outward
@@ -156,6 +167,8 @@ def test_free_boundary_step(logistic, kname, n, case):
     assert (out.g, out.h, out.j0, out.clamp_count) == (g_ref, h_ref, j0_ref, clamps)
     assert (clamps > 0) == (case == "clamps")
     assert (out.u.size > n) == (case == "grows")
+    table = LatticeConvolution(k, dx).tail_sums(s.u, 0.5 * dx, 0.5 * dx)
+    assert (table is None) == (kname == "uniform")
 
 
 @pytest.mark.parametrize("kname, n", [("laplace", 1601), ("gaussian", 301)])

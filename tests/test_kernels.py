@@ -91,6 +91,18 @@ class TestTailMassValues:
         x = np.linspace(-30.0, 30.0, 301)
         np.testing.assert_allclose(k.tail_mass(x), 0.5 + np.arctan(x) / np.pi, atol=1e-12)
 
+    def test_power_tail_near_zero(self):
+        # within 1 of the origin, including where z = 1/(1 + x^2) rounds to
+        # 1, against the closed forms for sigma = 1 and 2; the tail table's
+        # check compares its interpolant with these values at 1e-13
+        y = np.logspace(-9.0, 0.0, 400)
+        x = np.concatenate([-y, y])
+        for sigma, closed in (
+            (1.0, 0.5 + np.arctan(x) / np.pi),
+            (2.0, 0.5 + (x / (1.0 + x * x) + np.arctan(x)) / np.pi),
+        ):
+            np.testing.assert_allclose(make_power(sigma).tail_mass(x), closed, rtol=0, atol=3e-16)
+
     def test_power_classes(self):
         assert make_power(2.0).tail_class is TailClass.HEAVY_TAIL_J1_ONLY
         assert make_power(1.0).tail_class is TailClass.FAT_TAIL

@@ -9,14 +9,16 @@ from frontlab import (
     UniformGrid,
     bracketed_root,
     fit_slope,
+    make_gaussian,
     make_laplace,
     make_power,
+    make_uniform,
     trapezoid,
     trapezoid_weights,
 )
 from frontlab import numerics
 from frontlab.errors import BracketError, NonconvergenceError
-from frontlab.numerics import BRACKET_MAX_STEPS, FFT_MIN_NODES, grow_bracket
+from frontlab.numerics import BRACKET_MAX_STEPS, FFT_MIN_NODES, TAIL_NODES, grow_bracket
 
 
 class TestUniformGrid:
@@ -178,6 +180,69 @@ class TestLatticeConvolution:
         plain = LatticeConvolution(dataclasses.replace(make_laplace(), exp_rate=None), 0.05)
         assert np.array_equal(plain(wu), plain.fft(wu))
         assert calls == []
+
+
+class TestTailTable:
+    """``tail_sums`` against the direct sums the free-boundary step makes
+    without it, ``dot(wu, tail_mass(x - h))`` and ``dot(wu, tail_mass(g - x))``.
+
+    Windows are centred on 0 as in a run: a node's position carries the
+    rounding of ``j * dx``, about 1e-16 of |x|, which the direct sum inherits
+    and the table, built from lattice offsets, does not.
+    """
+
+    @pytest.mark.parametrize("dx", [0.05, 0.15, 0.25, 0.5])
+    @pytest.mark.parametrize("kname", ["power0.8", "power1", "power2", "power5", "gaussian"])
+    def test_matches_direct_sums(self, kname, dx):
+        k = make_gaussian(1.0) if kname == "gaussian" else make_power(float(kname[5:]))
+        conv = LatticeConvolution(k, dx)
+        rng = np.random.default_rng(int(100 * dx))
+        node = dx * np.sin(0.5 * np.pi * 5 / (TAIL_NODES - 1)) ** 2
+        # the first window samples the table, and the next two outgrow it
+        for n in (139, 780, 2559):
+            j0 = -(n // 2)
+            x = (j0 + np.arange(n)) * dx
+            for theta_h, theta_g in [
+                (dx, 1e-12 * dx),  # the cell's two ends, as _active_range allows
+                (1e-12 * dx, dx),
+                (node, node),  # a Chebyshev node of the table
+                tuple(rng.uniform(0.0, dx, 2)),
+                tuple(rng.uniform(0.0, dx, 2)),
+            ]:
+                h, g = x[-1] + theta_h, x[0] - theta_g
+                for u in (rng.uniform(0.0, 1.0, n), (x - g) * (h - x)):
+                    wu = dx * u
+                    got = conv.tail_sums(wu, h - x[-1], x[0] - g)
+                    if kname == "power5" and dx == 0.5:
+                        # the table misses the tail by 3e-13 of a(0) near the
+                        # boundary, so this spacing sums the tail directly
+                        assert got is None
+                        continue
+                    flux_h = float(np.dot(wu, k.tail_mass(x - h)))
+                    flux_g = float(np.dot(wu, k.tail_mass(g - x)))
+                    assert got[0] == pytest.approx(flux_h, rel=1e-13, abs=0.0)
+                    assert got[1] == pytest.approx(flux_g, rel=1e-13, abs=0.0)
+
+    def test_table_grows_by_doubling(self):
+        k = make_power(0.8)
+        rows = []
+        tail = k.tail_mass
+        k.tail_mass = lambda y: rows.append(np.shape(y)[1]) or tail(y)
+        conv = LatticeConvolution(k, 0.1)
+        for n in (100, 101, 150, 200, 201, 7):
+            assert conv.tail_sums(np.full(n, 0.1), 0.05, 0.05) is not None
+        assert rows == [100, 200, 400]
+
+    def test_uniform_radius_on_the_lattice_passes(self):
+        # a uniform tail is linear on every cell when R is a whole number of
+        # cells, so the table reproduces it to rounding
+        k, dx = make_uniform(1.0), 0.1
+        x = np.arange(-60, 61) * dx
+        h, g = x[-1] + 0.3 * dx, x[0] - 0.7 * dx
+        wu = dx * (x - g) * (h - x)
+        got = LatticeConvolution(k, dx).tail_sums(wu, h - x[-1], x[0] - g)
+        assert got[0] == pytest.approx(float(np.dot(wu, k.tail_mass(x - h))), rel=1e-14)
+        assert got[1] == pytest.approx(float(np.dot(wu, k.tail_mass(g - x))), rel=1e-14)
 
 
 class TestBisect:
