@@ -138,7 +138,8 @@ class LatticeConvolution:
     first call samples the tail at the ``TAIL_NODES`` Chebyshev points theta
     of one cell for every m below N (N as for the row, at least doubling when
     a longer input arrives) and checks the interpolant in between; after that
-    a call is one (``TAIL_NODES`` x n) product, with no tail evaluation.  Smooth tails
+    a call fills a two-column buffer kept beside the table with ``wu`` and
+    takes one (``TAIL_NODES`` x n) product, with no tail evaluation.  Smooth tails
     pass the check: the Gaussian, and power kernels up to dx = 0.5 except
     sigma = 5 there.  Tails with a kink inside a cell fail: every
     ``truncate()`` kernel, and a uniform kernel whose radius is not a whole
@@ -227,7 +228,11 @@ class LatticeConvolution:
             self._fit_tail(n)
         if self._tail is None:
             return None
-        sums_h, sums_g = (self._tail[:, :n] @ np.stack((wu[::-1], wu), axis=1)).T.tolist()
+        # the (n, 2) product operand [wu[::-1], wu], filled into a kept buffer
+        pair = self._pair[:n]
+        pair[:, 0] = wu[::-1]
+        pair[:, 1] = wu
+        sums_h, sums_g = (self._tail[:, :n] @ pair).T.tolist()
         return _interpolate(theta_h / self.dx, sums_h), _interpolate(theta_g / self.dx, sums_g)
 
     def _fit_tail(self, n: int) -> None:
@@ -240,6 +245,7 @@ class LatticeConvolution:
             self._tail, self._tail_capacity = None, math.inf
         else:
             self._tail, self._tail_capacity = table.copy(), N
+            self._pair = np.empty((N, 2))
 
 
 BRACKET_MAX_STEPS = 60

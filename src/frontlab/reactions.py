@@ -9,7 +9,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateAdjustmentError
-from .numerics import bracketed_root
+from .numerics import bracketed_root, grow_bracket
 
 __all__ = [
     "Reaction",
@@ -224,20 +224,11 @@ def adjust_for_truncation(r: Reaction, sigma_n: float, d: float) -> AdjustedReac
     if sigma_n == 1.0:
         return AdjustedReaction(base=r, sigma_n=1.0, d=d, f_n=f_n, eta_n=1.0)
 
-    # f_n(1) = -loss < 0 and f_n > 0 near 0; walk down from 1 to bracket the
-    # zero, halving the upper end where a full step would leave (0, hi)
-    lo, hi = None, 1.0
-    step = max(1e-3, loss / abs(r.df1) / 8.0)
-    while lo is None:
-        u = hi - step if hi > step else 0.5 * hi
-        if u <= 0.0:
-            raise DegenerateAdjustmentError("no interior zero found for the adjusted reaction")
-        if f_n(u) > 0.0:
-            lo = u
-        else:
-            hi = u
-    eta_n = bracketed_root(
-        lambda v: -1.0 if f_n(v) > 0.0 else math.inf,
-        lo, hi, ftol=0.0, xtol=1e-14, g_lo=-1.0, g_hi=math.inf,
-    )
+    # f_n(u)/u = f(u)/u - loss is nonincreasing (KPP), positive near 0 and
+    # -loss at 1, so its negative brackets and finds the zero eta_n
+    def G(v: float) -> float:
+        return -f_n(v) / v
+
+    lo, hi, g_lo, g_hi = grow_bracket(G, 0.5, 1.0)
+    eta_n = bracketed_root(G, lo, hi, ftol=0.0, xtol=1e-14, g_lo=g_lo, g_hi=g_hi)
     return AdjustedReaction(base=r, sigma_n=sigma_n, d=d, f_n=f_n, eta_n=eta_n)

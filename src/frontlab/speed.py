@@ -2,33 +2,45 @@
 
 M(c) is the boundary flux of the semi-wave with speed c.  It is strictly
 decreasing in c, so G(c) = c - mu*M(c) is strictly increasing, and +inf
-past the existence threshold of the semi-wave.  A bracketed root finder
-bisects while the bracket reaches past that threshold and then converges
-superlinearly by Brent's method.  Semi-wave solves dominate the cost, so
-profiles are cached per speed and nearby evaluations warm-start from the
-cached profile of the nearest smaller speed, which stays above the target
-fixed point.
+past the existence threshold of the semi-wave.  ``solve_c0`` does not
+search for the root of G: it solves the semi-wave equation and the
+free-boundary condition as one system in (phi, c),
+
+    F(phi, c) = (A_c(phi) - phi,  c - mu*M(phi)) = 0,
+
+by matrix-free Newton-Krylov (Knoll & Keyes, J. Comput. Phys. 193, 2004).
+One monotone solve at a small speed c_s starts it and, by the monotonicity
+of G, brackets the root in [c_s, mu*M(c_s)].  The monotone iteration then
+certifies the result: a second solve at the Newton speed, warm-started just
+above the Newton profile, must accept a profile whose flux matches c0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.optimize import NoConvergence, newton_krylov
 
 from .errors import NoFiniteSpeedError, NonconvergenceError
 from .kernels import Kernel, TailClass, c_of_J, classify_tail
-from .numerics import bracketed_root, grow_bracket, trapezoid_weights
+from .numerics import BRACKET_MAX_STEPS, trapezoid_weights
 from .reactions import Reaction
-from .semiwave import SemiWaveParams, SemiWaveProfile, _ProfileCache
+from .semiwave import (
+    SemiWaveParams, SemiWaveProfile, _Operator, _workspace, choose_M, solve_semiwave,
+)
 
 __all__ = ["SpeedSolution", "CurveEntry", "flux_M", "solve_c0", "c0_curve"]
 
 
 @dataclass(eq=False, kw_only=True)
 class SpeedSolution:
-    """Root c0 of the flux identity, with the profile selected there."""
+    """Root c0 of the flux identity, with the profile selected there.
+
+    ``bracket`` is ``(c_s, mu*M(c_s))``: the speed of the starting solve and
+    its flux, which enclose c0 because G increases.
+    """
 
     c0: float
     mu: float
@@ -61,11 +73,17 @@ def solve_c0(
     params: SemiWaveParams | None = None,
     tol: float = 1e-8,
 ) -> SpeedSolution:
-    """Root of G(c) = c - mu*M(c) in a geometrically grown bracket.
+    """c0 and its semi-wave from one bordered Newton-Krylov solve.
 
-    ``numerics.grow_bracket`` grows it from ``min(0.1, mu*c(J)/10)`` and twice
-    that; ``numerics.bracketed_root`` bisects while G = +inf at the upper end
-    (no semi-wave), then runs Brent's method; the residual is checked against tol.
+    The start is a cold monotone solve at ``c_s = min(0.1, mu*c(J)/10)``,
+    halved while G(c_s) >= 0, and the speed ``sqrt(c_s * mu*M(c_s))``
+    inside the bracket.  ``scipy.optimize.newton_krylov`` (gmres) then
+    solves F(phi, c) = 0, with at most ``max_iters`` operator applications.
+    The result counts only if ``solve_semiwave`` at c0, started from the
+    Newton profile plus 1e-3, accepts a profile whose residual
+    ``|c0 - mu*M(phi)|`` is at most tol; that profile is returned.  Both
+    solves stop at ``min(tol_iter, tol/(10*mu*c(J)))``.  Every failure, of
+    Newton or of the certificate, raises ``NonconvergenceError``.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
@@ -75,32 +93,85 @@ def solve_c0(
         )
     params = params or SemiWaveParams()
     cJ = c_of_J(k)
-    cache = _ProfileCache(d, k, r, params)
 
-    def G(c: float) -> float:
-        out = cache.solve(c)
-        if not out.accepted:
-            # beyond the existence threshold G has the sign of its c* limit
-            return math.inf
-        return c - flux_M(out, k, mu)
+    c_s = min(0.1, mu * cJ / 10.0)
+    for _ in range(BRACKET_MAX_STEPS + 1):
+        start = solve_semiwave(c_s, d, k, r, params)
+        if start.accepted:
+            hi = flux_M(start, k, mu)
+            if c_s < hi:
+                break
+        c_s *= 0.5
+    else:
+        raise NonconvergenceError(f"G is not negative anywhere down to {2.0 * c_s:.3g}")
 
-    start = min(0.1, mu * cJ / 10.0)
-    lo, hi, g_lo, g_hi = grow_bracket(G, start, 2.0 * start)
-    c0 = bracketed_root(G, lo, hi, ftol=tol, xtol=tol * 1e-3, g_lo=g_lo, g_hi=g_hi)
-    out = cache.solve(c0)
+    # A profile error e moves mu*M by up to mu*c(J)*e, and a solve stops up
+    # to about tol_iter/(1 - rho) from its limit, rho the contraction rate of
+    # the iteration.  At tol_iter = tol/(mu*c(J)) the flux residual came out
+    # at up to twice tol near c*, where rho nears 1, so Newton and the
+    # certificate resolve the profile to a tenth of that.
+    fine = replace(params, tol_iter=min(params.tol_iter, 0.1 * tol / (mu * cJ)))
+    # Newton from the bracket's geometric mean: from its lower end it failed
+    # at mu = 100 and 1000, from its midpoint at Laplace mu = 1000
+    phi, c0 = _bordered_newton(mu, d, k, r, fine, start.phi, math.sqrt(c_s * hi))
+    out = solve_semiwave(c0, d, k, r, fine, initial=np.minimum(phi + 1e-3, 1.0))
     if not out.accepted:
-        raise NonconvergenceError(f"no semi-wave at the root-found speed c0={c0}")
+        raise NonconvergenceError(f"certificate rejected the Newton speed c0={c0}: {out.reason}")
     residual = abs(c0 - flux_M(out, k, mu))
     if residual > tol:
-        raise NonconvergenceError(f"root finder stalled with residual {residual:.3e} > {tol:.1e}")
+        raise NonconvergenceError(
+            f"certified profile at c0={c0} leaves residual {residual:.3e} > {tol:.1e}"
+        )
     return SpeedSolution(
         c0=c0,
         mu=mu,
         residual=residual,
-        bracket=(lo, hi),
+        bracket=(c_s, hi),
         profile=out,
         flux_constant=mu * cJ,
     )
+
+
+def _bordered_newton(
+    mu: float,
+    d: float,
+    k: Kernel,
+    r: Reaction,
+    params: SemiWaveParams,
+    phi: np.ndarray,
+    c: float,
+) -> tuple[np.ndarray, float]:
+    """Newton-Krylov solution (phi, c) of F = 0 from the given start."""
+    ws = _workspace(k, params.resolve_depth(k), params.n_cells)
+    # choose_M(c, d, r) is M at unit speed over c, bit for bit: check it once
+    m_unit = choose_M(1.0, d, r)
+    flux_w = ws.trap_w * ws.a_x  # flux_M's quadrature on the solver grid
+    far = k.tail_integral(ws.grid.left)
+    applications = 0
+
+    def F(z: np.ndarray) -> np.ndarray:
+        nonlocal applications
+        phi, c = z[:-1], float(z[-1])
+        if not c > 0.0:
+            raise NonconvergenceError(f"bordered Newton solve for c0 reached c = {c}")
+        if applications == params.max_iters:
+            raise NonconvergenceError(
+                f"bordered Newton solve for c0 used {params.max_iters} operator applications"
+            )
+        applications += 1
+        out = np.empty_like(z)
+        out[:-1] = _Operator(c, d, r, m_unit / c, params.sigma_homotopy, ws)(phi)
+        out[:-1] -= phi
+        out[-1] = c - mu * (float(np.dot(flux_w, phi)) + far)
+        return out
+
+    try:
+        # gmres rather than lgmres: lgmres took more applications here, and
+        # its least-squares solves page in LAPACK, about 3 MB of peak memory
+        z = newton_krylov(F, np.append(phi, c), method="gmres", f_tol=params.tol_iter)
+    except (NoConvergence, ValueError) as exc:
+        raise NonconvergenceError(f"bordered Newton solve for c0 failed: {exc}") from None
+    return z[:-1], float(z[-1])
 
 
 @dataclass(eq=False, kw_only=True)

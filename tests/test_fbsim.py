@@ -22,6 +22,7 @@ from frontlab import (
     truncate,
     truncated_speed_sequence,
 )
+from frontlab import fbsim
 from frontlab.errors import InsufficientDataError, RejectedStepError
 from frontlab.fbsim import FrontTrajectory, _initial_state, _quad_weighted
 from frontlab.numerics import FFT_MIN_NODES
@@ -73,22 +74,13 @@ class TestStep:
         assert abs(s1.g + s1.h) < 1e-14
         np.testing.assert_allclose(s1.u, s1.u[::-1], atol=1e-14)
 
-    def test_rejects_oversized_dt(self, laplace, logistic):
-        cfg = _small_cfg(laplace, logistic)
-        from frontlab.fbsim import _initial_state
-
-        s = _initial_state(cfg)
-        bound = stability_dt(1.0, logistic, 0.1, 1.0, s.m0star, laplace)
-        with pytest.raises(RejectedStepError):
-            step(s, 2.0 * bound, 1.0, 1.0, laplace, logistic, conv=LatticeConvolution(laplace, 0.1))
-
     @pytest.mark.parametrize("n", [1, 2, FFT_MIN_NODES - 1, FFT_MIN_NODES, 2559])
     def test_exponential_fluxes_match_tail_mass(self, laplace, logistic, n):
         # Laplace reads its fluxes off the convolution's end values; the same
-        # kernel without exp_rate sums the tail.  mu = 1e8 (dt bounded through
-        # v_cap) makes the boundary moves dwarf g and h, so g and h carry the
-        # fluxes to rounding.  The recursion's relative error grows with the
-        # nodes per decay length, 1/dx = 20 here.
+        # kernel without exp_rate sums the tail.  mu = 1e8 makes the boundary
+        # moves dwarf g and h, so g and h carry the fluxes to rounding.  The
+        # recursion's relative error grows with the nodes per decay length,
+        # 1/dx = 20 here.
         dx = 0.05
         j0 = -(n // 2)
         x = (j0 + np.arange(n)) * dx
@@ -97,7 +89,7 @@ class TestStep:
         s = FieldState(t=0.0, g=g, h=h, dx=dx, j0=j0, u=u, m0star=1.0)
         plain = dataclasses.replace(laplace, exp_rate=None)
         got, want = (
-            step(s, 0.2 * dx, 1.0, 1e8, kk, logistic, 1.0, conv=LatticeConvolution(kk, dx))
+            step(s, 0.2 * dx, 1.0, 1e8, kk, logistic, conv=LatticeConvolution(kk, dx))
             for kk in (laplace, plain)
         )
         assert got.h - h > 100.0 * h
@@ -105,15 +97,15 @@ class TestStep:
         assert got.g == pytest.approx(want.g, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize(
-        "make, v_cap, per_step",
+        "make, per_step",
         [
-            (make_laplace, None, 0),
-            (lambda: make_power(0.8), 2.0, 0),
-            (lambda: truncate(make_power(0.8), 10.0), None, 2),
+            (make_laplace, 0),
+            (lambda: make_power(0.8), 0),
+            (lambda: truncate(make_power(0.8), 10.0), 2),
         ],
         ids=["laplace", "power0.8", "truncated"],
     )
-    def test_tail_mass_calls_per_step(self, logistic, make, v_cap, per_step):
+    def test_tail_mass_calls_per_step(self, logistic, make, per_step):
         # Laplace reads its fluxes off the convolution and the power kernel off
         # its tail table; the truncated kernel's kinked tail fails the table's
         # check, so it evaluates the tail at every node, twice per step
@@ -121,15 +113,15 @@ class TestStep:
         calls = []
         tail = k.tail_mass
         k.tail_mass = lambda y: calls.append(y) or tail(y)
-        s = _initial_state(_small_cfg(k, logistic, v_cap=v_cap))
+        s = _initial_state(_small_cfg(k, logistic))
         conv = LatticeConvolution(k, s.dx)
         # h0 lies on the lattice, so the first step adds a node at each end
         # and the second samples the table again for the grown window
         for _ in range(2):
-            s = step(s, 0.01, 1.0, 1.0, k, logistic, v_cap, conv=conv)
+            s = step(s, 0.01, 1.0, 1.0, k, logistic, conv=conv)
         calls.clear()
         for _ in range(5):
-            s = step(s, 0.01, 1.0, 1.0, k, logistic, v_cap, conv=conv)
+            s = step(s, 0.01, 1.0, 1.0, k, logistic, conv=conv)
         assert len(calls) == 5 * per_step
 
     @pytest.mark.parametrize(
@@ -155,7 +147,7 @@ class TestStep:
             m0star=1.0,
         )
         conv = LatticeConvolution(k, dx)
-        out = step(s, 0.01, 1.0, 1.0, k, logistic, 2.0, conv=conv)
+        out = step(s, 0.01, 1.0, 1.0, k, logistic, conv=conv)
         wu = _quad_weighted(s, x[0], x[-1])
         assert out.h == h + 0.01 * 1.0 * float(np.dot(wu, np.asarray(k.tail_mass(x - h))))
         assert out.g == g - 0.01 * 1.0 * float(np.dot(wu, np.asarray(k.tail_mass(g - x))))
@@ -189,6 +181,17 @@ class TestSimulate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             simulate(dataclasses.replace(cfg, v_cap=2.0))
+
+    def test_rejects_oversized_dt(self, laplace, logistic, monkeypatch):
+        cfg = _small_cfg(laplace, logistic)
+        bound = stability_dt(1.0, logistic, 0.1, 1.0, 1.0, laplace)
+        steps = []
+        monkeypatch.setattr(fbsim, "step", lambda *a, **kw: steps.append(a) or step(*a, **kw))
+        with pytest.raises(RejectedStepError, match="exceeds stability bound"):
+            simulate(dataclasses.replace(cfg, dt=2.0 * bound))
+        assert steps == []  # checked once, before the first step
+        simulate(dataclasses.replace(cfg, dt=bound, t_max=5.0 * bound))
+        assert len(steps) == 5
 
     def test_u0_preconditions(self, laplace, logistic):
         cfg = _small_cfg(laplace, logistic, u0=lambda x: np.ones_like(np.asarray(x)))

@@ -159,7 +159,7 @@ def test_free_boundary_step(logistic, kname, n, case):
     gap = 1.0 - 1e-7 if case == "grows" else 0.5
     s = _field(n, dx, rng, negatives=case == "clamps", edge_gap=gap)
     dt = min(0.2 / (d + logistic.lipschitz_K), 0.25 * dx / v_cap)
-    out = step(s, dt, d, mu, k, logistic, v_cap, conv=LatticeConvolution(k, dx))
+    out = step(s, dt, d, mu, k, logistic, conv=LatticeConvolution(k, dx))
     u_ref, g_ref, h_ref, j0_ref, clamps = _reference_step(
         s, dt, d, mu, k, logistic, LatticeConvolution(k, dx)
     )

@@ -74,8 +74,8 @@ class TestAdjustForTruncation:
         assert abs(adj.eta_n - np.sqrt(sigma)) <= 1e-14
 
     def test_logistic_eta_for_every_sigma(self, logistic):
-        # for small sigma_n the walk's last full step lands on the zero up to
-        # rounding; where the next step would leave (0, 1) it halves instead
+        # -f_n(u)/u = u - sigma is linear, so the first secant step of the
+        # root finder lands on sigma, however far down the bracket was grown
         for i in range(1, 1000):
             sigma = i / 1000
             eta = adjust_for_truncation(logistic, sigma, 1.0).eta_n

@@ -25,6 +25,7 @@ from frontlab import (
     make_uniform,
     solve_semiwave,
 )
+from frontlab import semiwave
 from frontlab.errors import NoCrossingError, NonconvergenceError, UnsupportedTailError
 from frontlab.semiwave import _WORKSPACES, _workspace
 
@@ -279,6 +280,40 @@ class TestEstimateCstar:
         assert len(budget) == 1 and budget[0].category is RuntimeWarning
         speeds = [float(c) for c in re.findall(r"\d+\.\d+", str(budget[0].message))]
         assert speeds and all(c > est for c in speeds)
+
+    def test_probe_record_of_the_threshold_workload(self, logistic, monkeypatch):
+        # uniform R = 1 at depth 30, 1 200 cells and a budget of 10 000: the
+        # probes near the threshold collapse, converge slowly or run out, and
+        # each warm start comes from the cached profile of a smaller speed, so
+        # any change to a start or to the operator's bits shows here.  The
+        # speeds are the bisection's own floats, rounding included
+        probes = []
+
+        def recorded(c, *args, **kwargs):
+            try:
+                out = solve_semiwave(c, *args, **kwargs)
+            except NonconvergenceError:
+                probes.append((c, "budget exhausted", 10_000))
+                raise
+            outcome = "accepted" if out.accepted else "collapsed"
+            probes.append((c, outcome, out.iterations_used))
+            return out
+
+        monkeypatch.setattr(semiwave, "solve_semiwave", recorded)
+        params = SemiWaveParams(depth=30.0, n_cells=1200, max_iters=10_000)
+        with pytest.warns(RuntimeWarning, match="budget exhausted at c = 0.901562"):
+            est = estimate_cstar(1.0, make_uniform(1.0), logistic, params)
+        assert probes == [
+            (0.1, "accepted", 50),
+            (1.0, "collapsed", 765),
+            (0.55, "accepted", 205),
+            (0.775, "accepted", 845),
+            (0.8875, "accepted", 8_335),
+            (0.94375, "collapsed", 1_659),
+            (0.9156249999999999, "collapsed", 5_924),
+            (0.9015624999999999, "budget exhausted", 10_000),
+        ]
+        assert est == 0.89453125
 
     @pytest.mark.parametrize("kname", ["laplace", "gaussian", "uniform"])
     def test_linear_determinacy_closed_form(self, logistic, kname):

@@ -1,17 +1,33 @@
+import math
+
 import numpy as np
 import pytest
 
 from frontlab import (
+    NonExistence,
     SemiWaveParams,
     SemiWaveProfile,
+    adjust_for_truncation,
     c0_curve,
     c_of_J,
     flux_M,
+    make_gaussian,
+    make_laplace,
     make_power,
+    make_uniform,
     solve_c0,
     solve_semiwave,
+    truncate,
 )
-from frontlab.errors import NoFiniteSpeedError
+from frontlab import speed
+from frontlab.errors import NoFiniteSpeedError, NonconvergenceError
+
+_KERNELS = {
+    "laplace": make_laplace,
+    "gaussian": make_gaussian,
+    "uniform": make_uniform,
+    "power2": lambda: make_power(2.0),
+}
 
 
 def _synthetic_profile(template: SemiWaveProfile, values: np.ndarray) -> SemiWaveProfile:
@@ -57,6 +73,8 @@ class TestSolveC0:
         assert c0_mu1.residual < 1e-8
         assert 0.0 < c0_mu1.c0 < 0.5
         assert c0_mu1.c0 < c0_mu1.flux_constant
+        lo, hi = c0_mu1.bracket
+        assert lo < c0_mu1.c0 <= hi
 
     def test_against_dense_sampling_of_G(self, laplace, logistic, c0_mu1, quick_params):
         """Bracket the root independently by scanning G on a coarse grid."""
@@ -90,38 +108,86 @@ class TestSolveC0:
         assert np.all(np.diff(Ms) < 0.0)
         assert np.all(np.diff(cs - Ms) > 0.0)
 
-    def test_bracket_insensitive(self, laplace, logistic, quick_params):
+    @pytest.mark.parametrize(
+        "kname, mu",
+        [
+            ("laplace", 1e-3),
+            ("laplace", 1.0),
+            ("laplace", 100.0),
+            ("gaussian", 1.0),
+            ("uniform", 10.0),
+            ("power2", 1.0),
+            ("power2", 10.0),
+            ("truncated", 1.0),
+        ],
+        ids=lambda v: f"mu{v:g}" if isinstance(v, float) else v,
+    )
+    def test_bracket_insensitive(self, logistic, quick_params, kname, mu):
+        """The bordered solve agrees with a root finder over monotone solves."""
         from frontlab import bracketed_root
 
+        d, r = 1.0, logistic
+        if kname == "truncated":
+            # the problem truncated_speed_sequence solves at radius 10
+            tk = truncate(make_power(0.8), 10.0)
+            adj = adjust_for_truncation(logistic, tk.sigma_n, d)
+            k, r = tk.normalized(), adj.to_unit_reaction()
+            mu, d = mu * tk.sigma_n * adj.eta_n, d * tk.sigma_n
+        else:
+            k = _KERNELS[kname]()
         tol = 1e-9
-        sol = solve_c0(1.0, 1.0, laplace, logistic, quick_params, tol=tol)
-
-        cache = {}
+        sol = solve_c0(mu, d, k, r, quick_params, tol=tol)
 
         def G(c):
-            if c not in cache:
-                prof = solve_semiwave(c, 1.0, laplace, logistic, quick_params)
-                cache[c] = c - flux_M(prof, laplace, 1.0)
-            return cache[c]
+            prof = solve_semiwave(c, d, k, r, quick_params)
+            return c - flux_M(prof, k, mu) if prof.accepted else math.inf
 
-        # a hand-picked bracket, different from the grown one inside solve_c0
-        other = bracketed_root(G, 0.05, 0.45, tol, tol * 1e-3)
+        # a bracket of its own, not the one solve_c0 reports
+        other = bracketed_root(G, 0.5 * sol.c0, 1.5 * sol.c0, tol, tol * 1e-3)
         assert abs(other - sol.c0) <= 10.0 * tol
+        assert sol.residual <= tol
 
     def test_few_semiwave_solves(self, laplace, logistic, quick_params, monkeypatch):
-        import frontlab.semiwave
-
         speeds = []
 
         def counted(c, *args, **kwargs):
             speeds.append(c)
             return solve_semiwave(c, *args, **kwargs)
 
-        monkeypatch.setattr(frontlab.semiwave, "solve_semiwave", counted)
+        monkeypatch.setattr(speed, "solve_semiwave", counted)
         sol = solve_c0(1.0, 1.0, laplace, logistic, quick_params)
-        # plain bisection to width tol*1e-3 = 1e-11 needs over 25 solves here
-        assert len(speeds) <= 12
+        # the start at c_s and the certificate at c0
+        assert speeds == [sol.bracket[0], sol.c0]
         assert sol.residual <= 1e-8
+
+    def test_newton_budget_exhausted(self, laplace, logistic):
+        # the cold start takes 42 iterations, Newton 48 applications
+        params = SemiWaveParams(depth=30.0, n_cells=1200, max_iters=45)
+        assert solve_semiwave(0.05, 1.0, laplace, logistic, params).accepted
+        with pytest.raises(NonconvergenceError, match="45 operator applications"):
+            solve_c0(1.0, 1.0, laplace, logistic, params)
+
+    @pytest.mark.parametrize("verdict", ["nonexistence", "wrong-profile"])
+    def test_rejected_certificate_raises(
+        self, laplace, logistic, quick_params, monkeypatch, verdict
+    ):
+        start = []
+
+        def polished(c, *args, initial=None, **kwargs):
+            out = solve_semiwave(c, *args, initial=initial, **kwargs)
+            if initial is None:
+                start.append(out)
+                return out
+            if verdict == "nonexistence":
+                return NonExistence(
+                    c=c, plateau_value=0.5, residual=1.0, iterations_used=1, reason="rejected"
+                )
+            # an accepted profile, but at the start speed: its flux is not c0's
+            return start[0]
+
+        monkeypatch.setattr(speed, "solve_semiwave", polished)
+        with pytest.raises(NonconvergenceError, match="certif"):
+            solve_c0(1.0, 1.0, laplace, logistic, quick_params)
 
     def test_below_minimal_wave_speed(self, c0_mu1):
         assert c0_mu1.c0 < 3.0 * np.sqrt(3.0) / 2.0
