@@ -13,9 +13,12 @@ the analytic tail mass of the kernel to every convolution.
 Each iteration runs in a fixed operation order (see ``_Operator``): the
 same floating-point operations as the operator's plain expression, in the
 same order, with the constants of a solve computed once before it.  That
-order is what keeps reruns and refactors byte-identical, and with them
-every verdict near the threshold c*, where a last-bit change can move a
-probe from collapse to an exhausted budget.
+order is what keeps reruns and refactors byte-identical.
+
+The threshold c* is not read off these verdicts: near it a collapse or an
+exhausted budget follows the last bits of the convolution.  ``estimate_cstar``
+instead solves for the semi-wave whose half level is pinned at -L/2 and
+returns its speed, with the speed as an unknown of the iteration.
 """
 
 from __future__ import annotations
@@ -32,8 +35,7 @@ from scipy.signal import lfilter
 from .errors import NonconvergenceError, NoCrossingError, UnsupportedTailError
 from .kernels import Kernel, TailClass, classify_tail
 from .numerics import (
-    BRACKET_MAX_STEPS, LatticeConvolution, UniformGrid, bracketed_root, grow_bracket,
-    trapezoid_weights,
+    LatticeConvolution, UniformGrid, bracketed_root, grow_bracket, trapezoid_weights,
 )
 from .reactions import Reaction
 
@@ -59,8 +61,6 @@ _DEPTH_DEFAULT = {
 # a converged profile is accepted when its fixed-point residual is at most
 # this multiple of tol_iter
 _RESIDUAL_FACTOR = 100.0
-# estimate_cstar bisects its acceptance threshold to a bracket this wide
-_CSTAR_TOL = 0.02
 
 
 @dataclass(kw_only=True)
@@ -222,12 +222,17 @@ class _Operator:
             w += self.source
         w += self.shift * phi
         w += self.f(phi)
+        return self.integrate(w)
+
+    def integrate(self, w: np.ndarray) -> np.ndarray:
+        """The operator's second half, from the node values w of the shifted
+        right-hand side; overwrites w."""
         cell = self.alpha * w[:-1]
         w *= self.beta
         cell += w[1:]
         # I[j] = cell[j] + E * I[j+1], integrated from the right end
         acc = lfilter(self.b, self.a, cell[::-1])[::-1]
-        out = np.empty_like(phi)
+        out = np.empty_like(w)
         np.divide(acc, self.c, out=out[:-1])
         out[-1] = 0.0
         if self.sigma != 0.0:
@@ -396,77 +401,39 @@ def front_slope(p: SemiWaveProfile, d: float, k: Kernel) -> float:
     return -(d / p.c) * (inner + far)
 
 
-class _ProfileCache:
-    """Warm-started semi-wave solves keyed by speed; only accepted profiles
-    are kept."""
-
-    def __init__(self, d, k, r, params):
-        self.d, self.k, self.r, self.params = d, k, r, params
-        self.profiles: dict[float, SemiWaveProfile] = {}
-
-    def solve(self, c: float) -> SemiWaveProfile | NonExistence:
-        hit = self.profiles.get(c)
-        if hit is not None:
-            return hit
-        seeds = [cc for cc in self.profiles if cc < c]
-        initial = None
-        if seeds:
-            # profiles grow as c shrinks, so a smaller-c profile (nudged up to
-            # absorb discretization slack) still dominates the fixed point
-            initial = np.minimum(self.profiles[max(seeds)].phi + 1e-3, 1.0)
-        out = solve_semiwave(c, self.d, self.k, self.r, self.params, initial=initial)
-        if out.accepted:
-            self.profiles[c] = out
-        return out
-
-
 def estimate_cstar(
     d: float,
     k: Kernel,
     r: Reaction,
     params: SemiWaveParams | None = None,
 ) -> float:
-    """Threshold speed above which the semi-wave iteration loses its plateau.
+    """The speed c(L/2) of the semi-wave whose half level sits at x = -L/2.
 
-    Bisection on the acceptance predicate (-1 or +inf) by ``bracketed_root``
-    in a ``grow_bracket`` bracket, warm-started from cached profiles.
-    A probe whose iteration budget runs out counts as a rejection, and one
-    warning names every such speed.  When the kernel has a finite
-    exponential moment the linear-determinacy value is computed as a
-    cross-check and a disagreement beyond 5% warns.
+    The paper's c* is where semi-waves stop existing.  Near it the profile
+    flattens and its half level moves away from the front, so on [-L, 0]
+    the speed of the profile pinned at -L/2 approaches c* from below as L
+    grows, roughly as c* - A/L^2.  One pinned solve gives it: a cold
+    ``solve_semiwave`` at c_lin/2 (c_lin the linear-determinacy speed),
+    shifted so that phi(-L/2) = 1/2, then the freezing iteration of
+    ``_pinned_semiwave``.  The iteration budget running out, a lost phase
+    root, or a profile that fails the plateau or residual test raises
+    ``NonconvergenceError``; no outcome is read as a verdict.  An estimate
+    more than 5% from c_lin warns.
     """
     cls = classify_tail(k)
     if cls not in (TailClass.THIN_TAIL, TailClass.COMPACT_SUPPORT):
         raise UnsupportedTailError(
             f"kernel {k.name!r} has tail class {cls.value}; no finite minimal wave speed"
         )
-    cache = _ProfileCache(d, k, r, params)
-    exhausted: list[float] = []
-
-    def G(c: float) -> float:
-        try:
-            return -1.0 if cache.solve(c).accepted else math.inf
-        except NonconvergenceError:
-            # right at the threshold the iteration may stall; the bisection
-            # counts that speed as a rejection, and a warning names it
-            exhausted.append(c)
-            return math.inf
-
-    lo, hi, g_lo, g_hi = grow_bracket(G, 0.1, 1.0)
-    estimate = bracketed_root(G, lo, hi, ftol=0.0, xtol=_CSTAR_TOL, g_lo=g_lo, g_hi=g_hi)
-
-    if exhausted:
-        speeds = ", ".join(f"{c:.6g}" for c in exhausted)
-        warnings.warn(
-            f"semi-wave iteration budget exhausted at c = {speeds}; "
-            "the bisection counted these speeds as rejections",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     c_lin = linear_determinacy_speed(d, k, r)
-    if c_lin is not None and abs(estimate - c_lin) > 0.05 * c_lin:
+    if c_lin is None:
+        raise UnsupportedTailError(
+            f"kernel {k.name!r} has no exponential-moment range to start the c* solve from"
+        )
+    estimate = _pinned_semiwave(d, k, r, params or SemiWaveParams(), 0.5 * c_lin).c
+    if abs(estimate - c_lin) > 0.05 * c_lin:
         warnings.warn(
-            f"existence bisection ({estimate:.4g}) and linear determinacy ({c_lin:.4g}) "
+            f"pinned semi-wave speed ({estimate:.4g}) and linear determinacy ({c_lin:.4g}) "
             "disagree by more than 5%",
             RuntimeWarning,
             stacklevel=2,
@@ -474,13 +441,121 @@ def estimate_cstar(
     return estimate
 
 
+def _pinned_semiwave(
+    d: float, k: Kernel, r: Reaction, params: SemiWaveParams, c_start: float
+) -> SemiWaveProfile:
+    """The semi-wave with phi(-L/2) = 1/2, and its speed, by the freezing
+    method (Beyn & Thuemmler, SIAM J. Appl. Dyn. Syst. 3, 2004).
+
+    Near c* the map phi -> A_c(phi) has one eigenvalue within about 1e-11 of
+    1: the front's translation, held only by the exponentially small leading
+    edge.  Pinning the front's position removes that mode.  Each iteration
+    forms the speed-independent part
+
+        w = d*(J*phi + far) + (c*M - d)*phi + f(phi),   c*M = choose_M(1, d, r),
+
+    and picks the speed c by a scalar root (``grow_bracket`` and
+    ``bracketed_root``) so that A_c(phi), which is decreasing in c at every
+    node, keeps phi(-L/2) = 1/2.  The convolution is the relative-accuracy
+    path, ``LatticeConvolution.direct``: under the FFT's absolute rounding
+    floor the leading edge is noise, and the uniform kernel at depth 80
+    (4 000 cells) lost its phase root that way.  The iteration stops at
+    max|phi_new - phi| < tol_iter.  The start comes from
+    the cold profile at ``c_start``, never from another pinned profile: one
+    shifted by a single unit stopped after 4 iterations near its own speed.
+    """
+    if params.sigma_homotopy != 0.0:
+        raise ValueError("the pinned semi-wave solve needs sigma_homotopy = 0")
+    L = params.resolve_depth(k)
+    ws = _workspace(k, L, params.n_cells)
+    cold = solve_semiwave(c_start, d, k, r, params)
+    if not cold.accepted:
+        raise NonconvergenceError(f"no semi-wave at the start speed c={c_start}: {cold.reason}")
+    l, _ = half_level_shift(cold)
+    phi = np.interp(ws.x + (0.5 * L - l), ws.x, cold.phi, left=1.0, right=0.0)
+
+    h, n = ws.h, params.n_cells
+    cM = choose_M(1.0, d, r)
+    # -L/2 lies theta of a cell beyond node j0; the iterate's value there
+    # needs I[j0] and I[j0 + 1] of the recursion I[j] = cell[j] + E*I[j+1]
+    j0 = n // 2
+    theta = 0.5 * n - j0
+    powers = np.arange(n - j0 - 1)
+
+    def speed(w: np.ndarray, c: float, step: float) -> float:
+        def G(c: float) -> float:
+            alpha, beta, E = _exp_cell_weights(cM / c, h)
+            p = E ** powers
+            i1 = alpha * float(p @ w[j0 + 1 : -1]) + beta * float(p @ w[j0 + 2 :])
+            i0 = alpha * w[j0] + beta * w[j0 + 1] + E * i1
+            return 0.5 - ((1.0 - theta) * i0 + theta * i1) / c
+
+        try:
+            lo, hi, g_lo, g_hi = grow_bracket(G, c - step, c + step)
+        except NonconvergenceError as exc:
+            raise NonconvergenceError(f"pinned semi-wave lost its phase root: {exc}") from None
+        return bracketed_root(G, lo, hi, ftol=0.0, xtol=1e-15, g_lo=g_lo, g_hi=g_hi)
+
+    def base(phi: np.ndarray) -> np.ndarray:
+        w = ws.lattice.direct(ws.trap_w * phi)
+        w *= ws.row_scale
+        w += ws.far
+        w *= d
+        w += (cM - d) * phi
+        w += r.f(phi)
+        return w
+
+    # the speed's bracket reaches twice its last change either side, so the
+    # root mostly lies inside and grow_bracket need not widen it
+    c, step, slip = c_start, 0.5 * c_start, 0.0
+    for it in range(1, params.max_iters + 1):
+        w = base(phi)
+        c_new = speed(w, c, step)
+        step = min(max(2.0 * abs(c_new - c), 1e-12 * c_new), 0.5 * c_new)
+        c = c_new
+        A = _Operator(c, d, r, cM / c, 0.0, ws)
+        nxt = A.integrate(w)
+        diff = nxt - phi
+        rise = float(diff.max())
+        delta = max(rise, -float(diff.min()))
+        slip = max(slip, rise)
+        phi = nxt
+        if delta < params.tol_iter:
+            break
+    else:
+        raise NonconvergenceError(
+            f"pinned semi-wave iteration did not converge in {params.max_iters} iterations "
+            f"(last speed {c:.6g})"
+        )
+    residual = float(np.max(np.abs(A.integrate(base(phi)) - phi)))
+    plateau = float(phi[0])
+    if plateau < 1.0 - params.plateau_eps or residual > _RESIDUAL_FACTOR * params.tol_iter:
+        raise NonconvergenceError(
+            f"pinned semi-wave at c={c:.6g} failed its plateau or residual test "
+            f"(plateau {plateau:.3g}, residual {residual:.2e})"
+        )
+    return SemiWaveProfile(
+        grid=ws.grid,
+        phi=phi,
+        c=c,
+        d=d,
+        sigma=0.0,
+        iterations_used=it,
+        residual=residual,
+        plateau_value=plateau,
+        ode_defect=_ode_defect(phi, c, d, r, 0.0, ws),
+        monotonicity_slip=slip,
+    )
+
+
 def linear_determinacy_speed(d: float, k: Kernel, r: Reaction) -> float | None:
     """min over lam > 0 of [d (J-hat(lam) - 1) + f'(0)] / lam, if defined.
 
     None means the kernel has no finite exponential moment.  Without an
-    upper end to the moments, the search doubles lam from 1 while the
-    objective decreases, at most ``BRACKET_MAX_STEPS`` times before raising
-    ``NonconvergenceError``.
+    upper end to the moments, ``grow_bracket`` finds a lam where doubling it
+    no longer lowers the objective, from [1, 2] on, and the minimum lies
+    below twice that lam; the search raises ``NonconvergenceError`` after
+    ``BRACKET_MAX_STEPS`` doublings.
     """
     if k.lambda_sup <= 0:
         return None
@@ -492,13 +567,7 @@ def linear_determinacy_speed(d: float, k: Kernel, r: Reaction) -> float | None:
     if math.isfinite(k.lambda_sup):
         lo, hi = 1e-8 * k.lambda_sup, k.lambda_sup * (1.0 - 1e-10)
     else:
-        lo, hi, doublings = 1e-8, 1.0, 0
-        while objective(2.0 * hi) < objective(hi):
-            if doublings == BRACKET_MAX_STEPS:
-                raise NonconvergenceError(
-                    f"linear-determinacy objective still decreasing at lambda = {hi:.3g}"
-                )
-            hi, doublings = 2.0 * hi, doublings + 1
-        hi *= 2.0
+        _, top, _, _ = grow_bracket(lambda lam: objective(2.0 * lam) - objective(lam), 1.0, 2.0)
+        lo, hi = 1e-8, 2.0 * top
     res = minimize_scalar(objective, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10})
     return float(res.fun)

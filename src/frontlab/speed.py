@@ -33,6 +33,11 @@ from .semiwave import (
 
 __all__ = ["SpeedSolution", "CurveEntry", "flux_M", "solve_c0", "c0_curve"]
 
+# Newton steps before a solve counts as failed: three times the most any c0
+# of the mu-to-infinity acceptance check or the speed-sweep bench takes (7).
+# Without a cap a wandering solve ran until max_iters operator applications.
+_NEWTON_STEPS = 21
+
 
 @dataclass(eq=False, kw_only=True)
 class SpeedSolution:
@@ -78,12 +83,13 @@ def solve_c0(
     The start is a cold monotone solve at ``c_s = min(0.1, mu*c(J)/10)``,
     halved while G(c_s) >= 0, and the speed ``sqrt(c_s * mu*M(c_s))``
     inside the bracket.  ``scipy.optimize.newton_krylov`` (gmres) then
-    solves F(phi, c) = 0, with at most ``max_iters`` operator applications.
-    The result counts only if ``solve_semiwave`` at c0, started from the
-    Newton profile plus 1e-3, accepts a profile whose residual
-    ``|c0 - mu*M(phi)|`` is at most tol; that profile is returned.  Both
-    solves stop at ``min(tol_iter, tol/(10*mu*c(J)))``.  Every failure, of
-    Newton or of the certificate, raises ``NonconvergenceError``.
+    solves F(phi, c) = 0, with at most ``max_iters`` operator applications
+    and ``_NEWTON_STEPS`` Newton steps.  The result counts only if
+    ``solve_semiwave`` at c0, started from the Newton profile plus 1e-3,
+    accepts a profile whose residual ``|c0 - mu*M(phi)|`` is at most tol;
+    that profile is returned.  Both solves stop at
+    ``min(tol_iter, tol/(10*mu*c(J)))``.  Every failure, of Newton or of the
+    certificate, raises ``NonconvergenceError``.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
@@ -167,9 +173,17 @@ def _bordered_newton(
 
     try:
         # gmres rather than lgmres: lgmres took more applications here, and
-        # its least-squares solves page in LAPACK, about 3 MB of peak memory
-        z = newton_krylov(F, np.append(phi, c), method="gmres", f_tol=params.tol_iter)
-    except (NoConvergence, ValueError) as exc:
+        # its least-squares solves page in LAPACK, about 3 MB of peak memory.
+        # Each of the maxiter passes tests convergence before it steps, so
+        # _NEWTON_STEPS steps take _NEWTON_STEPS + 1 passes
+        z = newton_krylov(
+            F, np.append(phi, c), method="gmres", f_tol=params.tol_iter, maxiter=_NEWTON_STEPS + 1
+        )
+    except NoConvergence:
+        raise NonconvergenceError(
+            f"bordered Newton solve for c0 did not converge in {_NEWTON_STEPS} Newton steps"
+        ) from None
+    except ValueError as exc:
         raise NonconvergenceError(f"bordered Newton solve for c0 failed: {exc}") from None
     return z[:-1], float(z[-1])
 

@@ -11,8 +11,10 @@ from frontlab import (
     cauchy_step,
     compare_mu_limit,
     fit_slope,
+    make_gaussian,
     make_laplace,
     make_power,
+    make_uniform,
 )
 from frontlab.fbsim import _Schedule
 
@@ -39,10 +41,13 @@ class TestCauchyStep:
     def test_far_field_keeps_relative_accuracy(self, laplace, logistic):
         """The exponentially small leading edge must survive every step.
 
-        An FFT convolution would bury the domain-end density (~1e-13 here)
-        under its ~1e-16 absolute rounding floor.  At 801 nodes, above
-        FFT_MIN_NODES, the Laplace kernel's convolution runs as its O(n)
-        recursion; the textbook direct sum below is the reference.
+        An FFT convolution would bury the domain-end density (1e-13 for the
+        Laplace kernel here, 1e-34 for the Gaussian, 1e-81 for the uniform
+        kernel) under its ~1e-16 absolute rounding floor.  At 801 nodes,
+        above FFT_MIN_NODES, the Laplace kernel's convolution runs as its
+        O(n) recursion, and the uniform and Gaussian rows, which end in exact
+        zeros after 5 and 192 cells, as banded sums; the textbook direct sum
+        below is the reference.
         """
         grid = UniformGrid(-80.0, 80.0, 800)
         x, h = grid.nodes(), grid.spacing
@@ -50,18 +55,19 @@ class TestCauchyStep:
         w = np.full(n, h)
         w[0] *= 0.5
         w[-1] *= 0.5
-        jrow = laplace.density(np.arange(-(n - 1), n) * h)
-        u0 = parabola_u0(5.0)(x)
-        state = CauchyState(grid=grid, u=u0, t=0.0)
-        conv = LatticeConvolution(laplace, h)
-        ref = u0.copy()
-        for _ in range(300):
-            state = cauchy_step(state, dt, 1.0, laplace, logistic, conv)
-            Ju = np.convolve(w * ref, jrow)[n - 1 : 2 * n - 1]
-            ref = np.maximum(ref + dt * (Ju - ref + logistic.f(ref)), 0.0)
-        assert 0.0 < ref[-1] < 1e-10
-        assert state.u[-1] == pytest.approx(ref[-1], rel=1e-10)
-        assert state.u[0] == pytest.approx(ref[0], rel=1e-10)
+        for k in (laplace, make_uniform(1.0), make_gaussian(1.0)):
+            jrow = k.density(np.arange(-(n - 1), n) * h)
+            u0 = parabola_u0(5.0)(x)
+            state = CauchyState(grid=grid, u=u0, t=0.0)
+            conv = LatticeConvolution(k, h)
+            ref = u0.copy()
+            for _ in range(300):
+                state = cauchy_step(state, dt, 1.0, k, logistic, conv)
+                Ju = np.convolve(w * ref, jrow)[n - 1 : 2 * n - 1]
+                ref = np.maximum(ref + dt * (Ju - ref + logistic.f(ref)), 0.0)
+            assert 0.0 < ref[-1] < 1e-10
+            assert state.u[-1] == pytest.approx(ref[-1], rel=1e-10)
+            assert state.u[0] == pytest.approx(ref[0], rel=1e-10)
 
 
 class TestCauchySimulate:

@@ -1,7 +1,5 @@
 import gc
 import math
-import re
-import warnings
 import weakref
 
 import numpy as np
@@ -13,12 +11,14 @@ from frontlab import (
     NonExistence,
     SemiWaveParams,
     SemiWaveProfile,
+    TailClass,
     apply_A,
     choose_M,
     estimate_cstar,
     front_slope,
     half_level_shift,
     linear_determinacy_speed,
+    make_custom,
     make_gaussian,
     make_laplace,
     make_power,
@@ -268,52 +268,59 @@ class TestEstimateCstar:
     def test_unsupported_tail(self, logistic):
         with pytest.raises(UnsupportedTailError):
             estimate_cstar(1.0, make_power(2.0), logistic)
+        # thin-tailed, but without an exponential-moment range to start from
+        gauss = make_gaussian(1.0)
+        custom = make_custom("gauss", gauss.density, gauss.tail_mass, TailClass.THIN_TAIL)
+        with pytest.raises(UnsupportedTailError, match="start"):
+            estimate_cstar(1.0, custom, logistic)
 
-    def test_exhausted_budget_warns_once(self, logistic):
-        # a budget this small runs out at some probes near the threshold;
-        # each counts as a rejection, so the estimate lies below all of them
-        params = SemiWaveParams(depth=20.0, n_cells=400, max_iters=1000)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            est = estimate_cstar(1.0, make_uniform(1.0), logistic, params)
-        budget = [w for w in caught if "budget exhausted" in str(w.message)]
-        assert len(budget) == 1 and budget[0].category is RuntimeWarning
-        speeds = [float(c) for c in re.findall(r"\d+\.\d+", str(budget[0].message))]
-        assert speeds and all(c > est for c in speeds)
-
-    def test_probe_record_of_the_threshold_workload(self, logistic, monkeypatch):
-        # uniform R = 1 at depth 30, 1 200 cells and a budget of 10 000: the
-        # probes near the threshold collapse, converge slowly or run out, and
-        # each warm start comes from the cached profile of a smaller speed, so
-        # any change to a start or to the operator's bits shows here.  The
-        # speeds are the bisection's own floats, rounding included
-        probes = []
+    def test_pinned_speed_of_the_threshold_workload(self, logistic, monkeypatch):
+        # uniform R = 1 at depth 30 and 1 200 cells: one cold solve at c_lin/2,
+        # then the pinned iteration; the estimate is c(15), 0.12 % above c_lin
+        cold = []
 
         def recorded(c, *args, **kwargs):
-            try:
-                out = solve_semiwave(c, *args, **kwargs)
-            except NonconvergenceError:
-                probes.append((c, "budget exhausted", 10_000))
-                raise
-            outcome = "accepted" if out.accepted else "collapsed"
-            probes.append((c, outcome, out.iterations_used))
+            out = solve_semiwave(c, *args, **kwargs)
+            cold.append((c, out.iterations_used))
             return out
 
         monkeypatch.setattr(semiwave, "solve_semiwave", recorded)
+        k = make_uniform(1.0)
         params = SemiWaveParams(depth=30.0, n_cells=1200, max_iters=10_000)
-        with pytest.warns(RuntimeWarning, match="budget exhausted at c = 0.901562"):
-            est = estimate_cstar(1.0, make_uniform(1.0), logistic, params)
-        assert probes == [
-            (0.1, "accepted", 50),
-            (1.0, "collapsed", 765),
-            (0.55, "accepted", 205),
-            (0.775, "accepted", 845),
-            (0.8875, "accepted", 8_335),
-            (0.94375, "collapsed", 1_659),
-            (0.9156249999999999, "collapsed", 5_924),
-            (0.9015624999999999, "budget exhausted", 10_000),
-        ]
-        assert est == 0.89453125
+        c_lin = linear_determinacy_speed(1.0, k, logistic)
+        pinned = semiwave._pinned_semiwave(1.0, k, logistic, params, 0.5 * c_lin)
+        assert cold == [(0.5 * c_lin, 140)]
+        assert pinned.iterations_used == 950
+        assert pinned.c == pytest.approx(0.9063760738, abs=1e-9)
+        assert pinned.residual <= 100 * params.tol_iter
+        i = params.n_cells // 2
+        assert pinned.grid.nodes()[i] == pytest.approx(-15.0, abs=1e-12)
+        assert pinned.phi[i] == pytest.approx(0.5, abs=1e-9)
+        assert estimate_cstar(1.0, k, logistic, params) == pinned.c
+
+    def test_start_speed_does_not_matter(self, logistic):
+        k = make_uniform(1.0)
+        params = SemiWaveParams(depth=30.0, n_cells=1200, max_iters=10_000)
+        c_lin = linear_determinacy_speed(1.0, k, logistic)
+        slow = semiwave._pinned_semiwave(1.0, k, logistic, params, 0.5 * c_lin)
+        fast = semiwave._pinned_semiwave(1.0, k, logistic, params, 0.8 * c_lin)
+        assert abs(slow.c - fast.c) <= 1e-7
+
+    def test_small_budget_raises(self, logistic):
+        # the cold start takes 140 iterations, the pinned iteration 950
+        params = SemiWaveParams(depth=30.0, n_cells=1200, max_iters=500)
+        with pytest.raises(NonconvergenceError, match="did not converge in 500"):
+            estimate_cstar(1.0, make_uniform(1.0), logistic, params)
+
+    def test_short_depth_raises(self, logistic):
+        # a front pinned 4 units in leaves no plateau at -L = -8
+        params = SemiWaveParams(depth=8.0, n_cells=800)
+        with pytest.raises(NonconvergenceError, match="plateau"):
+            estimate_cstar(1.0, make_uniform(1.0), logistic, params)
+
+    def test_homotopy_source_rejected(self, logistic):
+        with pytest.raises(ValueError, match="sigma_homotopy"):
+            estimate_cstar(1.0, make_uniform(1.0), logistic, SemiWaveParams(sigma_homotopy=0.5))
 
     @pytest.mark.parametrize("kname", ["laplace", "gaussian", "uniform"])
     def test_linear_determinacy_closed_form(self, logistic, kname):
@@ -328,7 +335,14 @@ class TestEstimateCstar:
             # sinh(l)/l^2, smallest where tanh(l) = l/2
             lam = brentq(lambda t: math.tanh(t) - 0.5 * t, 1.0, 3.0, xtol=1e-15)
             k, exact = make_uniform(1.0), math.sinh(lam) / lam**2
-        assert linear_determinacy_speed(1.0, k, logistic) == pytest.approx(exact, rel=1e-12)
+        c_lin = linear_determinacy_speed(1.0, k, logistic)
+        assert c_lin == pytest.approx(exact, rel=1e-12)
+        # the bits of the doubling loop that grow_bracket replaced
+        assert c_lin == {
+            "laplace": 2.598076211353316,
+            "gaussian": 1.6487212707001282,
+            "uniform": 0.9052617393690582,
+        }[kname]
 
     def test_linear_determinacy_of_a_narrow_kernel(self, logistic):
         # J_R(x) = J_1(x/R)/R has c_lin(J_R) = R c_lin(J_1); the minimiser

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -19,7 +17,7 @@ from frontlab import (
     solve_semiwave,
     truncate,
 )
-from frontlab import speed
+from frontlab import semiwave, speed
 from frontlab.errors import NoFiniteSpeedError, NonconvergenceError
 
 _KERNELS = {
@@ -140,9 +138,11 @@ class TestSolveC0:
 
         def G(c):
             prof = solve_semiwave(c, d, k, r, quick_params)
-            return c - flux_M(prof, k, mu) if prof.accepted else math.inf
+            assert prof.accepted, f"no semi-wave at c = {c}"
+            return c - flux_M(prof, k, mu)
 
-        # a bracket of its own, not the one solve_c0 reports
+        # a bracket of its own, not the one solve_c0 reports; every speed in
+        # it lies below the threshold c*
         other = bracketed_root(G, 0.5 * sol.c0, 1.5 * sol.c0, tol, tol * 1e-3)
         assert abs(other - sol.c0) <= 10.0 * tol
         assert sol.residual <= tol
@@ -166,6 +166,21 @@ class TestSolveC0:
         assert solve_semiwave(0.05, 1.0, laplace, logistic, params).accepted
         with pytest.raises(NonconvergenceError, match="45 operator applications"):
             solve_c0(1.0, 1.0, laplace, logistic, params)
+
+    def test_newton_steps_are_capped(self, laplace, logistic, monkeypatch):
+        # from c = 300 Newton wanders between c = 0.4 and 3.3 for as long as
+        # it may; the step cap ends it after about 500 applications
+        params = SemiWaveParams()
+        start = solve_semiwave(0.1, 1.0, laplace, logistic, params)
+        applications = []
+        operator = semiwave._Operator.__call__
+        monkeypatch.setattr(
+            semiwave._Operator, "__call__",
+            lambda self, phi: applications.append(self.c) or operator(self, phi),
+        )
+        with pytest.raises(NonconvergenceError, match=f"{speed._NEWTON_STEPS} Newton steps"):
+            speed._bordered_newton(1000.0, 1.0, laplace, logistic, params, start.phi, 300.0)
+        assert len(applications) <= 1_000
 
     @pytest.mark.parametrize("verdict", ["nonexistence", "wrong-profile"])
     def test_rejected_certificate_raises(
