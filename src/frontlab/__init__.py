@@ -1,7 +1,6 @@
 """Nonlocal Fisher-KPP free boundaries: semi-waves, spreading speeds, fronts."""
 
 from .errors import (
-    BracketError,
     ConfigError,
     DegenerateAdjustmentError,
     DivergentIntegralError,
@@ -20,7 +19,6 @@ from .numerics import (
     UniformGrid,
     bracketed_root,
     fit_slope,
-    trapezoid,
     trapezoid_weights,
 )
 from .kernels import (

@@ -143,7 +143,8 @@ def _initial_state(cfg: CauchyConfig) -> CauchyState:
 def cauchy_simulate(cfg: CauchyConfig) -> CauchyRun:
     state = _initial_state(cfg)
     x = state.grid.nodes()
-    dt = cfg.dt or stability_dt(cfg.d, cfg.reaction, cfg.dx, 0.0, 1.0, v_cap=0.0)
+    bound = stability_dt(cfg.d, cfg.reaction, cfg.dx, 0.0, 1.0, v_cap=0.0)
+    dt = fbsim._checked_dt(cfg.dt, bound)
     conv = LatticeConvolution(cfg.kernel, state.grid.spacing)
 
     ts, crossings = [], []

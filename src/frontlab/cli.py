@@ -99,7 +99,7 @@ def _cmd_speed(args) -> int:
         cfg.get("model", "d"),
         cfg.build_kernel(),
         cfg.build_reaction(),
-        cfg.semiwave_params(),
+        cfg.speed_params(),
         cfg.get("speed", "tol"),
     )
     out_dir = args.out or cfg.get("run", "out")
@@ -132,7 +132,7 @@ def _cmd_speed_curve(args) -> int:
         cfg.get("model", "d"),
         cfg.build_kernel(),
         cfg.build_reaction(),
-        cfg.semiwave_params(),
+        cfg.speed_params(),
         cfg.get("speed", "tol"),
     )
     out_dir = args.out or cfg.get("run", "out")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .kernels import Kernel, make_gaussian, make_laplace, make_power, make_uniform
-from .reactions import Reaction, make_logistic, make_polynomial
+from .reactions import Reaction, make_logistic, make_polynomial, validate_kpp
 from .semiwave import SemiWaveParams
 
 __all__ = ["RunConfig", "parse_config", "DEFAULT_CONFIG_TEXT"]
@@ -141,6 +141,12 @@ class RunConfig:
                 return amp * out
         return u0
 
+    def speed_params(self) -> SemiWaveParams:
+        """``semiwave_params`` for a c0 solve, which has no sigma homotopy."""
+        if self.get("semiwave", "sigma") != 0.0:
+            raise ConfigError(["semiwave.sigma must be 0 for a speed solve (c0 has no homotopy)"])
+        return self.semiwave_params()
+
     def semiwave_params(self) -> SemiWaveParams:
         depth = self.get("semiwave", "depth")
         return SemiWaveParams(
@@ -230,6 +236,12 @@ def _cross_validate(cfg: RunConfig, violations: list[str]) -> None:
             return
         if len(coeffs) < 2:
             violations.append("reaction.coeffs needs at least two coefficients")
+        elif not all(math.isfinite(v) for v in coeffs):
+            violations.append("reaction.coeffs must be finite")
+        else:
+            failed = validate_kpp(make_polynomial(coeffs)).failed()
+            if failed:
+                violations.append(f"reaction.coeffs is not KPP: fails {', '.join(failed)}")
     # truncated_speed_sequence and c0_curve take their lists in increasing order
     for key in ("radii", "mus"):
         try:

@@ -7,10 +7,6 @@ class FrontlabError(Exception):
     """Base class for all package-specific errors."""
 
 
-class BracketError(FrontlabError, ValueError):
-    """Root bracket does not straddle a sign change."""
-
-
 class NonNormalizableError(FrontlabError, ValueError):
     """Kernel density cannot be normalized to unit mass."""
 

@@ -101,7 +101,7 @@ def run_linear_speed(cfg: RunConfig, out_dir: str) -> ExperimentResult:
         cfg.get("model", "d"),
         kernel,
         reaction,
-        cfg.semiwave_params(),
+        cfg.speed_params(),
         cfg.get("speed", "tol"),
     )
     sim = build_sim_config(cfg)
@@ -232,7 +232,7 @@ def run_truncation(cfg: RunConfig, out_dir: str) -> ExperimentResult:
     """Cutoff-kernel speeds: monotone, and either diverging or consistent."""
     kernel = cfg.build_kernel()
     reaction = cfg.build_reaction()
-    params = cfg.semiwave_params()
+    params = cfg.speed_params()
     tol = cfg.get("speed", "tol")
     entries = truncated_speed_sequence(
         kernel,

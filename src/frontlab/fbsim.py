@@ -117,6 +117,15 @@ def stability_dt(
     return dt
 
 
+def _checked_dt(dt: float | None, bound: float) -> float:
+    """A configured step, or the stability bound when none is set; a step
+    above the bound raises ``RejectedStepError``."""
+    dt = dt or bound
+    if dt > bound * (1.0 + 1e-9):
+        raise RejectedStepError(f"dt={dt} exceeds stability bound {bound}")
+    return dt
+
+
 def step(
     s: FieldState,
     dt: float,
@@ -293,9 +302,7 @@ def simulate(cfg: SimConfig) -> FrontTrajectory:
     bound = stability_dt(
         cfg.d, cfg.reaction, cfg.dx, cfg.mu, state.m0star, cfg.kernel, cfg.v_cap
     )
-    dt = cfg.dt or bound
-    if dt > bound * (1.0 + 1e-9):
-        raise RejectedStepError(f"dt={dt} exceeds stability bound {bound}")
+    dt = _checked_dt(cfg.dt, bound)
     conv = LatticeConvolution(cfg.kernel, cfg.dx)
     ts, gs, hs = [], [], []
     snapshots: list[Snapshot] = []

@@ -21,7 +21,7 @@ from .errors import (
     NonNormalizableError,
     UndecidableTailError,
 )
-from .numerics import UniformGrid, trapezoid
+from .numerics import UniformGrid, trapezoid_weights
 
 __all__ = [
     "TailClass",
@@ -158,6 +158,12 @@ def make_gaussian(sd: float = 1.0) -> Kernel:
         x = np.asarray(x, dtype=float)
         return 0.5 * erfc(-x / (sd * math.sqrt(2.0)))
 
+    def em(lam):
+        try:
+            return math.exp(0.5 * (lam * sd) ** 2)
+        except OverflowError:  # past the largest float, as a divergent moment
+            return math.inf
+
     def tint(x0):
         z = x0 / sd
         pdf = math.exp(-0.5 * z * z) / _SQRT2PI
@@ -169,7 +175,7 @@ def make_gaussian(sd: float = 1.0) -> Kernel:
         density=dens,
         tail_mass=a,
         tail_class=TailClass.THIN_TAIL,
-        exp_moment_fn=lambda lam: math.exp(0.5 * (lam * sd) ** 2),
+        exp_moment_fn=em,
         lambda_sup=math.inf,
         tail_integral_fn=tint,
         params={"sd": sd},
@@ -300,7 +306,8 @@ def classify_tail(k: Kernel) -> TailClass:
     depths = [10.0 * 2**j for j in range(11)]
     for D in depths:
         grid = UniformGrid(-D, 0.0, max(2000, int(200 * D)))
-        partials.append(trapezoid(k.tail_mass(grid.nodes()), grid))
+        w = trapezoid_weights(grid.n_cells + 1, grid.spacing)
+        partials.append(float(np.dot(w, k.tail_mass(grid.nodes()))))
         if len(partials) < 3:
             continue
         inc_prev = partials[-2] - partials[-3]
@@ -353,7 +360,7 @@ def exp_moment(k: Kernel, lam: float) -> float:
 def _quad_moment(k: Kernel, lam: float, D: float) -> float:
     grid = UniformGrid(-D, D, max(2000, int(400 * D)))
     x = grid.nodes()
-    return trapezoid(k.density(x) * np.exp(lam * x), grid)
+    return float(np.dot(trapezoid_weights(x.size, grid.spacing), k.density(x) * np.exp(lam * x)))
 
 
 def make_custom(
@@ -397,8 +404,7 @@ def truncate(k: Kernel, R: float) -> TruncatedKernel:
     # density-only kernels lose the tail term and simply assert it negligible
     xr = np.linspace(R, S, int(4000 * _RAMP) + 1)
     deficit = base_density(xr) * (1.0 - cutoff(xr))
-    hr = xr[1] - xr[0]
-    ramp_loss = float(hr * (deficit.sum() - 0.5 * (deficit[0] + deficit[-1])))
+    ramp_loss = float(np.dot(trapezoid_weights(xr.size, xr[1] - xr[0]), deficit))
     tail_loss = float(k.tail_mass(np.asarray(-S, dtype=float))) if k.tail_mass else 0.0
     sigma_n = min(1.0, max(1e-12, 1.0 - 2.0 * tail_loss - 2.0 * ramp_loss))
 

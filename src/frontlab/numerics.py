@@ -1,5 +1,5 @@
-"""Shared low-level numerics: quadrature, lattice convolution, a geometric
-bracket search and a bracketed root finder, regression."""
+"""Shared low-level numerics: trapezoid weights, lattice convolution, a
+geometric bracket search and the root finder built on it, regression."""
 
 from __future__ import annotations
 
@@ -12,14 +12,13 @@ from scipy.fft import irfft, next_fast_len, rfft
 from scipy.optimize import brentq
 from scipy.signal import lfilter
 
-from .errors import BracketError, NonconvergenceError
+from .errors import NonconvergenceError
 
 if TYPE_CHECKING:
     from .kernels import Kernel
 
 __all__ = [
     "UniformGrid",
-    "trapezoid",
     "trapezoid_weights",
     "LatticeConvolution",
     "FFT_MIN_NODES",
@@ -53,14 +52,6 @@ class UniformGrid:
     def nodes(self) -> np.ndarray:
         # left + j*spacing rather than linspace, so node positions are reproducible
         return self.left + self.spacing * np.arange(self.n_cells + 1)
-
-
-def trapezoid(values: Sequence[float] | np.ndarray, grid: UniformGrid) -> float:
-    """Composite trapezoid rule for node values sampled on ``grid``."""
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.size != grid.n_cells + 1:
-        raise ValueError(f"expected {grid.n_cells + 1} node values, got shape {v.shape}")
-    return float(grid.spacing * (v.sum() - 0.5 * (v[0] + v[-1])))
 
 
 def trapezoid_weights(n_nodes: int, spacing: float) -> np.ndarray:
@@ -304,57 +295,23 @@ def grow_bracket(G: Callable[[float], float], lo: float, hi: float) -> tuple[flo
     return lo, hi, g_lo, g_hi
 
 
-class _Stop(Exception):
-    """Ends a brentq run at a point where |G| <= ftol."""
+def bracketed_root(G: Callable[[float], float], lo: float, hi: float, xtol: float) -> float:
+    """Root of a finite, increasing scalar function, searched from [lo, hi].
 
-    def __init__(self, x: float):
-        super().__init__(x)
-        self.x = x
-
-
-def bracketed_root(
-    G: Callable[[float], float],
-    lo: float,
-    hi: float,
-    ftol: float,
-    xtol: float,
-    g_lo: float | None = None,
-    g_hi: float | None = None,
-) -> float:
-    """Root of a finite scalar function with G(lo) < 0 < G(hi).
-
-    Brent's method (``scipy.optimize.brentq``) returns as soon as
-    |G| <= ftol, and otherwise once the bracket is narrower than xtol.
-    ``g_lo`` and ``g_hi`` pass values of G already known at the ends, so
-    they are not evaluated again.
+    ``grow_bracket`` widens [lo, hi] until G changes sign across it, and
+    Brent's method (``scipy.optimize.brentq``) then narrows that bracket to
+    xtol, reusing the values of G at its ends.
     """
-    if not (ftol >= 0 and xtol > 0):
-        raise ValueError(f"need ftol >= 0 and xtol > 0, got ftol={ftol}, xtol={xtol}")
-    if not lo < hi:
-        raise ValueError(f"bad bracket [{lo}, {hi}]")
-    g_lo = G(lo) if g_lo is None else g_lo
-    if abs(g_lo) <= ftol:
-        return lo
-    g_hi = G(hi) if g_hi is None else g_hi
-    if abs(g_hi) <= ftol:
-        return hi
-    if not g_lo < 0.0 < g_hi:
-        raise BracketError(f"G does not change sign on [{lo}, {hi}]: G(lo)={g_lo}, G(hi)={g_hi}")
+    lo, hi, g_lo, g_hi = grow_bracket(G, lo, hi)
 
     def g(x: float) -> float:
         if x == lo:
             return g_lo
         if x == hi:
             return g_hi
-        gx = G(x)
-        if abs(gx) <= ftol:
-            raise _Stop(x)
-        return gx
+        return G(x)
 
-    try:
-        root, info = brentq(g, lo, hi, xtol=xtol, full_output=True, disp=False)
-    except _Stop as stop:
-        return stop.x
+    root, info = brentq(g, lo, hi, xtol=xtol, full_output=True, disp=False)
     if not info.converged:
         raise NonconvergenceError(f"Brent's method did not converge on [{lo}, {hi}]")
     return float(root)

@@ -9,7 +9,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateAdjustmentError
-from .numerics import bracketed_root, grow_bracket
+from .numerics import bracketed_root
 
 __all__ = [
     "Reaction",
@@ -159,8 +159,9 @@ def validate_kpp(r: Reaction) -> ValidationReport:
     add("df1_negative", r.df1 < 0.0, max(r.df1, 0.0))
     v = float(np.max(np.diff(fu / u)))
     add("ratio_nonincreasing", v <= eps, v)
+    # an infinite cap means f stays positive somewhere beyond every bound
     cap_probe = r.cap_K0 * np.linspace(1.0, 3.0, 201)[1:]
-    v = float(np.max(r.f(cap_probe)))
+    v = float(np.max(r.f(cap_probe))) if math.isfinite(r.cap_K0) else math.inf
     add("negative_beyond_cap", v < 0.0, v)
     uneg = -np.linspace(1e-6, 1.0, 100)
     v = float(np.max(np.abs(r.f(uneg) - r.df0 * uneg)))
@@ -229,6 +230,5 @@ def adjust_for_truncation(r: Reaction, sigma_n: float, d: float) -> AdjustedReac
     def G(v: float) -> float:
         return -f_n(v) / v
 
-    lo, hi, g_lo, g_hi = grow_bracket(G, 0.5, 1.0)
-    eta_n = bracketed_root(G, lo, hi, ftol=0.0, xtol=1e-14, g_lo=g_lo, g_hi=g_hi)
+    eta_n = bracketed_root(G, 0.5, 1.0, xtol=1e-14)
     return AdjustedReaction(base=r, sigma_n=sigma_n, d=d, f_n=f_n, eta_n=eta_n)

@@ -32,7 +32,9 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.signal import lfilter
 
-from .errors import NonconvergenceError, NoCrossingError, UnsupportedTailError
+from .errors import (
+    DivergentIntegralError, NonconvergenceError, NoCrossingError, UnsupportedTailError,
+)
 from .kernels import Kernel, TailClass, classify_tail
 from .numerics import (
     LatticeConvolution, UniformGrid, bracketed_root, grow_bracket, trapezoid_weights,
@@ -126,13 +128,25 @@ class _Workspace:
         exact = np.asarray(k.tail_mass(self.x + L), dtype=float) - self.a_x
         with np.errstate(divide="ignore", invalid="ignore"):
             self.row_scale = np.where(row_sums > 0.0, exact / row_sums, 1.0)
+        # the boundary-flux quadrature; None for a kernel without a tail integral
+        self.flux_w = self.trap_w * self.a_x
+        self.flux_far = k.tail_integral(-L) if k.tail_integral_fn is not None else None
 
-    def convolve(self, phi: np.ndarray) -> np.ndarray:
+    def convolve(self, phi: np.ndarray, direct: bool = False) -> np.ndarray:
         # a semi-wave profile vanishes at a finite slope at the front, so the
-        # FFT path's absolute rounding floor is harmless here
-        out = self.lattice(self.trap_w * phi)
+        # FFT path's absolute rounding floor is harmless here; the pinned
+        # solve asks for the direct sum (see _pinned_semiwave)
+        out = (self.lattice.direct if direct else self.lattice)(self.trap_w * phi)
         out *= self.row_scale
         return out
+
+    def flux(self, phi: np.ndarray) -> float:
+        """The outward boundary flux of phi: the trapezoid integral of a(x)*phi(x)
+        over [-L, 0], plus the integral of a(x) beyond -L, where phi is closed
+        with its plateau 1."""
+        if self.flux_far is None:
+            raise DivergentIntegralError("the kernel has no integrable tail-mass integral")
+        return float(np.dot(self.flux_w, phi)) + self.flux_far
 
 
 # weak keys: a workspace goes when its kernel does, so long sweeps over
@@ -214,15 +228,21 @@ class _Operator:
             self.lift = sigma * np.exp(M * ws.x[:-1])
 
     def __call__(self, phi: np.ndarray) -> np.ndarray:
-        ws = self.ws
-        w = ws.convolve(phi)
-        w += ws.far
+        return self.integrate(self.rhs(phi))
+
+    def rhs(self, phi: np.ndarray, direct: bool = False) -> np.ndarray:
+        """The operator's first half: the node values w of the shifted
+        right-hand side, with the convolution summed directly if asked.  The
+        speed enters only through c*M, which ``choose_M`` makes the same at
+        every speed up to rounding."""
+        w = self.ws.convolve(phi, direct)
+        w += self.ws.far
         w *= self.d
         if self.sigma != 0.0:
             w += self.source
         w += self.shift * phi
         w += self.f(phi)
-        return self.integrate(w)
+        return w
 
     def integrate(self, w: np.ndarray) -> np.ndarray:
         """The operator's second half, from the node values w of the shifted
@@ -450,14 +470,14 @@ def _pinned_semiwave(
     Near c* the map phi -> A_c(phi) has one eigenvalue within about 1e-11 of
     1: the front's translation, held only by the exponentially small leading
     edge.  Pinning the front's position removes that mode.  Each iteration
-    forms the speed-independent part
+    forms the operator's speed-independent first half at unit speed,
 
         w = d*(J*phi + far) + (c*M - d)*phi + f(phi),   c*M = choose_M(1, d, r),
 
-    and picks the speed c by a scalar root (``grow_bracket`` and
-    ``bracketed_root``) so that A_c(phi), which is decreasing in c at every
-    node, keeps phi(-L/2) = 1/2.  The convolution is the relative-accuracy
-    path, ``LatticeConvolution.direct``: under the FFT's absolute rounding
+    and picks the speed c by a scalar root (``bracketed_root``) so that
+    A_c(phi), which is decreasing in c at every node, keeps phi(-L/2) = 1/2.
+    The convolution is the relative-accuracy path,
+    ``LatticeConvolution.direct``: under the FFT's absolute rounding
     floor the leading edge is noise, and the uniform kernel at depth 80
     (4 000 cells) lost its phase root that way.  The iteration stops at
     max|phi_new - phi| < tol_iter.  The start comes from
@@ -491,25 +511,16 @@ def _pinned_semiwave(
             return 0.5 - ((1.0 - theta) * i0 + theta * i1) / c
 
         try:
-            lo, hi, g_lo, g_hi = grow_bracket(G, c - step, c + step)
+            return bracketed_root(G, c - step, c + step, xtol=1e-15)
         except NonconvergenceError as exc:
             raise NonconvergenceError(f"pinned semi-wave lost its phase root: {exc}") from None
-        return bracketed_root(G, lo, hi, ftol=0.0, xtol=1e-15, g_lo=g_lo, g_hi=g_hi)
 
-    def base(phi: np.ndarray) -> np.ndarray:
-        w = ws.lattice.direct(ws.trap_w * phi)
-        w *= ws.row_scale
-        w += ws.far
-        w *= d
-        w += (cM - d) * phi
-        w += r.f(phi)
-        return w
-
+    unit = _Operator(1.0, d, r, cM, 0.0, ws)
     # the speed's bracket reaches twice its last change either side, so the
-    # root mostly lies inside and grow_bracket need not widen it
+    # root mostly lies inside and the bracket need not grow
     c, step, slip = c_start, 0.5 * c_start, 0.0
     for it in range(1, params.max_iters + 1):
-        w = base(phi)
+        w = unit.rhs(phi, direct=True)
         c_new = speed(w, c, step)
         step = min(max(2.0 * abs(c_new - c), 1e-12 * c_new), 0.5 * c_new)
         c = c_new
@@ -527,7 +538,7 @@ def _pinned_semiwave(
             f"pinned semi-wave iteration did not converge in {params.max_iters} iterations "
             f"(last speed {c:.6g})"
         )
-    residual = float(np.max(np.abs(A.integrate(base(phi)) - phi)))
+    residual = float(np.max(np.abs(A.integrate(unit.rhs(phi, direct=True)) - phi)))
     plateau = float(phi[0])
     if plateau < 1.0 - params.plateau_eps or residual > _RESIDUAL_FACTOR * params.tol_iter:
         raise NonconvergenceError(

@@ -25,7 +25,7 @@ from scipy.optimize import NoConvergence, newton_krylov
 
 from .errors import NoFiniteSpeedError, NonconvergenceError
 from .kernels import Kernel, TailClass, c_of_J, classify_tail
-from .numerics import BRACKET_MAX_STEPS, trapezoid_weights
+from .numerics import BRACKET_MAX_STEPS
 from .reactions import Reaction
 from .semiwave import (
     SemiWaveParams, SemiWaveProfile, _Operator, _workspace, choose_M, solve_semiwave,
@@ -60,14 +60,13 @@ def flux_M(p: SemiWaveProfile, k: Kernel, mu: float) -> float:
 
     Uses the tail-mass identity: the double integral of J over the quadrant
     behind the front collapses to the integral of a(x)*phi(x), plus the
-    analytic remainder where the profile is closed with its plateau.
+    analytic remainder where the profile is closed with its plateau.  The
+    quadrature is the solver workspace's, the one the bordered Newton solve
+    for c0 uses.
     """
     if classify_tail(k) is TailClass.FAT_TAIL:
         raise NoFiniteSpeedError(f"kernel {k.name!r} has a divergent boundary-flux integral")
-    x = p.grid.nodes()
-    w = trapezoid_weights(x.size, p.grid.spacing)
-    body = float(np.dot(w, np.asarray(k.tail_mass(x), dtype=float) * p.phi))
-    return mu * (body + k.tail_integral(p.grid.left))
+    return mu * _workspace(k, -p.grid.left, p.grid.n_cells).flux(p.phi)
 
 
 def solve_c0(
@@ -89,7 +88,8 @@ def solve_c0(
     accepts a profile whose residual ``|c0 - mu*M(phi)|`` is at most tol;
     that profile is returned.  Both solves stop at
     ``min(tol_iter, tol/(10*mu*c(J)))``.  Every failure, of Newton or of the
-    certificate, raises ``NonconvergenceError``.
+    certificate, raises ``NonconvergenceError``.  The semi-wave of the flux
+    identity has no sigma homotopy: ``params.sigma_homotopy`` must be 0.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
@@ -98,6 +98,8 @@ def solve_c0(
             f"kernel {k.name!r} violates double-tail integrability: no finite spreading speed"
         )
     params = params or SemiWaveParams()
+    if params.sigma_homotopy != 0.0:
+        raise ValueError("solve_c0 needs sigma_homotopy = 0")
     cJ = c_of_J(k)
 
     c_s = min(0.1, mu * cJ / 10.0)
@@ -151,8 +153,6 @@ def _bordered_newton(
     ws = _workspace(k, params.resolve_depth(k), params.n_cells)
     # choose_M(c, d, r) is M at unit speed over c, bit for bit: check it once
     m_unit = choose_M(1.0, d, r)
-    flux_w = ws.trap_w * ws.a_x  # flux_M's quadrature on the solver grid
-    far = k.tail_integral(ws.grid.left)
     applications = 0
 
     def F(z: np.ndarray) -> np.ndarray:
@@ -166,9 +166,9 @@ def _bordered_newton(
             )
         applications += 1
         out = np.empty_like(z)
-        out[:-1] = _Operator(c, d, r, m_unit / c, params.sigma_homotopy, ws)(phi)
+        out[:-1] = _Operator(c, d, r, m_unit / c, 0.0, ws)(phi)
         out[:-1] -= phi
-        out[-1] = c - mu * (float(np.dot(flux_w, phi)) + far)
+        out[-1] = c - mu * ws.flux(phi)
         return out
 
     try:

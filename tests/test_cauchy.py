@@ -16,6 +16,7 @@ from frontlab import (
     make_power,
     make_uniform,
 )
+from frontlab.errors import RejectedStepError
 from frontlab.fbsim import _Schedule
 
 from .conftest import parabola_u0
@@ -136,6 +137,13 @@ class TestCauchySimulate:
             mask = (tr.ts > a) & (tr.ts <= b) & ~np.isnan(tr.x_plus)
             slopes.append(fit_slope(tr.ts[mask], tr.x_plus[mask]))
         assert all(b > a for a, b in zip(slopes, slopes[1:]))
+
+    def test_dt_above_stability_bound_rejected(self, laplace, logistic):
+        # the reaction bound 0.2/(d + K) is 0.1 here, as simulate checks it
+        with pytest.raises(RejectedStepError, match="stability bound"):
+            cauchy_simulate(_cfg(laplace, logistic, dt=3.0))
+        run = cauchy_simulate(_cfg(laplace, logistic, t_max=1.0, dt=0.1))
+        assert run.track.ts[-1] == pytest.approx(1.0)
 
     def test_domain_flag(self, laplace, logistic):
         cfg = _cfg(laplace, logistic, t_max=20.0, domain_halfwidth=30.0, u0=parabola_u0(10.0))

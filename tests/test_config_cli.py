@@ -2,6 +2,9 @@ import json
 import os
 import pathlib
 import re
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +108,28 @@ class TestParseConfig:
             parse_config(f"[experiment]\n{key} = {text}\n")
         violations = err.value.violations
         assert len(violations) == 1 and f"experiment.{key}" in violations[0]
+
+    @pytest.mark.parametrize("coeffs, failed", [
+        ("0,-0.2,1.2,-1", "df0_positive"),  # bistable: f'(0) = -0.2
+        ("0,0.5,-1", "f(1)=0"),  # f(1) = -0.5
+        ("0,1,-2,1", "negative_beyond_cap"),  # u(1-u)^2 stays positive past 1
+    ])
+    def test_custom_reaction_must_be_kpp(self, coeffs, failed):
+        with warnings.catch_warnings(), pytest.raises(ConfigError) as err:
+            warnings.simplefilter("error")
+            parse_config(f"[reaction]\ntype = custom\ncoeffs = {coeffs}\n")
+        violations = err.value.violations
+        assert len(violations) == 1 and "not KPP" in violations[0] and failed in violations[0]
+
+    @pytest.mark.parametrize("coeffs", ["0,1,-1", "0,1,0,-1"])
+    def test_custom_kpp_reaction_accepted(self, coeffs):
+        cfg = parse_config(f"[reaction]\ntype = custom\ncoeffs = {coeffs}\n")
+        assert float(cfg.build_reaction().f(1.0)) == pytest.approx(0.0, abs=1e-15)
+
+    def test_custom_reaction_coeffs_finite(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("[reaction]\ntype = custom\ncoeffs = 0,1,nan\n")
+        assert err.value.violations == ["reaction.coeffs must be finite"]
 
     def test_comments_and_blanks(self):
         cfg = parse_config("# header\n\n[model]\n# inline note\nd = 2.5\n")
@@ -328,6 +353,30 @@ class TestCli:
         assert err.count("\n") == 1 and "RejectedStepError" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["speed"], ["speed-curve"], ["experiment", "linear-speed"], ["experiment", "truncation"],
+    ], ids=lambda a: a[-1])
+    def test_speed_solves_reject_sigma_homotopy(self, tmp_path, capsys, argv):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(MINIMAL + "[semiwave]\nsigma = 0.3\ndepth = 30.0\nn_cells = 1200\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out)] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "semiwave.sigma" in err
+
+    def test_cauchy_wide_gaussian(self, tmp_path):
+        # the domain comes from c_lin, whose bracket search probes moments
+        # past the largest float
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "[kernel]\ntype = gaussian\nsd = 30.0\n[reaction]\ntype = logistic\n"
+            "[time]\nt_max = 0.5\nsample_dt = 0.25\n[grid]\ndx = 1.0\n"
+        )
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "cauchy"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["domain_halfwidth"] == pytest.approx(8.0 * 0.5 * 30.0 * np.sqrt(np.e))
+
     def test_experiment_linear_speed_reduced(self, tmp_path):
         cfg = tmp_path / "ls.cfg"
         cfg.write_text(
@@ -356,6 +405,42 @@ class TestCli:
         b1 = (out1 / "mu_limit.csv").read_bytes()
         assert b1 == (out2 / "mu_limit.csv").read_bytes()
         assert b1.splitlines()[0] == b"mu,sup_excess,sup_abs,h_final"
+
+
+# bad inputs with their documented exit codes: 2 configuration, 4 step
+_BAD_INPUTS = {
+    "bistable-reaction": (
+        MINIMAL.replace("type = logistic", "type = custom\ncoeffs = 0,-0.2,1.2,-1"), ["speed"], 2
+    ),
+    "reaction-negative-at-1": (
+        MINIMAL.replace("type = logistic", "type = custom\ncoeffs = 0,0.5,-1"), ["speed"], 2
+    ),
+    "c0-sigma-homotopy": (
+        MINIMAL + "[semiwave]\nsigma = 0.3\ndepth = 30.0\nn_cells = 1200\n", ["speed"], 2
+    ),
+    "cauchy-dt-above-bound": (
+        MINIMAL + "[time]\nt_max = 1.0\ndt = 3.0\n[grid]\ndx = 0.2\ndomain_halfwidth = 20.0\n",
+        ["cauchy"],
+        4,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_INPUTS))
+def test_entry_point_reports_bad_input_in_one_line(tmp_path, name):
+    text, argv, code = _BAD_INPUTS[name]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    paths = [str(pathlib.Path(frontlab.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "frontlab", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        + argv,
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 class TestExperiments:

@@ -146,6 +146,11 @@ class TestExpMoment:
     def test_power_diverges(self):
         assert math.isinf(exp_moment(make_power(2.0), 0.1))
 
+    def test_wide_gaussian_overflows_to_inf(self):
+        # 0.5*(lam*sd)^2 = 1800 is past the largest exponent of a float
+        assert math.isinf(exp_moment(make_gaussian(30.0), 2.0))
+        assert exp_moment(make_gaussian(30.0), 1.0 / 30.0) == pytest.approx(math.exp(0.5))
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             exp_moment(make_laplace(), -0.1)

@@ -13,12 +13,11 @@ from frontlab import (
     make_laplace,
     make_power,
     make_uniform,
-    trapezoid,
     truncate,
     trapezoid_weights,
 )
 from frontlab import numerics
-from frontlab.errors import BracketError, NonconvergenceError
+from frontlab.errors import NonconvergenceError
 from frontlab.numerics import (
     BAND_PER_LOG2, BRACKET_MAX_STEPS, FFT_MIN_NODES, TAIL_NODES, grow_bracket,
 )
@@ -39,33 +38,32 @@ class TestUniformGrid:
             UniformGrid(0.0, 1.0, 1)
 
 
+def _trapezoid(values, grid):
+    return float(np.dot(trapezoid_weights(grid.n_cells + 1, grid.spacing), values))
+
+
 class TestTrapezoid:
     def test_constant_exact(self):
         for n in (2, 7, 100):
             g = UniformGrid(0.0, 1.0, n)
-            assert trapezoid(np.ones(n + 1), g) == pytest.approx(1.0, abs=1e-15)
+            assert _trapezoid(np.ones(n + 1), g) == pytest.approx(1.0, abs=1e-15)
 
     def test_linear_exact(self):
         g = UniformGrid(0.0, 1.0, 10)
-        assert trapezoid(g.nodes(), g) == pytest.approx(0.5, abs=1e-15)
+        assert _trapezoid(g.nodes(), g) == pytest.approx(0.5, abs=1e-15)
 
     def test_quadratic_within_error_bound(self):
         g = UniformGrid(0.0, 1.0, 100)
-        val = trapezoid(g.nodes() ** 2, g)
+        val = _trapezoid(g.nodes() ** 2, g)
         assert abs(val - 1.0 / 3.0) <= 2e-5
 
     def test_linearity_in_input(self):
         g = UniformGrid(0.0, 2.0, 64)
         rng = np.random.default_rng(0)
         f, h = rng.normal(size=65), rng.normal(size=65)
-        lhs = trapezoid(3.0 * f + 2.0 * h, g)
-        rhs = 3.0 * trapezoid(f, g) + 2.0 * trapezoid(h, g)
+        lhs = _trapezoid(3.0 * f + 2.0 * h, g)
+        rhs = 3.0 * _trapezoid(f, g) + 2.0 * _trapezoid(h, g)
         assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    def test_length_mismatch(self):
-        g = UniformGrid(0.0, 1.0, 10)
-        with pytest.raises(ValueError):
-            trapezoid(np.ones(10), g)
 
 
 class TestTrapezoidWeights:
@@ -73,7 +71,8 @@ class TestTrapezoidWeights:
         g = UniformGrid(-1.0, 2.0, 30)
         v = np.cos(g.nodes())
         w = trapezoid_weights(g.n_cells + 1, g.spacing)
-        assert float(np.dot(w, v)) == pytest.approx(trapezoid(v, g), rel=1e-14)
+        rule = g.spacing * (v.sum() - 0.5 * (v[0] + v[-1]))
+        assert float(np.dot(w, v)) == pytest.approx(rule, rel=1e-14)
 
 
 def _reference_convolution(density, dx, wu):
@@ -287,35 +286,27 @@ class TestTailTable:
 
 
 class TestBisect:
-    """numerics.bracketed_root: Brent's method with an early stop at ftol."""
+    """numerics.bracketed_root: grow_bracket, then Brent's method to xtol."""
 
     def test_affine(self):
-        root = bracketed_root(lambda c: c - 1.0, 0.0, 2.0, 1e-10, 1e-12)
-        assert root == pytest.approx(1.0, abs=1e-9)
+        root = bracketed_root(lambda c: c - 1.0, 0.5, 2.0, 1e-12)
+        assert root == pytest.approx(1.0, abs=1e-11)
 
     def test_sqrt2(self):
-        root = bracketed_root(lambda c: c * c - 2.0, 1.0, 2.0, 1e-12, 1e-14)
-        assert root == pytest.approx(np.sqrt(2.0), abs=1e-10)
+        root = bracketed_root(lambda c: c * c - 2.0, 1.0, 2.0, 1e-14)
+        assert root == pytest.approx(np.sqrt(2.0), abs=1e-13)
 
     def test_bad_bracket(self):
-        with pytest.raises(BracketError):
-            bracketed_root(lambda c: c + 10.0, 0.0, 1.0, 1e-8, 1e-11)
+        # a start that misses the root is grown until it straddles it; a G
+        # that never changes sign exhausts the growth and raises
+        assert bracketed_root(lambda c: c - 5.0, 0.1, 0.2, 1e-12) == pytest.approx(5.0, abs=1e-11)
+        with pytest.raises(NonconvergenceError):
+            bracketed_root(lambda c: c + 10.0, 0.5, 1.0, 1e-11)
 
     def test_bracket_choice_insensitive(self):
-        r1 = bracketed_root(lambda c: c**3 - 5.0, 0.0, 3.0, 1e-12, 1e-14)
-        r2 = bracketed_root(lambda c: c**3 - 5.0, 1.5, 1.8, 1e-12, 1e-14)
-        assert abs(r1 - r2) <= 1e-10
-
-    def test_stops_once_within_ftol(self):
-        probes = []
-
-        def G(c):
-            probes.append(c)
-            return np.expm1(c - 1.0)
-
-        root = bracketed_root(G, 0.0, 3.0, ftol=0.05, xtol=1e-12)
-        within = [abs(np.expm1(c - 1.0)) <= 0.05 for c in probes]
-        assert probes[-1] == root and within == [False] * (len(probes) - 1) + [True]
+        r1 = bracketed_root(lambda c: c**3 - 5.0, 0.1, 3.0, 1e-14)
+        r2 = bracketed_root(lambda c: c**3 - 5.0, 1.5, 1.8, 1e-14)
+        assert abs(r1 - r2) <= 1e-12
 
     def test_superlinear_on_smooth_G(self):
         # plain bisection needs log2(0.2 / 1e-11) > 34 evaluations here
@@ -325,9 +316,19 @@ class TestBisect:
             calls.append(c)
             return c - 0.6 * np.exp(-c)
 
-        root = bracketed_root(G, 0.3, 0.5, ftol=0.0, xtol=1e-11)
+        root = bracketed_root(G, 0.3, 0.5, xtol=1e-11)
         assert len(calls) <= 12
         assert abs(root - 0.6 * np.exp(-root)) <= 1e-11
+
+    def test_ends_evaluated_once(self):
+        calls = []
+
+        def G(c):
+            calls.append(c)
+            return c - 0.45
+
+        bracketed_root(G, 0.1, 0.2, xtol=1e-12)
+        assert len(calls) == len(set(calls))
 
 
 class TestGrowBracket:

@@ -351,6 +351,12 @@ class TestEstimateCstar:
         c_lin = linear_determinacy_speed(1.0, make_uniform(1e-9), logistic)
         assert c_lin == pytest.approx(1e-9 * c_one, rel=1e-9)
 
+    def test_linear_determinacy_of_a_wide_gaussian(self, logistic):
+        # exp(l^2 sd^2/2)/l is smallest at l = 1/sd; the bracket search
+        # probes moments past the largest float on its way there
+        c_lin = linear_determinacy_speed(1.0, make_gaussian(30.0), logistic)
+        assert c_lin == pytest.approx(30.0 * math.sqrt(math.e), rel=1e-12)
+
     def test_linear_determinacy_doubling_is_capped(self, logistic):
         # the minimiser near 2.4e30 lies beyond BRACKET_MAX_STEPS doublings
         with pytest.raises(NonconvergenceError):

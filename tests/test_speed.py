@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,12 @@ from frontlab import (
     NonExistence,
     SemiWaveParams,
     SemiWaveProfile,
+    TailClass,
     adjust_for_truncation,
     c0_curve,
     c_of_J,
     flux_M,
+    make_custom,
     make_gaussian,
     make_laplace,
     make_power,
@@ -18,7 +22,7 @@ from frontlab import (
     truncate,
 )
 from frontlab import semiwave, speed
-from frontlab.errors import NoFiniteSpeedError, NonconvergenceError
+from frontlab.errors import DivergentIntegralError, NoFiniteSpeedError, NonconvergenceError
 
 _KERNELS = {
     "laplace": make_laplace,
@@ -65,6 +69,13 @@ class TestFluxM:
         with pytest.raises(NoFiniteSpeedError):
             flux_M(prof, make_power(0.8), 1.0)
 
+    def test_kernel_without_tail_integral_raises(self, logistic, quick_params):
+        lap = make_laplace()
+        k = make_custom("laplace-tail-only", lap.density, lap.tail_mass, TailClass.THIN_TAIL)
+        prof = solve_semiwave(1.0, 1.0, k, logistic, quick_params)
+        with pytest.raises(DivergentIntegralError):
+            flux_M(prof, k, 1.0)
+
 
 class TestSolveC0:
     def test_reference_instance(self, c0_mu1):
@@ -95,6 +106,22 @@ class TestSolveC0:
     def test_fat_tail_has_no_finite_speed(self, logistic):
         with pytest.raises(NoFiniteSpeedError):
             solve_c0(1.0, 1.0, make_power(0.8), logistic)
+
+    def test_sigma_homotopy_rejected(self, laplace, logistic, quick_params):
+        # the semi-wave of the flux identity has no homotopy source
+        params = dataclasses.replace(quick_params, sigma_homotopy=0.3)
+        with pytest.raises(ValueError, match="sigma_homotopy"):
+            solve_c0(1.0, 1.0, laplace, logistic, params)
+
+    def test_flux_reads_the_solver_quadrature(self, logistic, quick_params):
+        # flux_M sums the workspace's weights: no tail evaluation per call
+        k, calls = make_laplace(), []
+        tail = k.tail_mass
+        k.tail_mass = lambda x: calls.append(x) or tail(x)
+        prof = solve_semiwave(0.5, 1.0, k, logistic, quick_params)
+        before = len(calls)
+        assert flux_M(prof, k, 1.0) == flux_M(prof, k, 1.0) > 0.0
+        assert len(calls) == before
 
     def test_monotone_flux_functional(self, laplace, logistic, quick_params):
         cs = np.arange(0.25, 2.26, 0.25)
@@ -143,7 +170,7 @@ class TestSolveC0:
 
         # a bracket of its own, not the one solve_c0 reports; every speed in
         # it lies below the threshold c*
-        other = bracketed_root(G, 0.5 * sol.c0, 1.5 * sol.c0, tol, tol * 1e-3)
+        other = bracketed_root(G, 0.5 * sol.c0, 1.5 * sol.c0, tol * 1e-3)
         assert abs(other - sol.c0) <= 10.0 * tol
         assert sol.residual <= tol
 
