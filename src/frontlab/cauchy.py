@@ -91,8 +91,8 @@ def cauchy_step(
     u = s.u
     wu = trapezoid_weights(u.size, s.grid.spacing)
     wu *= u
-    # Always the relative-accuracy path (the recursion for an exponential
-    # kernel, the direct sum otherwise): a whole-line density is
+    # Always the relative-accuracy path (the tridiagonal solve for an
+    # exponential kernel, the direct sum otherwise): a whole-line density is
     # exponentially small toward the domain ends, and the FFT path's absolute
     # rounding floor (~1e-16 of the peak) would replace those values with
     # noise that KPP growth amplifies to O(1) within tens of time units.

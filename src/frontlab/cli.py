@@ -72,7 +72,7 @@ def _cmd_semiwave(args) -> int:
     write_csv(
         os.path.join(out_dir, "profile.csv"),
         ["x", "phi"],
-        zip(out.grid.nodes(), out.phi),
+        [out.grid.nodes(), out.phi],
     )
     write_summary(
         os.path.join(out_dir, "summary.json"),
@@ -106,7 +106,7 @@ def _cmd_speed(args) -> int:
     write_csv(
         os.path.join(out_dir, "profile.csv"),
         ["x", "phi"],
-        zip(sol.profile.grid.nodes(), sol.profile.phi),
+        [sol.profile.grid.nodes(), sol.profile.phi],
     )
     write_summary(
         os.path.join(out_dir, "summary.json"),
@@ -144,7 +144,7 @@ def _cmd_speed_curve(args) -> int:
         else:
             rows.append((e.mu, float("nan"), float("nan")))
             errors[str(e.mu)] = e.error
-    write_csv(os.path.join(out_dir, "c0_curve.csv"), ["mu", "c0", "residual"], rows)
+    write_csv(os.path.join(out_dir, "c0_curve.csv"), ["mu", "c0", "residual"], zip(*rows))
     write_summary(
         os.path.join(out_dir, "summary.json"),
         {"mus": mus, "errors": errors, "n_ok": sum(e.solution is not None for e in entries)},
@@ -214,10 +214,10 @@ def _cmd_cauchy(args) -> int:
     write_csv(
         os.path.join(out_dir, "levelset.csv"),
         ["t", "x_minus", "x_plus"],
-        zip(tr.ts, tr.x_minus, tr.x_plus),
+        [tr.ts, tr.x_minus, tr.x_plus],
     )
     for i, snap in enumerate(run.snapshots):
-        write_csv(os.path.join(out_dir, "snapshots", f"{i:03d}.csv"), ["x", "u"], zip(snap.x, snap.u))
+        write_csv(os.path.join(out_dir, "snapshots", f"{i:03d}.csv"), ["x", "u"], [snap.x, snap.u])
     write_summary(
         os.path.join(out_dir, "summary.json"),
         {

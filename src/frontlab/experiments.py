@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import chain
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,12 +46,32 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_csv(path: str, header: list[str], rows) -> None:
+def _column(values) -> tuple[str, list]:
+    """A CSV column as its %-format and its values, printed as ``_fmt``
+    prints each: a column of floats (numpy's included) through ``%.17g``,
+    any other column value by value.  A float64 or integer array is read
+    with ``tolist``, which keeps every value and its printed form."""
+    if isinstance(values, np.ndarray) and (values.dtype == float or values.dtype.kind in "biu"):
+        values = values.tolist()
+    else:
+        values = list(values)
+    if all(isinstance(v, float) for v in values):
+        return "%.17g", values
+    return "%s", [_fmt(v) for v in values]
+
+
+def write_csv(path: str, header: list[str], columns) -> None:
+    """One column per header entry; the rows stop where the shortest column
+    does.  The whole table is one %-format, so a long profile costs a few
+    C-level passes instead of a Python call per value."""
+    parsed = [_column(c) for c in columns]
+    rows = list(zip(*(values for _, values in parsed)))
+    row_format = ",".join(fmt for fmt, _ in parsed) + "\n"
+    table = row_format * len(rows) % tuple(chain.from_iterable(rows))
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(table)
 
 
 def write_summary(path: str, payload: dict) -> None:
@@ -63,11 +84,11 @@ def write_summary(path: str, payload: dict) -> None:
 def write_trajectory(out_dir: str, traj) -> list[str]:
     paths = []
     p = os.path.join(out_dir, "trajectory.csv")
-    write_csv(p, ["t", "g", "h"], zip(traj.ts, traj.gs, traj.hs))
+    write_csv(p, ["t", "g", "h"], [traj.ts, traj.gs, traj.hs])
     paths.append(p)
     for i, snap in enumerate(traj.snapshots):
         sp = os.path.join(out_dir, "snapshots", f"{i:03d}.csv")
-        write_csv(sp, ["x", "u"], zip(snap.x, snap.u))
+        write_csv(sp, ["x", "u"], [snap.x, snap.u])
         paths.append(sp)
     return paths
 
@@ -209,7 +230,7 @@ def run_mu_limit(cfg: RunConfig, out_dir: str) -> ExperimentResult:
     write_csv(
         p,
         ["mu", "sup_excess", "sup_abs", "h_final"],
-        [(e.mu, e.sup_excess, e.sup_abs, e.h_final) for e in report.entries],
+        zip(*[(e.mu, e.sup_excess, e.sup_abs, e.h_final) for e in report.entries]),
     )
     summary = {
         "entries": [
@@ -271,7 +292,7 @@ def run_truncation(cfg: RunConfig, out_dir: str) -> ExperimentResult:
     write_csv(
         p,
         ["radius", "sigma_n", "eta_n", "c_n"],
-        [(e.radius, e.sigma_n, e.eta_n, e.c_n) for e in entries],
+        zip(*[(e.radius, e.sigma_n, e.eta_n, e.c_n) for e in entries]),
     )
     return ExperimentResult(
         name="truncation",

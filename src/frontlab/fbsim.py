@@ -158,7 +158,7 @@ def step(
     if lam is not None:
         # a(y) = J(y)/lam for y <= 0, so flux_h = sum_j wu_j J(x_j - h)/lam
         # = e^{-lam (h - x_last)}/lam * Ju[-1], and flux_g mirrors it with
-        # Ju[0].  An exp_rate convolution sums directly or by recursion,
+        # Ju[0].  An exp_rate convolution sums by its tridiagonal solve,
         # never by FFT, so both end values keep their relative accuracy.
         flux_h = math.exp(-lam * (s.h - x_last)) / lam * float(Ju[-1])
         flux_g = math.exp(-lam * (x_0 - s.g)) / lam * float(Ju[0])

@@ -57,8 +57,8 @@ class Kernel:
     whenever the kernel satisfies the double-tail integrability condition.
     exp_moment_fn(lam) returns the one-sided exponential moment or +inf.
     exp_rate is set only where J(x) = J(0) * exp(-exp_rate * |x|) holds
-    exactly, since the lattice convolution then sums its row as a
-    recursion, and tail_mass(x) = density(x) / exp_rate for x <= 0, from
+    exactly, since the lattice convolution then sums its row by a
+    tridiagonal solve, and tail_mass(x) = density(x) / exp_rate for x <= 0, from
     which the free-boundary step reads its boundary fluxes; a cut-off or
     rescaled copy is a new Kernel without it.
 

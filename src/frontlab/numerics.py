@@ -9,8 +9,8 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
+from scipy.linalg.lapack import dpttrs
 from scipy.optimize import brentq
-from scipy.signal import lfilter
 
 from .errors import NonconvergenceError
 
@@ -67,10 +67,11 @@ def trapezoid_weights(n_nodes: int, spacing: float) -> np.ndarray:
 # takes 0.027-0.033 ms against 0.043-0.045 ms for the cached-transform path
 # with the row sampled for exactly n nodes; the two meet near 500 (0.049 ms
 # each), and near 650 when the row was sampled for 2n nodes, as it can be
-# after a doubling; the transform is 3.5x faster at 1 601 nodes.  The
-# recursion of an exponential kernel (two lfilter calls, ~10 us each) meets
-# np.convolve between 300 and 400 nodes and takes 0.027 against 0.041 ms at
-# 500, so it takes over at the same size.
+# after a doubling; the transform is 3.5x faster at 1 601 nodes.  An
+# exponential kernel takes neither path at any size: its tridiagonal solve
+# (one dpttrs call) took 2-4 us at 12-100 nodes, 5-6 at 300, 12-14 at 1 201
+# and 23-25 at 2 559 on the same machine, against 2-4, 15-30, 28-38 and
+# 42-56 us for np.convolve and the two first-order recursions it replaced.
 FFT_MIN_NODES = 500
 
 # From FFT_MIN_NODES nodes on, a row that ends in exact zeros (uniform,
@@ -135,12 +136,16 @@ class LatticeConvolution:
 
     A kernel with ``exp_rate`` set is exactly exponential, ``J(x) = J(0) *
     exp(-exp_rate * |x|)``.  Its row is geometric, ``J(m * dx) = J(0) * r**|m|``
-    with ``r = exp(-exp_rate * dx)``, so from ``FFT_MIN_NODES`` nodes on both
-    ``__call__`` and ``direct`` sum it as two first-order recursions, one
-    in each direction, over nonnegative terms: O(n), and every output keeps
-    its relative accuracy like the direct sum.  Such a convolution never
-    takes the FFT path or keeps a transform, and it samples its row only for
-    inputs below ``FFT_MIN_NODES``, or else J(0) alone.
+    with ``r = exp(-exp_rate * dx)``, and the n x n matrix ``K = (r**|i-j|)``
+    has the tridiagonal inverse ``T / (1 - r**2)``, ``T = tridiag(-r, 1 + r**2,
+    -r)`` with corner entries 1.  T factors in closed form as ``L D L^T``, L
+    unit lower bidiagonal with subdiagonal -r and ``D = diag(1, ..., 1, 1 -
+    r**2)``, so at every size both ``__call__`` and ``direct`` sum the row by
+    one LAPACK ``dpttrs`` solve on ``J(0) * (1 - r**2) * wu``: O(n), with no
+    factorisation and no powers of r, so no span overflows.  Its forward and
+    backward sweeps add only nonnegative terms, so every output keeps its
+    relative accuracy like the direct sum.  Such a convolution reads J(0)
+    once, never samples its row and never takes the FFT path.
 
     ``tail_sums`` gives the two boundary fluxes of a free-boundary window:
     sums of ``wu`` against the tail a(-(m * dx + theta)) of nodes m cells in
@@ -175,10 +180,10 @@ class LatticeConvolution:
         self.capacity = self.band = 0
         self._tail, self._tail_capacity = None, 0
         if self.exp_rate is not None:
-            r = math.exp(-self.exp_rate * self.dx)
-            self._left_b, self._right_b = np.array([1.0]), np.array([0.0, r])
-            self._a = np.array([1.0, -r])
-            self._amp = None
+            self._r = math.exp(-self.exp_rate * self.dx)
+            self._one_minus_r2 = -math.expm1(-2.0 * self.exp_rate * self.dx)
+            self._amp = float(k.density(0.0))
+            self._offdiag = np.empty(0)
 
     def _fit(self, n: int) -> int:
         if n > self.capacity:
@@ -186,11 +191,10 @@ class LatticeConvolution:
             self.row = np.asarray(self.density(np.arange(-(N - 1), N) * self.dx), dtype=float)
             nonzero = np.flatnonzero(self.row[N - 1 :])
             self.band = int(nonzero[-1]) if nonzero.size else 0
-            if self.exp_rate is None:
-                self._size = next_fast_len(2 * N - 1, real=True)
-                self._row_hat = rfft(self.row, self._size)
-                self._padded = np.zeros(self._size)
-                self._filled = 0
+            self._size = next_fast_len(2 * N - 1, real=True)
+            self._row_hat = rfft(self.row, self._size)
+            self._padded = np.zeros(self._size)
+            self._filled = 0
             self.capacity = N
         return self.capacity
 
@@ -206,16 +210,20 @@ class LatticeConvolution:
 
     def direct(self, wu: np.ndarray) -> np.ndarray:
         """Direct summation, over the row's band when it ends in exact zeros,
-        or the recursion of an exponential kernel: on nonnegative input every
-        output keeps its relative accuracy, however small it is."""
+        or the tridiagonal solve of an exponential kernel: on nonnegative
+        input every output keeps its relative accuracy, however small it is."""
         n = wu.size
-        if self.exp_rate is not None and n >= FFT_MIN_NODES:
-            if self._amp is None:
-                self._amp = self.row[self.capacity - 1] if self.capacity else self.density(0.0)
-            out = lfilter(self._left_b, self._a, wu)
-            out += lfilter(self._right_b, self._a, wu[::-1])[::-1]
-            out *= self._amp
-            return out
+        if self.exp_rate is not None:
+            if n == 1:
+                # J(0) * wu; dpttrs takes no empty subdiagonal
+                return self._amp * wu
+            if self._offdiag.size != n - 1:
+                # D and L of T = L D L^T at this size, kept for the next call
+                self._pivots = np.ones(n)
+                self._pivots[-1] = self._one_minus_r2
+                self._offdiag = np.full(n - 1, -self._r)
+            b = (self._amp * self._one_minus_r2) * wu
+            return dpttrs(self._pivots, self._offdiag, b, overwrite_b=1)[0]
         N = self._fit(n)
         w = self.band
         if w < n - 1:
@@ -223,9 +231,7 @@ class LatticeConvolution:
         return np.convolve(self.row[N - n : N + n - 1], wu, mode="valid")
 
     def fft(self, wu: np.ndarray) -> np.ndarray:
-        """Cached-transform path: absolute error ~1e-16 of the largest term.
-        Unavailable when ``exp_rate`` is set: that row's transform is never
-        computed."""
+        """Cached-transform path: absolute error ~1e-16 of the largest term."""
         n = wu.size
         N = self._fit(n)
         padded = self._padded

@@ -29,8 +29,8 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dtbsv
 from scipy.optimize import minimize_scalar
-from scipy.signal import lfilter
 
 from .errors import (
     DivergentIntegralError, NonconvergenceError, NoCrossingError, UnsupportedTailError,
@@ -201,7 +201,7 @@ def apply_A(
 
 class _Operator:
     """The fixed-point operator at one speed, with the constants of a solve
-    (cell weights, recursion coefficients, sigma terms) computed once.
+    (cell weights, the integrating factor's band, sigma terms) computed once.
 
     A call performs the same floating-point operations in the same order as
     the textbook expression
@@ -215,13 +215,20 @@ class _Operator:
     of the expression.  At sigma = 0 the sigma term is left out rather than
     added as zeros: adding +0.0 changes only a -0.0, and the tail mass
     ``far`` is never -0.0, so neither is ``convolve(phi) + far``.
+
+    The integrating factor I solves ``U @ I = cell`` with U unit upper
+    bidiagonal, superdiagonal -E: one BLAS ``dtbsv`` back substitution on a
+    band of U that the operator builds once.
     """
 
     def __init__(self, c: float, d: float, r: Reaction, M: float, sigma: float, ws: _Workspace):
         self.ws, self.c, self.d, self.f = ws, c, d, r.f
         self.shift = c * M - d
         self.alpha, self.beta, E = _exp_cell_weights(M, ws.h)
-        self.b, self.a = np.array([1.0]), np.array([1.0, -E])
+        # dtbsv's upper band storage: row 0 the superdiagonal (its first entry
+        # unused), row 1 the unit diagonal, which diag=1 leaves unread
+        self.band = np.zeros((2, ws.x.size - 1), order="F")
+        self.band[0, 1:] = -E
         self.sigma = sigma
         if sigma != 0.0:
             self.source = d * sigma * ws.a_x
@@ -250,8 +257,7 @@ class _Operator:
         cell = self.alpha * w[:-1]
         w *= self.beta
         cell += w[1:]
-        # I[j] = cell[j] + E * I[j+1], integrated from the right end
-        acc = lfilter(self.b, self.a, cell[::-1])[::-1]
+        acc = dtbsv(1, self.band, cell, lower=0, diag=1, overwrite_x=1)
         out = np.empty_like(w)
         np.divide(acc, self.c, out=out[:-1])
         out[-1] = 0.0

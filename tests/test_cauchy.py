@@ -46,7 +46,7 @@ class TestCauchyStep:
         Laplace kernel here, 1e-34 for the Gaussian, 1e-81 for the uniform
         kernel) under its ~1e-16 absolute rounding floor.  At 801 nodes,
         above FFT_MIN_NODES, the Laplace kernel's convolution runs as its
-        O(n) recursion, and the uniform and Gaussian rows, which end in exact
+        O(n) tridiagonal solve, and the uniform and Gaussian rows, which end in exact
         zeros after 5 and 192 cells, as banded sums; the textbook direct sum
         below is the reference.
         """

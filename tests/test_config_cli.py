@@ -443,6 +443,54 @@ def test_entry_point_reports_bad_input_in_one_line(tmp_path, name):
     assert "Traceback" not in proc.stderr
 
 
+def test_cold_start_skips_scipy_signal():
+    """Importing the package and its CLI pulls in no scipy.signal, which
+    with the scipy.stats it imports would cost most of a cold start."""
+    paths = [str(pathlib.Path(frontlab.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, frontlab, frontlab.cli; print('scipy.signal' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def _per_value_csv(header, rows):
+    """The CSV text as written one value at a time: floats with 17
+    significant digits, everything else with str."""
+    fmt = lambda v: f"{v:.17g}" if isinstance(v, float) else str(v)  # noqa: E731
+    return "".join(",".join(map(fmt, row)) + "\n" for row in [header, *rows])
+
+
+class TestWriteCsv:
+    def test_matches_the_per_value_format(self, tmp_path):
+        from frontlab.experiments import write_csv
+
+        rng = np.random.default_rng(8)
+        floats = rng.normal(size=9) * 10.0 ** rng.integers(-300, 300, 9)
+        floats[:5] = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
+        columns = [
+            floats,
+            np.arange(-4, 5),
+            [float(v) for v in rng.uniform(size=9)],
+            [np.float64(0.1), 0.2, np.float64(-0.0), float("nan"), 1.0, 2.5, 3.0, 1e-7, 7.0],
+            [1, 2.5, None, "a,b", np.int64(7), True, np.float32(0.1), -0.0, 1e300],
+            np.arange(9) % 2 == 0,
+            np.linspace(0.0, 1.0, 9, dtype=np.float32),
+            [np.int64(v) for v in range(9)],
+        ]
+        header = [f"c{i}" for i in range(len(columns))]
+        for n_rows in (9, 4, 0):
+            cut = [c[:n_rows] for c in columns]
+            path = tmp_path / f"t{n_rows}.csv"
+            write_csv(str(path), header, cut)
+            assert path.read_bytes() == _per_value_csv(header, zip(*cut)).encode()
+        write_csv(str(tmp_path / "empty.csv"), ["a"], [])
+        assert (tmp_path / "empty.csv").read_text() == "a\n"
+
+
 class TestExperiments:
     def test_truncation_solves_c_n_at_speed_tol(self, tmp_path, monkeypatch):
         from frontlab import experiments, fbsim

@@ -79,8 +79,8 @@ class TestStep:
         # Laplace reads its fluxes off the convolution's end values; the same
         # kernel without exp_rate sums the tail.  mu = 1e8 makes the boundary
         # moves dwarf g and h, so g and h carry the fluxes to rounding.  The
-        # recursion's relative error grows with the nodes per decay length,
-        # 1/dx = 20 here.
+        # tridiagonal solve's relative error grows with the nodes per decay
+        # length, 1/dx = 20 here.
         dx = 0.05
         j0 = -(n // 2)
         x = (j0 + np.arange(n)) * dx

@@ -17,7 +17,8 @@ import math
 import numpy as np
 import pytest
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.signal import lfilter
+from scipy.linalg.blas import dtbsv
+from scipy.linalg.lapack import dpttrs
 
 from frontlab import (
     SemiWaveParams,
@@ -44,7 +45,11 @@ def _reference_apply(phi, c, d, r, M, sigma, ws):
     )
     alpha, beta, E = _exp_cell_weights(M, ws.h)
     cell = alpha * w_tilde[:-1] + beta * w_tilde[1:]
-    acc = lfilter([1.0], [1.0, -E], cell[::-1])[::-1]
+    # I[j] = cell[j] + E*I[j+1]: back substitution on the unit upper
+    # bidiagonal band with superdiagonal -E
+    band = np.zeros((2, cell.size), order="F")
+    band[0, 1:] = -E
+    acc = dtbsv(1, band, cell, lower=0, diag=1)
     out = np.empty_like(phi)
     out[:-1] = acc / c
     out[-1] = 0.0
@@ -192,11 +197,19 @@ def _reference_fft(density, dx, N, wu):
     return irfft(rfft(wu, size) * rfft(row, size), size)[N - 1 : N - 1 + n]
 
 
-def _reference_recursion(k, dx, wu):
+def _reference_tridiagonal(k, dx, wu):
+    """J(0) * K @ wu for K = (r**|i-j|), as the solve T x = J(0) * (1 - r**2)
+    * wu with T = K^-1 * (1 - r**2) given by its factors L D L^T."""
+    n = wu.size
+    if n == 1:
+        return k.density(0.0) * wu
     r = math.exp(-k.exp_rate * dx)
-    left = lfilter([1.0], [1.0, -r], wu)
-    right = lfilter([0.0, r], [1.0, -r], wu[::-1])[::-1]
-    return k.density(0.0) * (left + right)
+    one_minus_r2 = -math.expm1(-2.0 * k.exp_rate * dx)
+    pivots = np.ones(n)
+    pivots[-1] = one_minus_r2
+    x, info = dpttrs(pivots, np.full(n - 1, -r), k.density(0.0) * one_minus_r2 * wu)
+    assert info == 0
+    return x
 
 
 def test_lattice_fft():
@@ -212,19 +225,21 @@ def test_lattice_fft():
 
 
 def test_lattice_recursion():
+    # every size takes the tridiagonal solve, and the factors kept for one
+    # size must not leak into the next
     k = make_laplace()
     conv = LatticeConvolution(k, 0.05)
     rng = np.random.default_rng(3)
-    for n in (FFT_MIN_NODES, 1601, 2559):
+    for n in (1, 2, 12, FFT_MIN_NODES, 1601, 1601, 2559, 300):
         wu = rng.uniform(0.0, 0.1, n)
-        assert np.array_equal(conv.direct(wu), _reference_recursion(k, 0.05, wu)), n
+        assert np.array_equal(conv.direct(wu), _reference_tridiagonal(k, 0.05, wu)), n
 
 
 @pytest.mark.parametrize(
     "k, n",
     [
         (dataclasses.replace(make_laplace(), exp_rate=None), 1201),  # FFT path
-        (make_laplace(), 1201),  # recursion
+        (make_laplace(), 1201),  # tridiagonal solve
         (make_uniform(1.0), 301),  # direct sum
     ],
 )

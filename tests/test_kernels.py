@@ -240,7 +240,7 @@ class TestCustomKernel:
 
 
 class TestExpRate:
-    """exp_rate selects the recursion in LatticeConvolution, so a wrong value
+    """exp_rate selects the tridiagonal solve in LatticeConvolution, so a wrong value
     would silently give the wrong operator: only make_laplace sets it."""
 
     def test_laplace_is_exponential(self):

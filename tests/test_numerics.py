@@ -125,9 +125,9 @@ class TestLatticeConvolution:
 
     @pytest.mark.parametrize("n", [FFT_MIN_NODES, FFT_MIN_NODES + 1, 1601, 2559])
     def test_exponential_recursion_keeps_relative_accuracy(self, n):
-        """The Laplace row is geometric; from FFT_MIN_NODES on it is summed
-        as two recursions, and every output, down to the ~1e-100 ends, stays
-        within 1e-12 relative of the textbook sum."""
+        """The Laplace row is geometric and summed by one tridiagonal solve,
+        and every output, down to the ~1e-100 ends, stays within 1e-12
+        relative of the textbook sum."""
         k = make_laplace()
         dx = 0.05
         x = (np.arange(n) - 0.5 * (n - 1)) * dx
@@ -139,22 +139,24 @@ class TestLatticeConvolution:
         assert np.array_equal(out, conv.direct(wu))
 
     def test_exponential_regrowth_across_crossover(self):
-        # J(0) comes from the row when a short input sampled it first, and
-        # from one density call when the recursion runs first; the recursion
-        # samples no row, and the first short input sizes it
-        k = make_laplace()
-        for sizes, expected in (((400, 1601, 2), [400] * 3), ((1601, 400, 2), [0, 400, 400])):
+        # sizes on both sides of FFT_MIN_NODES, in either order, take the
+        # tridiagonal solve: no row is ever sampled, and J(0) is the one
+        # density value read
+        for sizes in ((400, 1601, 2, 1), (1601, 400, 2, 1)):
+            k = make_laplace()
+            points = []
+            density = k.density
+            k.density = lambda x: points.append(np.size(x)) or density(x)
             conv = LatticeConvolution(k, 0.05)
             rng = np.random.default_rng(11)
-            capacities = []
             for n in sizes:
                 wu = rng.uniform(0.0, 0.05, n)
-                ref = _reference_convolution(k.density, 0.05, wu)
+                ref = _reference_convolution(density, 0.05, wu)
                 out = conv(wu)
                 assert np.max(np.abs(out / ref - 1.0)) <= 1e-12
                 assert np.array_equal(out, conv.direct(wu))
-                capacities.append(conv.capacity)
-            assert capacities == expected
+                assert conv.capacity == 0
+            assert points == [1]
 
     def test_exponential_recursion_samples_one_density_value(self):
         k = make_laplace()
@@ -168,17 +170,23 @@ class TestLatticeConvolution:
         assert points == [1]
 
     def test_path_follows_the_kernel(self, monkeypatch):
-        """Built from make_laplace(), the convolution runs the recursion (two
-        lfilter calls); the copy without exp_rate runs the FFT path, and a
-        uniform kernel, whose row ends after 20 cells, the banded sum."""
-        real_lfilter = numerics.lfilter
+        """Built from make_laplace(), the convolution runs one dpttrs solve
+        at every size but 1; the copy without exp_rate runs the FFT path,
+        and a uniform kernel, whose row ends after 20 cells, the banded
+        sum."""
+        real_dpttrs = numerics.dpttrs
         calls = []
-        monkeypatch.setattr(numerics, "lfilter", lambda *a: calls.append(a) or real_lfilter(*a))
+        monkeypatch.setattr(
+            numerics, "dpttrs", lambda *a, **kw: calls.append(a) or real_dpttrs(*a, **kw)
+        )
         wu = np.random.default_rng(5).uniform(0.0, 0.1, FFT_MIN_NODES)
-        recursive = LatticeConvolution(make_laplace(), 0.05)
-        out = recursive(wu)
-        assert len(calls) == 2
-        assert np.array_equal(out, recursive.direct(wu))
+        tridiagonal = LatticeConvolution(make_laplace(), 0.05)
+        for n, solves in ((FFT_MIN_NODES, 1), (12, 1), (1, 0)):
+            calls.clear()
+            out = tridiagonal(wu[:n])
+            assert len(calls) == solves, n
+            assert np.array_equal(out, tridiagonal.direct(wu[:n]))
+        assert tridiagonal.capacity == 0
         calls.clear()
         plain = LatticeConvolution(dataclasses.replace(make_laplace(), exp_rate=None), 0.05)
         assert np.array_equal(plain(wu), plain.fft(wu))
@@ -188,6 +196,20 @@ class TestLatticeConvolution:
         assert banded.band == 20
         assert np.array_equal(out, banded.direct(wu))
         assert calls == []
+
+    def test_exponential_sum_at_overflowing_span(self):
+        """83 139 nodes at dx = 0.1, where r**-n = e**8313.9 overflows: the
+        solve forms no power of r, and on constant input every output
+        matches the closed form sum_j r**|i-j| = (1 + r - r**(i+1) -
+        r**(n-i)) / (1 - r)."""
+        k, dx, n = make_laplace(), 0.1, 83139
+        r = math.exp(-dx)
+        with pytest.raises(OverflowError):
+            r**-n
+        i = np.arange(n)
+        closed = (1.0 + r - r ** (i + 1) - r ** (n - i)) / -math.expm1(-dx)
+        out = LatticeConvolution(k, dx).direct(np.full(n, 0.01))
+        assert np.max(np.abs(out / (0.5 * 0.01 * closed) - 1.0)) <= 1e-12
 
     @pytest.mark.parametrize("n", [499, 500, 1201, 4001])
     @pytest.mark.parametrize(
