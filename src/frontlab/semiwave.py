@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 import weakref
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -467,6 +468,40 @@ def estimate_cstar(
     return estimate
 
 
+def _pinned_level(
+    w: np.ndarray, cM: float, h: float, powers: np.ndarray
+) -> Callable[[float], float]:
+    """The value at x = -L/2 of A_c(phi), as a function of the speed c, from
+    the node values w of the operator's first half at unit speed.
+
+    -L/2 lies theta of a cell beyond node j0 = n//2, so the value needs
+    I[j0] and I[j0 + 1] of the recursion I[j] = cell[j] + E*I[j+1], where
+    I[j0 + 1] = alpha*S1 + beta*S2 with the series S1 = sum_m E^m w[j0+1+m]
+    and S2 = sum_m E^m w[j0+2+m] over m < K = n - j0 - 1.  They differ by
+    one shift, S1 = w[j0+1] + E*(S2 - E^(K-1)*w[n]), so each call takes one
+    exponential, E^m = exp(-M*h*m) with ``powers`` = -h*arange(K), and one
+    dot product.  The slice and the scalars of w are taken out here, once
+    for all the calls.
+    """
+    n = w.size - 1
+    j0 = n // 2
+    theta = 0.5 * n - j0
+    tail = w[j0 + 2 :]
+    w0, w1, w_last = float(w[j0]), float(w[j0 + 1]), float(w[-1])
+
+    def level(c: float) -> float:
+        M = cM / c
+        alpha, beta, E = _exp_cell_weights(M, h)
+        p = np.exp(M * powers)
+        s2 = float(p @ tail)
+        s1 = w1 + E * (s2 - float(p[-1]) * w_last)
+        i1 = alpha * s1 + beta * s2
+        i0 = alpha * w0 + beta * w1 + E * i1
+        return ((1.0 - theta) * i0 + theta * i1) / c
+
+    return level
+
+
 def _pinned_semiwave(
     d: float, k: Kernel, r: Reaction, params: SemiWaveParams, c_start: float
 ) -> SemiWaveProfile:
@@ -482,6 +517,8 @@ def _pinned_semiwave(
 
     and picks the speed c by a scalar root (``bracketed_root``) so that
     A_c(phi), which is decreasing in c at every node, keeps phi(-L/2) = 1/2.
+    Each probe of that root costs one exponential series and one dot
+    product over the nodes right of -L/2 (``_pinned_level``).
     The convolution is the relative-accuracy path,
     ``LatticeConvolution.direct``: under the FFT's absolute rounding
     floor the leading edge is noise, and the uniform kernel at depth 80
@@ -500,26 +537,9 @@ def _pinned_semiwave(
     l, _ = half_level_shift(cold)
     phi = np.interp(ws.x + (0.5 * L - l), ws.x, cold.phi, left=1.0, right=0.0)
 
-    h, n = ws.h, params.n_cells
+    n = params.n_cells
     cM = choose_M(1.0, d, r)
-    # -L/2 lies theta of a cell beyond node j0; the iterate's value there
-    # needs I[j0] and I[j0 + 1] of the recursion I[j] = cell[j] + E*I[j+1]
-    j0 = n // 2
-    theta = 0.5 * n - j0
-    powers = np.arange(n - j0 - 1)
-
-    def speed(w: np.ndarray, c: float, step: float) -> float:
-        def G(c: float) -> float:
-            alpha, beta, E = _exp_cell_weights(cM / c, h)
-            p = E ** powers
-            i1 = alpha * float(p @ w[j0 + 1 : -1]) + beta * float(p @ w[j0 + 2 :])
-            i0 = alpha * w[j0] + beta * w[j0 + 1] + E * i1
-            return 0.5 - ((1.0 - theta) * i0 + theta * i1) / c
-
-        try:
-            return bracketed_root(G, c - step, c + step, xtol=1e-15)
-        except NonconvergenceError as exc:
-            raise NonconvergenceError(f"pinned semi-wave lost its phase root: {exc}") from None
+    powers = -ws.h * np.arange(n - n // 2 - 1)
 
     unit = _Operator(1.0, d, r, cM, 0.0, ws)
     # the speed's bracket reaches twice its last change either side, so the
@@ -527,7 +547,11 @@ def _pinned_semiwave(
     c, step, slip = c_start, 0.5 * c_start, 0.0
     for it in range(1, params.max_iters + 1):
         w = unit.rhs(phi, direct=True)
-        c_new = speed(w, c, step)
+        level = _pinned_level(w, cM, ws.h, powers)
+        try:
+            c_new = bracketed_root(lambda c: 0.5 - level(c), c - step, c + step, xtol=1e-15)
+        except NonconvergenceError as exc:
+            raise NonconvergenceError(f"pinned semi-wave lost its phase root: {exc}") from None
         step = min(max(2.0 * abs(c_new - c), 1e-12 * c_new), 0.5 * c_new)
         c = c_new
         A = _Operator(c, d, r, cM / c, 0.0, ws)
