@@ -4,6 +4,7 @@ from .errors import (
     ConfigError,
     DegenerateAdjustmentError,
     DivergentIntegralError,
+    DomainTooSmallError,
     FrontlabError,
     InsufficientDataError,
     NoCrossingError,

@@ -15,8 +15,9 @@ from typing import Callable
 import numpy as np
 
 from . import fbsim
+from .errors import DomainTooSmallError, UnsupportedTailError
 from .fbsim import SimConfig, Snapshot, stability_dt, step
-from .kernels import Kernel
+from .kernels import Kernel, TailClass, classify_tail
 from .numerics import LatticeConvolution, UniformGrid, trapezoid_weights
 from .reactions import Reaction
 
@@ -32,6 +33,11 @@ __all__ = [
     "compare_mu_limit",
 ]
 
+# the level u = _LEVEL whose outermost crossings a run tracks
+_LEVEL = 0.5
+# a density above this at either end of the line flags the line as too short
+_BOUNDARY_EPS = 1e-3
+
 
 @dataclass(eq=False, kw_only=True)
 class CauchyConfig:
@@ -45,8 +51,6 @@ class CauchyConfig:
     dt: float | None = None
     sample_dt: float = 0.5
     snap_dt: float | None = None
-    level: float = 0.5
-    boundary_eps: float = 1e-3
 
 
 @dataclass(eq=False, kw_only=True)
@@ -79,7 +83,6 @@ def cauchy_step(
     s: CauchyState,
     dt: float,
     d: float,
-    k: Kernel,
     r: Reaction,
     conv: LatticeConvolution,
 ) -> CauchyState:
@@ -136,7 +139,7 @@ def _initial_state(cfg: CauchyConfig) -> CauchyState:
     u = np.asarray(cfg.u0(x), dtype=float)
     half = 0.5 * X
     if np.any(u[np.abs(x) > half] > 0.0):
-        raise ValueError("u0 must be compactly supported inside [-X/2, X/2]")
+        raise DomainTooSmallError(f"u0 must be compactly supported inside [-X/2, X/2], X = {X:g}")
     return CauchyState(grid=grid, u=u, t=0.0)
 
 
@@ -153,19 +156,19 @@ def cauchy_simulate(cfg: CauchyConfig) -> CauchyRun:
     samples = fbsim._Schedule(cfg.sample_dt, cfg.t_max)
     snaps = fbsim._Schedule(cfg.snap_dt, cfg.t_max)
     while True:
-        flagged = flagged or bool(max(state.u[0], state.u[-1]) > cfg.boundary_eps)
+        flagged = flagged or bool(max(state.u[0], state.u[-1]) > _BOUNDARY_EPS)
         if samples.due(state.t):
             ts.append(state.t)
-            crossings.append(_level_crossings(x, state.u, cfg.level))
+            crossings.append(_level_crossings(x, state.u, _LEVEL))
         if snaps.due(state.t):
             snapshots.append(Snapshot(t=state.t, x=x, u=state.u.copy()))
         if samples.ended(state.t):
             break
         step_dt = min(dt, cfg.t_max - state.t)
-        state = cauchy_step(state, step_dt, cfg.d, cfg.kernel, cfg.reaction, conv)
+        state = cauchy_step(state, step_dt, cfg.d, cfg.reaction, conv)
 
     track = LevelSetTrack(
-        lam=cfg.level,
+        lam=_LEVEL,
         ts=np.asarray(ts),
         x_minus=np.asarray([c[0] for c in crossings]),
         x_plus=np.asarray([c[1] for c in crossings]),
@@ -193,7 +196,6 @@ class MuLimitConfig:
     domain_halfwidth: float
     window_halfwidth: float
     snap_dt: float = 1.0
-    boundary_eps: float = 1e-3
 
 
 @dataclass(eq=False, kw_only=True)
@@ -209,7 +211,6 @@ class MuLimitReport:
     entries: list[MuLimitEntry]
     shared_dt: float
     domain_too_small: bool
-    window_halfwidth: float
 
 
 def compare_mu_limit(mus, shared: MuLimitConfig) -> MuLimitReport:
@@ -224,6 +225,9 @@ def compare_mu_limit(mus, shared: MuLimitConfig) -> MuLimitReport:
     mus = [float(m) for m in mus]
     if any(m <= 0 for m in mus):
         raise ValueError("all mu values must be positive")
+    if classify_tail(shared.kernel) is TailClass.FAT_TAIL:
+        # the shared dt needs the front speed bound mu*M0*c(J), which is infinite here
+        raise UnsupportedTailError(f"kernel {shared.kernel.name!r} has no finite front speed bound")
 
     def u0_compact(x):
         out = np.asarray(shared.u0(x), dtype=float)
@@ -252,12 +256,14 @@ def compare_mu_limit(mus, shared: MuLimitConfig) -> MuLimitReport:
     flagged = False
     snaps = fbsim._Schedule(shared.snap_dt, shared.t_max)
     while True:
-        flagged = flagged or bool(max(star.u[0], star.u[-1]) > shared.boundary_eps)
+        flagged = flagged or bool(max(star.u[0], star.u[-1]) > _BOUNDARY_EPS)
         if snaps.due(star.t):
             for i, s in enumerate(fbs):
                 start = int(round((s.j0 * dx - x[0]) / dx))
                 if start < 0 or start + s.u.size > x.size:
-                    raise ValueError("free-boundary window escaped the whole-line domain")
+                    raise DomainTooSmallError(
+                        f"free-boundary window escaped the whole-line domain at t={star.t:g}"
+                    )
                 u_mu = np.zeros_like(x)
                 u_mu[start : start + s.u.size] = s.u
                 diff = (u_mu - star.u)[window]
@@ -266,7 +272,7 @@ def compare_mu_limit(mus, shared: MuLimitConfig) -> MuLimitReport:
         if snaps.ended(star.t):
             break
         step_dt = min(dt, shared.t_max - star.t)
-        star = cauchy_step(star, step_dt, d, k, r, star_conv)
+        star = cauchy_step(star, step_dt, d, r, star_conv)
         fbs = [
             step(s, step_dt, d, m, k, r, conv=conv) for s, m, conv in zip(fbs, mus, convs)
         ]
@@ -275,9 +281,4 @@ def compare_mu_limit(mus, shared: MuLimitConfig) -> MuLimitReport:
         MuLimitEntry(mu=m, sup_excess=e, sup_abs=a, h_final=float(s.h))
         for m, e, a, s in zip(mus, sup_excess, sup_abs, fbs)
     ]
-    return MuLimitReport(
-        entries=entries,
-        shared_dt=dt,
-        domain_too_small=flagged,
-        window_halfwidth=shared.window_halfwidth,
-    )
+    return MuLimitReport(entries=entries, shared_dt=dt, domain_too_small=flagged)

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success / all checks pass, 1 a check failed, 2 configuration
 error, 3 numerical nonconvergence, 4 any other frontlab error (for example a
-kernel with no finite spreading speed, or a time step above the stability
-bound).
+kernel with no finite spreading speed, a time step above the stability
+bound, or a whole line too short for its initial data or its fronts).
 """
 
 from __future__ import annotations
@@ -47,12 +47,12 @@ def _load_config(path: str | None) -> RunConfig:
 def _cmd_semiwave(args) -> int:
     if not (math.isfinite(args.c) and args.c > 0):
         raise ConfigError([f"--c must be finite and positive, got {args.c!r}"])
+    if not 0.0 <= args.sigma < 1.0:
+        raise ConfigError([f"--sigma must lie in [0, 1), got {args.sigma!r}"])
     cfg = _load_config(args.config)
-    if args.sigma is not None:
-        cfg.override("semiwave", "sigma", args.sigma)
-    params = cfg.semiwave_params()
     out = solve_semiwave(
-        args.c, cfg.get("model", "d"), cfg.build_kernel(), cfg.build_reaction(), params
+        args.c, cfg.get("model", "d"), cfg.build_kernel(), cfg.build_reaction(),
+        cfg.semiwave_params(), sigma=args.sigma,
     )
     out_dir = args.out or cfg.get("run", "out")
     if not out.accepted:
@@ -99,7 +99,7 @@ def _cmd_speed(args) -> int:
         cfg.get("model", "d"),
         cfg.build_kernel(),
         cfg.build_reaction(),
-        cfg.speed_params(),
+        cfg.semiwave_params(),
         cfg.get("speed", "tol"),
     )
     out_dir = args.out or cfg.get("run", "out")
@@ -132,7 +132,7 @@ def _cmd_speed_curve(args) -> int:
         cfg.get("model", "d"),
         cfg.build_kernel(),
         cfg.build_reaction(),
-        cfg.speed_params(),
+        cfg.semiwave_params(),
         cfg.get("speed", "tol"),
     )
     out_dir = args.out or cfg.get("run", "out")
@@ -205,8 +205,6 @@ def _cmd_cauchy(args) -> int:
             dt=cfg.get("time", "dt") or None,
             sample_dt=cfg.get("time", "sample_dt"),
             snap_dt=cfg.get("time", "snap_dt") or None,
-            level=cfg.get("grid", "level"),
-            boundary_eps=cfg.get("grid", "boundary_eps"),
         )
     )
     out_dir = args.out or cfg.get("run", "out")
@@ -264,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("semiwave", help="solve the semi-wave problem at one speed")
     p.add_argument("--c", type=float, required=True)
-    p.add_argument("--sigma", type=float, default=None)
+    p.add_argument("--sigma", type=float, default=0.0, help="homotopy source, in [0, 1)")
     p.set_defaults(func=_cmd_semiwave)
 
     p = sub.add_parser("speed", help="solve the spreading-speed identity")

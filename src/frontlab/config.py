@@ -53,16 +53,12 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "dx": (float, 0.1, lambda v: v > 0),
         "domain_halfwidth": (float, 0.0, lambda v: v >= 0),
         "window_halfwidth": (float, 20.0, lambda v: v > 0),
-        "boundary_eps": (float, 1e-3, lambda v: v > 0),
-        "level": (float, 0.5, lambda v: 0 < v < 1),
     },
     "semiwave": {
         "depth": (float, 0.0, lambda v: v >= 0),
         "n_cells": (int, 4000, lambda v: v >= 100),
-        "sigma": (float, 0.0, lambda v: 0 <= v < 1),
         "tol_iter": (float, 1e-10, lambda v: v > 0),
         "max_iters": (int, 100_000, lambda v: v > 0),
-        "plateau_eps": (float, 1e-2, lambda v: 0 < v < 0.1),
     },
     "speed": {
         "tol": (float, 1e-8, lambda v: v > 0),
@@ -141,21 +137,13 @@ class RunConfig:
                 return amp * out
         return u0
 
-    def speed_params(self) -> SemiWaveParams:
-        """``semiwave_params`` for a c0 solve, which has no sigma homotopy."""
-        if self.get("semiwave", "sigma") != 0.0:
-            raise ConfigError(["semiwave.sigma must be 0 for a speed solve (c0 has no homotopy)"])
-        return self.semiwave_params()
-
     def semiwave_params(self) -> SemiWaveParams:
         depth = self.get("semiwave", "depth")
         return SemiWaveParams(
             depth=depth if depth > 0 else None,
             n_cells=self.get("semiwave", "n_cells"),
-            sigma_homotopy=self.get("semiwave", "sigma"),
             tol_iter=self.get("semiwave", "tol_iter"),
             max_iters=self.get("semiwave", "max_iters"),
-            plateau_eps=self.get("semiwave", "plateau_eps"),
         )
 
     def radii(self) -> list[float]:

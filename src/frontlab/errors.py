@@ -51,6 +51,10 @@ class RejectedStepError(FrontlabError, ValueError):
     """Time step exceeds the stability bound."""
 
 
+class DomainTooSmallError(FrontlabError, ValueError):
+    """Truncated whole line too short for the initial data or the fronts."""
+
+
 class ConfigError(FrontlabError, ValueError):
     """Configuration text failed validation; carries every violation."""
 

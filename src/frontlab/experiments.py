@@ -17,6 +17,7 @@ import numpy as np
 
 from .cauchy import MuLimitConfig, compare_mu_limit
 from .config import RunConfig, parse_config
+from .errors import ConfigError
 from .fbsim import (
     OutcomeTag,
     SimConfig,
@@ -97,8 +98,11 @@ def build_sim_config(cfg: RunConfig) -> SimConfig:
     snap_dt = cfg.get("time", "snap_dt")
     dt = cfg.get("time", "dt")
     cap = cfg.get("time", "speed_cap")
+    kernel = cfg.build_kernel()
+    if cap == 0 and classify_tail(kernel) is TailClass.FAT_TAIL:
+        raise ConfigError(["time.speed_cap must be positive for a fat-tailed kernel"])
     return SimConfig(
-        kernel=cfg.build_kernel(),
+        kernel=kernel,
         reaction=cfg.build_reaction(),
         d=cfg.get("model", "d"),
         mu=cfg.get("model", "mu"),
@@ -122,7 +126,7 @@ def run_linear_speed(cfg: RunConfig, out_dir: str) -> ExperimentResult:
         cfg.get("model", "d"),
         kernel,
         reaction,
-        cfg.speed_params(),
+        cfg.semiwave_params(),
         cfg.get("speed", "tol"),
     )
     sim = build_sim_config(cfg)
@@ -215,7 +219,6 @@ def run_mu_limit(cfg: RunConfig, out_dir: str) -> ExperimentResult:
         domain_halfwidth=cfg.get("grid", "domain_halfwidth") or 80.0,
         window_halfwidth=cfg.get("grid", "window_halfwidth"),
         snap_dt=cfg.get("time", "snap_dt") or 1.0,
-        boundary_eps=cfg.get("grid", "boundary_eps"),
     )
     mus = cfg.experiment_mus()
     report = compare_mu_limit(mus, shared)
@@ -253,7 +256,7 @@ def run_truncation(cfg: RunConfig, out_dir: str) -> ExperimentResult:
     """Cutoff-kernel speeds: monotone, and either diverging or consistent."""
     kernel = cfg.build_kernel()
     reaction = cfg.build_reaction()
-    params = cfg.speed_params()
+    params = cfg.semiwave_params()
     tol = cfg.get("speed", "tol")
     entries = truncated_speed_sequence(
         kernel,

@@ -64,6 +64,8 @@ _DEPTH_DEFAULT = {
 # a converged profile is accepted when its fixed-point residual is at most
 # this multiple of tol_iter
 _RESIDUAL_FACTOR = 100.0
+# a profile keeps its plateau while phi(-L) >= 1 - _PLATEAU_EPS
+_PLATEAU_EPS = 1e-2
 
 
 @dataclass(kw_only=True)
@@ -72,10 +74,8 @@ class SemiWaveParams:
 
     depth: float | None = None  # L; None resolves per kernel tail class
     n_cells: int = 4000
-    sigma_homotopy: float = 0.0
     tol_iter: float = 1e-10
     max_iters: int = 100_000
-    plateau_eps: float = 1e-2
 
     def __post_init__(self):
         if self.depth is not None and self.depth <= 0:
@@ -84,10 +84,6 @@ class SemiWaveParams:
             raise ValueError("n_cells must be >= 100")
         if self.tol_iter <= 0:
             raise ValueError("tol_iter must be positive")
-        if not 0.0 < self.plateau_eps < 0.1:
-            raise ValueError("plateau_eps must lie in (0, 0.1)")
-        if self.sigma_homotopy < 0:
-            raise ValueError("sigma_homotopy must be >= 0")
 
     def resolve_depth(self, k: Kernel) -> float:
         if self.depth is not None:
@@ -310,21 +306,24 @@ def solve_semiwave(
     r: Reaction,
     params: SemiWaveParams | None = None,
     initial: np.ndarray | None = None,
+    sigma: float = 0.0,
 ) -> SemiWaveProfile | NonExistence:
     """Iterate the monotone operator from an upper solution down to a profile.
 
     Starting from 1 (or any iterate known to dominate the maximal fixed
     point) the sequence decreases pointwise, so a plateau that drops below
-    1 - plateau_eps can never recover: the solve bails out early and reports
+    1 - _PLATEAU_EPS can never recover: the solve bails out early and reports
     NonExistence.  Exhausting max_iters raises NonconvergenceError, which is
-    a different outcome from NonExistence.
+    a different outcome from NonExistence.  ``sigma`` is the homotopy
+    source, which pins the front value phi(0) at sigma instead of 0.
     """
     if c <= 0:
         raise ValueError("c must be positive")
     if d <= 0:
         raise ValueError("d must be positive")
+    if sigma < 0:
+        raise ValueError("sigma must be >= 0")
     params = params or SemiWaveParams()
-    sigma = params.sigma_homotopy
     ws = _workspace(k, params.resolve_depth(k), params.n_cells)
     M = choose_M(c, d, r)
 
@@ -339,7 +338,7 @@ def solve_semiwave(
 
     A = _Operator(c, d, r, M, sigma, ws)
     slip = 0.0
-    threshold = 1.0 - params.plateau_eps
+    threshold = 1.0 - _PLATEAU_EPS
     for it in range(1, params.max_iters + 1):
         nxt = A(phi)
         diff = nxt - phi
@@ -527,8 +526,6 @@ def _pinned_semiwave(
     the cold profile at ``c_start``, never from another pinned profile: one
     shifted by a single unit stopped after 4 iterations near its own speed.
     """
-    if params.sigma_homotopy != 0.0:
-        raise ValueError("the pinned semi-wave solve needs sigma_homotopy = 0")
     L = params.resolve_depth(k)
     ws = _workspace(k, L, params.n_cells)
     cold = solve_semiwave(c_start, d, k, r, params)
@@ -570,7 +567,7 @@ def _pinned_semiwave(
         )
     residual = float(np.max(np.abs(A.integrate(unit.rhs(phi, direct=True)) - phi)))
     plateau = float(phi[0])
-    if plateau < 1.0 - params.plateau_eps or residual > _RESIDUAL_FACTOR * params.tol_iter:
+    if plateau < 1.0 - _PLATEAU_EPS or residual > _RESIDUAL_FACTOR * params.tol_iter:
         raise NonconvergenceError(
             f"pinned semi-wave at c={c:.6g} failed its plateau or residual test "
             f"(plateau {plateau:.3g}, residual {residual:.2e})"

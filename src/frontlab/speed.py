@@ -88,8 +88,7 @@ def solve_c0(
     accepts a profile whose residual ``|c0 - mu*M(phi)|`` is at most tol;
     that profile is returned.  Both solves stop at
     ``min(tol_iter, tol/(10*mu*c(J)))``.  Every failure, of Newton or of the
-    certificate, raises ``NonconvergenceError``.  The semi-wave of the flux
-    identity has no sigma homotopy: ``params.sigma_homotopy`` must be 0.
+    certificate, raises ``NonconvergenceError``.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
@@ -98,8 +97,6 @@ def solve_c0(
             f"kernel {k.name!r} violates double-tail integrability: no finite spreading speed"
         )
     params = params or SemiWaveParams()
-    if params.sigma_homotopy != 0.0:
-        raise ValueError("solve_c0 needs sigma_homotopy = 0")
     cJ = c_of_J(k)
 
     c_s = min(0.1, mu * cJ / 10.0)

@@ -112,7 +112,7 @@ def mu_limit_by_separate_runs(mus, shared):
                   t_max=shared.t_max, dx=shared.dx, dt=dt, sample_dt=shared.t_max,
                   snap_dt=shared.snap_dt)
     star = cauchy_simulate(CauchyConfig(u0=u0_compact, domain_halfwidth=shared.domain_halfwidth,
-                                        boundary_eps=shared.boundary_eps, **common))
+                                        **common))
     x = star.snapshots[0].x
     window = np.abs(x) <= shared.window_halfwidth + 1e-12
     entries = []

@@ -271,8 +271,7 @@ def test_ac10_invariant_suite(laplace, logistic):
 
     sigma_profiles = []
     for s in (0.0, 0.05, 0.1):
-        sp = SemiWaveParams(depth=30.0, n_cells=1200, sigma_homotopy=s)
-        sigma_profiles.append(solve_semiwave(1.0, 1.0, laplace, logistic, sp).phi)
+        sigma_profiles.append(solve_semiwave(1.0, 1.0, laplace, logistic, params, sigma=s).phi)
     checks["monotone_in_sigma"] = all(
         np.all(b >= a - 1e-8) for a, b in zip(sigma_profiles, sigma_profiles[1:])
     )

@@ -63,7 +63,7 @@ class TestCauchyStep:
             conv = LatticeConvolution(k, h)
             ref = u0.copy()
             for _ in range(300):
-                state = cauchy_step(state, dt, 1.0, k, logistic, conv)
+                state = cauchy_step(state, dt, 1.0, logistic, conv)
                 Ju = np.convolve(w * ref, jrow)[n - 1 : 2 * n - 1]
                 ref = np.maximum(ref + dt * (Ju - ref + logistic.f(ref)), 0.0)
             assert 0.0 < ref[-1] < 1e-10
@@ -126,7 +126,6 @@ class TestCauchySimulate:
             dx=0.4,
             domain_halfwidth=400.0,
             sample_dt=0.05,
-            boundary_eps=0.05,
         )
         run = cauchy_simulate(cfg)
         tr = run.track

@@ -58,6 +58,17 @@ class TestParseConfig:
             parse_config("[speed]\nmu_list = 1,10,100\n")
         assert any("mu_list" in v for v in err.value.violations)
 
+    def test_single_valued_keys_removed(self):
+        # constants now: the level and end threshold of whole-line runs, the
+        # plateau threshold; the homotopy source is the semiwave --sigma flag
+        with pytest.raises(ConfigError) as err:
+            parse_config(
+                "[grid]\nlevel = 0.5\nboundary_eps = 1e-3\n"
+                "[semiwave]\nsigma = 0.0\nplateau_eps = 1e-2\n"
+            )
+        assert len(err.value.violations) == 4
+        assert all("unknown key" in v for v in err.value.violations)
+
     def test_every_schema_key_is_read(self):
         src = "".join(p.read_text() for p in pathlib.Path(frontlab.__file__).parent.glob("*.py"))
         unread = [
@@ -142,6 +153,19 @@ class TestParseConfig:
         assert float(u0(np.array([h0]))[0]) == 0.0
         assert float(u0(np.array([0.0]))[0]) == pytest.approx(1.0)
 
+    def test_bump_family(self, tmp_path):
+        text = MINIMAL + "[model]\nh0 = 2.0\n[initial]\nfamily = bump\namplitude = 0.7\n"
+        u0 = parse_config(text).u0_callable()
+        assert np.all(u0(np.array([-3.0, -2.0, 2.0, 3.0])) == 0.0)
+        assert np.all(u0(np.linspace(-1.99, 1.99, 399)) > 0.0)
+        assert float(u0(np.array([0.0]))[0]) == 0.7
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text + "[time]\nt_max = 1.0\n[grid]\ndx = 0.2\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == 0
+        first = (out / "trajectory.csv").read_text().splitlines()[1]
+        assert [float(v) for v in first.split(",")] == [0.0, -2.0, 2.0]
+
 
 class TestCli:
     def test_classify_kernel(self, capsys):
@@ -171,7 +195,8 @@ class TestCli:
         out = tmp_path / "out"
         code = main(["--out", str(out), "semiwave", "--c", "1.0", "--sigma", sigma])
         assert code == 2
-        assert "semiwave.sigma" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error") and "--sigma" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -273,6 +298,21 @@ class TestCli:
         s2 = (out2 / "snapshots" / "000.csv").read_bytes()
         assert s1 == s2
 
+    def test_simulate_records_front_slopes(self, tmp_path):
+        # 33 samples: every dyadic window of (0, 8] holds at least two
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            MINIMAL + "[model]\nh0 = 2.0\n[time]\nt_max = 8.0\nsample_dt = 0.25\n[grid]\ndx = 0.2\n"
+        )
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert "speed_measurement_error" not in summary
+        assert summary["slope_h"] > 0.0
+        assert summary["slope_g"] == pytest.approx(-summary["slope_h"], rel=1e-12)
+        assert len(summary["dyadic_slopes"]) == 4
+        assert all(v > 0.0 for v in summary["dyadic_slopes"])
+
     def test_simulate_records_too_few_samples(self, tmp_path):
         # three samples are too few for a slope; the run itself still succeeds
         cfg = tmp_path / "run.cfg"
@@ -353,16 +393,15 @@ class TestCli:
         assert err.count("\n") == 1 and "RejectedStepError" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("argv", [
-        ["speed"], ["speed-curve"], ["experiment", "linear-speed"], ["experiment", "truncation"],
-    ], ids=lambda a: a[-1])
-    def test_speed_solves_reject_sigma_homotopy(self, tmp_path, capsys, argv):
+    def test_semiwave_sigma_key_is_unknown(self, tmp_path, capsys):
+        # the homotopy source is the semiwave command's --sigma flag alone
         cfg = tmp_path / "run.cfg"
         cfg.write_text(MINIMAL + "[semiwave]\nsigma = 0.3\ndepth = 30.0\nn_cells = 1200\n")
         out = tmp_path / "out"
-        assert main(["--config", str(cfg), "--out", str(out)] + argv) == 2
+        assert main(["--config", str(cfg), "--out", str(out), "speed"]) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "semiwave.sigma" in err
+        assert err.count("\n") == 1 and "unknown key 'sigma'" in err
+        assert not out.exists()
 
     def test_cauchy_wide_gaussian(self, tmp_path):
         # the domain comes from c_lin, whose bracket search probes moments
@@ -376,6 +415,22 @@ class TestCli:
         assert main(["--config", str(cfg), "--out", str(out), "cauchy"]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["domain_halfwidth"] == pytest.approx(8.0 * 0.5 * 30.0 * np.sqrt(np.e))
+
+    def test_experiment_accelerated_reduced(self, tmp_path):
+        from frontlab.experiments import EXPERIMENT_PRESETS
+
+        # the preset (power sigma = 0.8, speed_cap = 2.0) at half the horizon
+        # and twice the cell
+        text = EXPERIMENT_PRESETS["accelerated"]
+        text = text.replace("t_max = 200.0", "t_max = 100.0").replace("dx = 0.25", "dx = 0.5")
+        cfg = tmp_path / "acc.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "experiment", "accelerated"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["passed"] is True
+        dy = summary["summary"]["dyadic_slopes"]
+        assert len(dy) == 4 and summary["summary"]["slope_ratio"] == dy[-1] / dy[0]
 
     def test_experiment_linear_speed_reduced(self, tmp_path):
         cfg = tmp_path / "ls.cfg"
@@ -407,7 +462,9 @@ class TestCli:
         assert b1.splitlines()[0] == b"mu,sup_excess,sup_abs,h_final"
 
 
-# bad inputs with their documented exit codes: 2 configuration, 4 step
+# bad inputs with their documented exit codes: 2 configuration, 4 any other
+# frontlab error
+_FAT_TAIL = "[kernel]\ntype = power\nsigma = 0.8\n[reaction]\ntype = logistic\n"
 _BAD_INPUTS = {
     "bistable-reaction": (
         MINIMAL.replace("type = logistic", "type = custom\ncoeffs = 0,-0.2,1.2,-1"), ["speed"], 2
@@ -415,12 +472,35 @@ _BAD_INPUTS = {
     "reaction-negative-at-1": (
         MINIMAL.replace("type = logistic", "type = custom\ncoeffs = 0,0.5,-1"), ["speed"], 2
     ),
-    "c0-sigma-homotopy": (
+    "semiwave-sigma-key-removed": (
         MINIMAL + "[semiwave]\nsigma = 0.3\ndepth = 30.0\nn_cells = 1200\n", ["speed"], 2
     ),
     "cauchy-dt-above-bound": (
         MINIMAL + "[time]\nt_max = 1.0\ndt = 3.0\n[grid]\ndx = 0.2\ndomain_halfwidth = 20.0\n",
         ["cauchy"],
+        4,
+    ),
+    "fat-tail-simulate-without-speed-cap": (
+        _FAT_TAIL + "[model]\nh0 = 2.0\n[time]\nt_max = 1.0\n[grid]\ndx = 0.25\n",
+        ["simulate"],
+        2,
+    ),
+    "fat-tail-mu-limit": (
+        _FAT_TAIL + "[model]\nh0 = 2.0\n[time]\nt_max = 1.0\n"
+        + "[grid]\ndx = 0.25\ndomain_halfwidth = 20.0\nwindow_halfwidth = 5.0\n",
+        ["experiment", "mu-limit"],
+        4,
+    ),
+    "cauchy-line-shorter-than-u0": (
+        MINIMAL + "[model]\nh0 = 5.0\n[time]\nt_max = 1.0\n[grid]\ndomain_halfwidth = 8.0\n",
+        ["cauchy"],
+        4,
+    ),
+    "mu-limit-window-escapes-the-line": (
+        MINIMAL + "[model]\nh0 = 5.0\n[time]\nt_max = 6.0\n"
+        + "[grid]\ndx = 0.2\ndomain_halfwidth = 12.0\nwindow_halfwidth = 5.0\n"
+        + "[experiment]\nmus = 100\n",
+        ["experiment", "mu-limit"],
         4,
     ),
 }

@@ -184,7 +184,7 @@ def test_whole_line_step(logistic, kname, n):
     u[::7] = 0.0
     s = CauchyState(grid=grid, u=u, t=0.0)
     d, dt = 0.7, 0.2 / 1.7
-    out = cauchy_step(s, dt, d, k, logistic, LatticeConvolution(k, grid.spacing))
+    out = cauchy_step(s, dt, d, logistic, LatticeConvolution(k, grid.spacing))
     Ju = LatticeConvolution(k, grid.spacing).direct(trapezoid_weights(n, grid.spacing) * u)
     ref = np.maximum(u + dt * (d * (Ju - u) + logistic.f(u)), 0.0)
     assert np.array_equal(out.u, ref)

@@ -64,13 +64,9 @@ class TestOperator:
         assert out[-1] == 0.0
 
     def test_A_of_one_below_one_with_sigma(self, laplace, logistic, quick_params):
-        params = SemiWaveParams(
-            depth=quick_params.depth,
-            n_cells=quick_params.n_cells,
-            sigma_homotopy=0.3,
-        )
         M = choose_M(1.0, 1.0, logistic)
-        out = apply_A(np.ones(params.n_cells + 1), 1.0, 1.0, laplace, logistic, M, 0.3, params)
+        phi1 = np.ones(quick_params.n_cells + 1)
+        out = apply_A(phi1, 1.0, 1.0, laplace, logistic, M, 0.3, quick_params)
         assert np.all(out < 1.0)
 
     def test_monotone_in_argument(self, laplace, logistic, quick_params):
@@ -151,9 +147,9 @@ class TestSolveSemiwave:
 
     def test_monotone_in_sigma(self, laplace, logistic):
         sols = []
+        params = SemiWaveParams(depth=30.0, n_cells=1200)
         for sigma in (0.0, 0.05, 0.1):
-            params = SemiWaveParams(depth=30.0, n_cells=1200, sigma_homotopy=sigma)
-            sols.append(solve_semiwave(1.0, 1.0, laplace, logistic, params).phi)
+            sols.append(solve_semiwave(1.0, 1.0, laplace, logistic, params, sigma=sigma).phi)
         for a, b in zip(sols, sols[1:]):
             assert np.all(b >= a - 1e-8)
 
@@ -344,10 +340,6 @@ class TestEstimateCstar:
         params = SemiWaveParams(depth=8.0, n_cells=800)
         with pytest.raises(NonconvergenceError, match="plateau"):
             estimate_cstar(1.0, make_uniform(1.0), logistic, params)
-
-    def test_homotopy_source_rejected(self, logistic):
-        with pytest.raises(ValueError, match="sigma_homotopy"):
-            estimate_cstar(1.0, make_uniform(1.0), logistic, SemiWaveParams(sigma_homotopy=0.5))
 
     @pytest.mark.parametrize("kname", ["laplace", "gaussian", "uniform"])
     def test_linear_determinacy_closed_form(self, logistic, kname):

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -106,12 +104,6 @@ class TestSolveC0:
     def test_fat_tail_has_no_finite_speed(self, logistic):
         with pytest.raises(NoFiniteSpeedError):
             solve_c0(1.0, 1.0, make_power(0.8), logistic)
-
-    def test_sigma_homotopy_rejected(self, laplace, logistic, quick_params):
-        # the semi-wave of the flux identity has no homotopy source
-        params = dataclasses.replace(quick_params, sigma_homotopy=0.3)
-        with pytest.raises(ValueError, match="sigma_homotopy"):
-            solve_c0(1.0, 1.0, laplace, logistic, params)
 
     def test_flux_reads_the_solver_quadrature(self, logistic, quick_params):
         # flux_M sums the workspace's weights: no tail evaluation per call
