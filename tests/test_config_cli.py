@@ -393,12 +393,16 @@ class TestCli:
         assert err.count("\n") == 1 and "RejectedStepError" in err
         assert "Traceback" not in err
 
-    def test_semiwave_sigma_key_is_unknown(self, tmp_path, capsys):
-        # the homotopy source is the semiwave command's --sigma flag alone
+    @pytest.mark.parametrize("argv", [
+        ["speed"], ["speed-curve"], ["experiment", "linear-speed"], ["experiment", "truncation"],
+    ], ids=lambda a: a[-1])
+    def test_speed_solves_reject_sigma_homotopy(self, tmp_path, capsys, argv):
+        # the homotopy source is the semiwave command's --sigma flag alone;
+        # the semiwave.sigma key is unknown to every command
         cfg = tmp_path / "run.cfg"
         cfg.write_text(MINIMAL + "[semiwave]\nsigma = 0.3\ndepth = 30.0\nn_cells = 1200\n")
         out = tmp_path / "out"
-        assert main(["--config", str(cfg), "--out", str(out), "speed"]) == 2
+        assert main(["--config", str(cfg), "--out", str(out)] + argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "unknown key 'sigma'" in err
         assert not out.exists()
