@@ -6,6 +6,7 @@ from .errors import (
     DivergentIntegralError,
     DomainTooSmallError,
     FrontlabError,
+    InitialDataError,
     InsufficientDataError,
     NoCrossingError,
     NoFiniteSpeedError,

@@ -15,9 +15,9 @@ from typing import Callable
 import numpy as np
 
 from . import fbsim
-from .errors import DomainTooSmallError, UnsupportedTailError
+from .errors import DomainTooSmallError
 from .fbsim import SimConfig, Snapshot, stability_dt, step
-from .kernels import Kernel, TailClass, classify_tail
+from .kernels import Kernel, c_of_J
 from .numerics import LatticeConvolution, UniformGrid, trapezoid_weights
 from .reactions import Reaction
 
@@ -48,9 +48,10 @@ class CauchyConfig:
     t_max: float
     dx: float
     domain_halfwidth: float
-    dt: float | None = None
+    # 0 leaves each unset: dt then is the stability bound, no snapshots are stored
+    dt: float = 0.0
     sample_dt: float = 0.5
-    snap_dt: float | None = None
+    snap_dt: float = 0.0
 
 
 @dataclass(eq=False, kw_only=True)
@@ -146,8 +147,7 @@ def _initial_state(cfg: CauchyConfig) -> CauchyState:
 def cauchy_simulate(cfg: CauchyConfig) -> CauchyRun:
     state = _initial_state(cfg)
     x = state.grid.nodes()
-    bound = stability_dt(cfg.d, cfg.reaction, cfg.dx, 0.0, 1.0, v_cap=0.0)
-    dt = fbsim._checked_dt(cfg.dt, bound)
+    dt = fbsim._checked_dt(cfg.dt, stability_dt(cfg.d, cfg.reaction, cfg.dx))
     conv = LatticeConvolution(cfg.kernel, state.grid.spacing)
 
     ts, crossings = [], []
@@ -217,17 +217,16 @@ def compare_mu_limit(mus, shared: MuLimitConfig) -> MuLimitReport:
     """Free-boundary runs at each mu, stepped in lockstep with one whole-line run.
 
     Each run is compared with the whole line on the window whenever the
-    snapshot schedule fires.  All runs share a single dt (the tightest of the
-    individual stability bounds): the discrete one-sided ordering between the
-    constrained and unconstrained evolutions survives only when time
-    discretizations match.
+    snapshot schedule fires.  All runs share a single dt: the discrete
+    one-sided ordering between the constrained and unconstrained evolutions
+    survives only when time discretizations match.  The runs start from one
+    state, so they share M0*, and the tightest of their stability bounds is
+    the one at the front speed bound max(mus)*M0*c(J); c_of_J raises
+    DivergentIntegralError on a fat tail, where that bound is infinite.
     """
     mus = [float(m) for m in mus]
     if any(m <= 0 for m in mus):
         raise ValueError("all mu values must be positive")
-    if classify_tail(shared.kernel) is TailClass.FAT_TAIL:
-        # the shared dt needs the front speed bound mu*M0*c(J), which is infinite here
-        raise UnsupportedTailError(f"kernel {shared.kernel.name!r} has no finite front speed bound")
 
     def u0_compact(x):
         out = np.asarray(shared.u0(x), dtype=float)
@@ -235,14 +234,12 @@ def compare_mu_limit(mus, shared: MuLimitConfig) -> MuLimitReport:
 
     k, r, d, dx = shared.kernel, shared.reaction, shared.d, shared.dx
     common = dict(kernel=k, reaction=r, d=d, t_max=shared.t_max, dx=dx)
-    fbs = [
-        fbsim._initial_state(SimConfig(mu=m, h0=shared.h0, u0=shared.u0, **common))
-        for m in mus
-    ]
-    dt = min(
-        [stability_dt(d, r, dx, 0.0, 1.0, v_cap=0.0)]
-        + [stability_dt(d, r, dx, m, s.m0star, k) for m, s in zip(mus, fbs)]
-    )
+    mu_max = max(mus, default=0.0)
+    start = fbsim._initial_state(SimConfig(mu=mu_max, h0=shared.h0, u0=shared.u0, **common))
+    dt = stability_dt(d, r, dx, mu_max * start.m0star * c_of_J(k))
+    # step builds a new state and never writes to its input, so the runs
+    # can share the start
+    fbs = [start] * len(mus)
 
     star = _initial_state(
         CauchyConfig(u0=u0_compact, domain_halfwidth=shared.domain_halfwidth, **common)

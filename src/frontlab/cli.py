@@ -202,9 +202,9 @@ def _cmd_cauchy(args) -> int:
             t_max=cfg.get("time", "t_max"),
             dx=cfg.get("grid", "dx"),
             domain_halfwidth=X,
-            dt=cfg.get("time", "dt") or None,
+            dt=cfg.get("time", "dt"),
             sample_dt=cfg.get("time", "sample_dt"),
-            snap_dt=cfg.get("time", "snap_dt") or None,
+            snap_dt=cfg.get("time", "snap_dt"),
         )
     )
     out_dir = args.out or cfg.get("run", "out")

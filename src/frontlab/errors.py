@@ -55,6 +55,10 @@ class DomainTooSmallError(FrontlabError, ValueError):
     """Truncated whole line too short for the initial data or the fronts."""
 
 
+class InitialDataError(FrontlabError, ValueError):
+    """Initial density fails the free-boundary preconditions on [-h0, h0]."""
+
+
 class ConfigError(FrontlabError, ValueError):
     """Configuration text failed validation; carries every violation."""
 

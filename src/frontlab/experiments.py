@@ -95,11 +95,8 @@ def write_trajectory(out_dir: str, traj) -> list[str]:
 
 
 def build_sim_config(cfg: RunConfig) -> SimConfig:
-    snap_dt = cfg.get("time", "snap_dt")
-    dt = cfg.get("time", "dt")
-    cap = cfg.get("time", "speed_cap")
     kernel = cfg.build_kernel()
-    if cap == 0 and classify_tail(kernel) is TailClass.FAT_TAIL:
+    if cfg.get("time", "speed_cap") == 0 and classify_tail(kernel) is TailClass.FAT_TAIL:
         raise ConfigError(["time.speed_cap must be positive for a fat-tailed kernel"])
     return SimConfig(
         kernel=kernel,
@@ -110,10 +107,10 @@ def build_sim_config(cfg: RunConfig) -> SimConfig:
         u0=cfg.u0_callable(),
         t_max=cfg.get("time", "t_max"),
         dx=cfg.get("grid", "dx"),
-        dt=dt if dt > 0 else None,
+        dt=cfg.get("time", "dt"),
         sample_dt=cfg.get("time", "sample_dt"),
-        snap_dt=snap_dt if snap_dt > 0 else None,
-        v_cap=cap if cap > 0 else None,
+        snap_dt=cfg.get("time", "snap_dt"),
+        v_cap=cfg.get("time", "speed_cap"),
     )
 
 

@@ -33,8 +33,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import FrontlabError, InsufficientDataError, RejectedStepError
-from .kernels import Kernel, TailClass, c_of_J, classify_tail, truncate
+from .errors import FrontlabError, InitialDataError, InsufficientDataError, RejectedStepError
+from .kernels import Kernel, c_of_J, truncate
 from .numerics import LatticeConvolution, fit_slope, trapezoid_weights
 from .reactions import Reaction, adjust_for_truncation
 from .semiwave import SemiWaveParams
@@ -97,28 +97,18 @@ def _quad_weighted(state: FieldState, x_0: float, x_last: float) -> np.ndarray:
     return wu
 
 
-def stability_dt(
-    d: float,
-    r: Reaction,
-    dx: float,
-    mu: float,
-    m0star: float,
-    k: Kernel | None = None,
-    v_cap: float | None = None,
-) -> float:
-    """Largest admissible explicit step: reaction bound and boundary-motion bound."""
+def stability_dt(d: float, r: Reaction, dx: float, speed: float = 0.0) -> float:
+    """Largest admissible explicit step: the reaction bound ``0.2/(d + K)``,
+    capped at ``0.25*dx/speed`` when ``speed > 0`` so that a boundary moving
+    at most that fast crosses at most a quarter cell per step."""
     dt = 0.2 / (d + r.lipschitz_K)
-    if v_cap is None:
-        if k is None or classify_tail(k) is TailClass.FAT_TAIL:
-            raise ValueError("v_cap must be supplied when the kernel has no finite flux constant")
-        v_cap = mu * m0star * c_of_J(k)
-    if v_cap > 0.0:
-        dt = min(dt, 0.25 * dx / v_cap)
+    if speed > 0.0:
+        dt = min(dt, 0.25 * dx / speed)
     return dt
 
 
-def _checked_dt(dt: float | None, bound: float) -> float:
-    """A configured step, or the stability bound when none is set; a step
+def _checked_dt(dt: float, bound: float) -> float:
+    """A configured step, or the stability bound when none is set (0); a step
     above the bound raises ``RejectedStepError``."""
     dt = dt or bound
     if dt > bound * (1.0 + 1e-9):
@@ -142,7 +132,7 @@ def step(
     once per run so the kernel row and tail table are sampled once, not on
     every step.  ``dt`` is not checked here: the bound (``stability_dt``) is
     fixed over a run, so ``simulate`` checks a configured ``dt`` once and
-    ``compare_mu_limit`` steps at the smallest bound of its runs.
+    ``compare_mu_limit`` steps at the bound of its fastest run.
     """
     u, dx = s.u, s.dx
     n = u.size
@@ -224,10 +214,12 @@ class SimConfig:
     u0: Callable[[np.ndarray], np.ndarray]
     t_max: float
     dx: float
-    dt: float | None = None
+    # 0 leaves each unset: dt then is the stability bound, no snapshots are
+    # stored, and the front speed bound is mu*M0*c(J)
+    dt: float = 0.0
     sample_dt: float = 0.5
-    snap_dt: float | None = None
-    v_cap: float | None = None
+    snap_dt: float = 0.0
+    v_cap: float = 0.0
 
 
 @dataclass(eq=False, kw_only=True)
@@ -258,15 +250,15 @@ class FrontTrajectory:
 def _initial_state(cfg: SimConfig) -> FieldState:
     j_lo, j_hi = _active_range(-cfg.h0, cfg.h0, cfg.dx)
     if j_hi < j_lo:
-        raise ValueError("initial range contains no lattice nodes; shrink dx")
+        raise InitialDataError("initial range contains no lattice nodes; shrink dx")
     x = np.arange(j_lo, j_hi + 1) * cfg.dx
     u = np.asarray(cfg.u0(x), dtype=float)
     edge_vals = np.asarray(cfg.u0(np.array([-cfg.h0, cfg.h0])), dtype=float)
     edge = float(np.max(np.abs(edge_vals)))
     if edge > 1e-9:
-        raise ValueError(f"u0 must vanish at the initial boundaries, got {edge}")
+        raise InitialDataError(f"u0 must vanish at the initial boundaries, got {edge}")
     if np.min(u) <= 0.0:
-        raise ValueError("u0 must be positive strictly inside the initial range")
+        raise InitialDataError("u0 must be positive strictly inside the initial range")
     m0star = max(float(np.max(u)), cfg.reaction.cap_K0)
     return FieldState(t=0.0, g=-cfg.h0, h=cfg.h0, dx=cfg.dx, j0=j_lo, u=u, m0star=m0star)
 
@@ -299,10 +291,10 @@ class _Schedule:
 def simulate(cfg: SimConfig) -> FrontTrajectory:
     """Run to the horizon, sampling fronts and storing periodic snapshots."""
     state = _initial_state(cfg)
-    bound = stability_dt(
-        cfg.d, cfg.reaction, cfg.dx, cfg.mu, state.m0star, cfg.kernel, cfg.v_cap
-    )
-    dt = _checked_dt(cfg.dt, bound)
+    # c_of_J raises DivergentIntegralError on a fat tail, whose fronts have
+    # no a-priori speed bound
+    speed = cfg.v_cap or cfg.mu * state.m0star * c_of_J(cfg.kernel)
+    dt = _checked_dt(cfg.dt, stability_dt(cfg.d, cfg.reaction, cfg.dx, speed))
     conv = LatticeConvolution(cfg.kernel, cfg.dx)
     ts, gs, hs = [], [], []
     snapshots: list[Snapshot] = []

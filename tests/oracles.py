@@ -92,7 +92,7 @@ def mu_limit_by_separate_runs(mus, shared):
     Returns (entries as (mu, sup_excess, sup_abs, h_final) tuples, shared dt,
     domain_too_small).
     """
-    from frontlab import CauchyConfig, SimConfig, cauchy_simulate, simulate, stability_dt
+    from frontlab import CauchyConfig, SimConfig, c_of_J, cauchy_simulate, simulate, stability_dt
 
     mus = [float(m) for m in mus]
 
@@ -105,8 +105,9 @@ def mu_limit_by_separate_runs(mus, shared):
         shared.reaction.cap_K0,
     )
     dt = min(
-        [stability_dt(shared.d, shared.reaction, shared.dx, 0.0, 1.0, v_cap=0.0)]
-        + [stability_dt(shared.d, shared.reaction, shared.dx, m, m0star, shared.kernel) for m in mus]
+        [stability_dt(shared.d, shared.reaction, shared.dx)]
+        + [stability_dt(shared.d, shared.reaction, shared.dx, m * m0star * c_of_J(shared.kernel))
+           for m in mus]
     )
     common = dict(kernel=shared.kernel, reaction=shared.reaction, d=shared.d,
                   t_max=shared.t_max, dx=shared.dx, dt=dt, sample_dt=shared.t_max,

@@ -500,6 +500,11 @@ _BAD_INPUTS = {
         ["cauchy"],
         4,
     ),
+    # the bump underflows to 0 at the node x = 10, inside (-h0, h0)
+    "bump-u0-zero-inside": (
+        MINIMAL + "[model]\nh0 = 10.0003\n[initial]\nfamily = bump\n", ["simulate"], 4
+    ),
+    "h0-holds-no-lattice-node": (MINIMAL + "[model]\nh0 = 1e-14\n", ["simulate"], 4),
     "mu-limit-window-escapes-the-line": (
         MINIMAL + "[model]\nh0 = 5.0\n[time]\nt_max = 6.0\n"
         + "[grid]\ndx = 0.2\ndomain_halfwidth = 12.0\nwindow_halfwidth = 5.0\n"
@@ -511,8 +516,20 @@ _BAD_INPUTS = {
 
 
 @pytest.mark.parametrize("name", sorted(_BAD_INPUTS))
-def test_entry_point_reports_bad_input_in_one_line(tmp_path, name):
+def test_entry_point_reports_bad_input_in_one_line(tmp_path, capsys, name):
     text, argv, code = _BAD_INPUTS[name]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")] + argv) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert "Traceback" not in err
+
+
+def test_module_entry_point_reports_bad_input_in_one_line(tmp_path):
+    """``python -m frontlab`` exits with main's code and its one stderr line;
+    the cases above run main in-process, this one a fresh interpreter."""
+    text, argv, code = _BAD_INPUTS["bump-u0-zero-inside"]
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
     paths = [str(pathlib.Path(frontlab.__file__).parents[1]), os.environ.get("PYTHONPATH")]

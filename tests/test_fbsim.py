@@ -10,6 +10,7 @@ from frontlab import (
     LatticeConvolution,
     OutcomeTag,
     SimConfig,
+    c_of_J,
     classify_outcome,
     make_laplace,
     make_power,
@@ -23,7 +24,9 @@ from frontlab import (
     truncated_speed_sequence,
 )
 from frontlab import fbsim
-from frontlab.errors import InsufficientDataError, RejectedStepError
+from frontlab.errors import (
+    FrontlabError, InitialDataError, InsufficientDataError, RejectedStepError,
+)
 from frontlab.fbsim import FrontTrajectory, _initial_state, _quad_weighted
 from frontlab.numerics import FFT_MIN_NODES
 
@@ -184,7 +187,7 @@ class TestSimulate:
 
     def test_rejects_oversized_dt(self, laplace, logistic, monkeypatch):
         cfg = _small_cfg(laplace, logistic)
-        bound = stability_dt(1.0, logistic, 0.1, 1.0, 1.0, laplace)
+        bound = stability_dt(1.0, logistic, 0.1, 1.0 * 1.0 * c_of_J(laplace))
         steps = []
         monkeypatch.setattr(fbsim, "step", lambda *a, **kw: steps.append(a) or step(*a, **kw))
         with pytest.raises(RejectedStepError, match="exceeds stability bound"):
@@ -197,6 +200,47 @@ class TestSimulate:
         cfg = _small_cfg(laplace, logistic, u0=lambda x: np.ones_like(np.asarray(x)))
         with pytest.raises(ValueError):
             simulate(cfg)
+
+    @pytest.mark.parametrize(
+        "kw, match",
+        [
+            (dict(h0=1e-14, u0=parabola_u0(1e-14)), "no lattice nodes"),
+            (dict(u0=lambda x: np.ones_like(np.asarray(x))), "vanish"),
+            (dict(u0=lambda x: np.zeros_like(np.asarray(x))), "positive"),
+        ],
+        ids=["no-nodes", "edge", "zero-inside"],
+    )
+    def test_u0_preconditions_are_frontlab_errors(self, laplace, logistic, kw, match):
+        with pytest.raises(InitialDataError, match=match):
+            simulate(_small_cfg(laplace, logistic, **kw))
+
+    def test_unset_speed_cap_steps_at_the_front_bound(self, laplace, logistic, monkeypatch):
+        # v_cap = 0 means unset, so dt keeps a front moving at mu*M0*c(J)
+        # within a quarter cell, below the reaction bound at mu = 10
+        cfg = _small_cfg(laplace, logistic, mu=10.0, t_max=0.05, v_cap=0.0)
+        want = 0.25 * cfg.dx / (cfg.mu * _initial_state(cfg).m0star * c_of_J(laplace))
+        assert want < 0.2 / (cfg.d + logistic.lipschitz_K)
+        dts = []
+        monkeypatch.setattr(
+            fbsim, "step", lambda s, dt, *a, **kw: dts.append(dt) or step(s, dt, *a, **kw)
+        )
+        simulate(cfg)
+        assert dts[0] == want
+
+    def test_fat_tail_without_speed_cap_is_refused(self, logistic):
+        # no a-priori front speed bound exists, and only a cap could size dt
+        with pytest.raises(FrontlabError, match="double-tail"):
+            simulate(_small_cfg(make_power(0.8), logistic))
+
+
+class TestStabilityDt:
+    def test_reaction_bound_without_a_speed(self, logistic):
+        assert stability_dt(0.7, logistic, 0.05) == 0.2 / (0.7 + logistic.lipschitz_K)
+
+    @pytest.mark.parametrize("v", [0.1, 1.0, 100.0])
+    def test_speed_caps_the_reaction_bound(self, logistic, v):
+        want = min(0.2 / (0.7 + logistic.lipschitz_K), 0.25 * 0.05 / v)
+        assert stability_dt(0.7, logistic, 0.05, v) == want
 
     def test_snapshots_scheduled(self, laplace, logistic):
         traj = simulate(_small_cfg(laplace, logistic, snap_dt=2.5))

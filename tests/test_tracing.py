@@ -1,7 +1,8 @@
 """The benchmark's traced pass (perfbench/tracing.py) wraps frontlab's public
 functions by name.  One small traced job here makes a renamed or removed
 wrapped name fail the test suite, not only a benchmark run.  Traced Laplace
-simulations show that the free-boundary step evaluates no kernel tail.  The
+simulations show that the free-boundary step evaluates no kernel tail, and a
+traced mu-limit run that its lockstep loop steps every run.  The
 config of every benchmark job must parse, so a schema change that rejects
 one fails here too, not only as a benchmark job failure."""
 
@@ -65,6 +66,20 @@ def test_traced_laplace_simulate_steps_without_tail_mass(tmp_path):
     )
     assert long["fbsim.steps"] > short["fbsim.steps"] > 0
     assert long["kernels.tail_mass_calls"] == short["kernels.tail_mass_calls"]
+
+
+def test_traced_mu_limit_counts_every_lockstep_step(tmp_path):
+    # compare_mu_limit steps through the module bindings the tracer rebinds:
+    # a local alias of step or cauchy_step would leave these counts at 0
+    metrics = _traced_run(
+        _load("tracing"), tmp_path, "mu-limit",
+        "[kernel]\ntype = laplace\n[reaction]\ntype = logistic\n[model]\nh0 = 4.0\n"
+        "[time]\nt_max = 1.0\nsnap_dt = 0.5\n"
+        "[grid]\ndx = 0.25\ndomain_halfwidth = 30.0\nwindow_halfwidth = 8.0\n"
+        "[experiment]\nmus = 1,10\n",
+        ["experiment", "mu-limit"],
+    )
+    assert metrics["fbsim.steps"] == 2 * metrics["cauchy.steps"] > 0
 
 
 @pytest.mark.parametrize("seed", [0, 4099])
