@@ -232,16 +232,6 @@ class TestSimulate:
         with pytest.raises(FrontlabError, match="double-tail"):
             simulate(_small_cfg(make_power(0.8), logistic))
 
-
-class TestStabilityDt:
-    def test_reaction_bound_without_a_speed(self, logistic):
-        assert stability_dt(0.7, logistic, 0.05) == 0.2 / (0.7 + logistic.lipschitz_K)
-
-    @pytest.mark.parametrize("v", [0.1, 1.0, 100.0])
-    def test_speed_caps_the_reaction_bound(self, logistic, v):
-        want = min(0.2 / (0.7 + logistic.lipschitz_K), 0.25 * 0.05 / v)
-        assert stability_dt(0.7, logistic, 0.05, v) == want
-
     def test_snapshots_scheduled(self, laplace, logistic):
         traj = simulate(_small_cfg(laplace, logistic, snap_dt=2.5))
         times = [s.t for s in traj.snapshots]
@@ -273,6 +263,16 @@ class TestStabilityDt:
         fine = simulate(fine_cfg)
         rel = abs(coarse.hs[-1] - fine.hs[-1]) / fine.hs[-1]
         assert rel < 0.02
+
+
+class TestStabilityDt:
+    def test_reaction_bound_without_a_speed(self, logistic):
+        assert stability_dt(0.7, logistic, 0.05) == 0.2 / (0.7 + logistic.lipschitz_K)
+
+    @pytest.mark.parametrize("v", [0.1, 1.0, 100.0])
+    def test_speed_caps_the_reaction_bound(self, logistic, v):
+        want = min(0.2 / (0.7 + logistic.lipschitz_K), 0.25 * 0.05 / v)
+        assert stability_dt(0.7, logistic, 0.05, v) == want
 
 
 class TestClassifyOutcome:
