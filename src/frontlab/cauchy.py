@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import fbsim
-from .errors import DomainTooSmallError
+from .errors import ConfigError, DomainTooSmallError
 from .fbsim import SimConfig, Snapshot, stability_dt, step
 from .kernels import Kernel, c_of_J
 from .numerics import LatticeConvolution, UniformGrid, trapezoid_weights
@@ -217,7 +217,9 @@ def compare_mu_limit(mus, shared: MuLimitConfig) -> MuLimitReport:
     """Free-boundary runs at each mu, stepped in lockstep with one whole-line run.
 
     Each run is compared with the whole line on the window whenever the
-    snapshot schedule fires.  All runs share a single dt: the discrete
+    snapshot schedule fires, so ``domain_halfwidth`` must be a whole number
+    of ``dx`` cells, which puts every whole-line node on the lattice; any
+    other raises ``ConfigError``.  All runs share a single dt: the discrete
     one-sided ordering between the constrained and unconstrained evolutions
     survives only when time discretizations match.  The runs start from one
     state, so they share M0*, and the tightest of their stability bounds is
@@ -227,6 +229,12 @@ def compare_mu_limit(mus, shared: MuLimitConfig) -> MuLimitReport:
     mus = [float(m) for m in mus]
     if any(m <= 0 for m in mus):
         raise ValueError("all mu values must be positive")
+    cells = shared.domain_halfwidth / shared.dx
+    if abs(cells - round(cells)) > 1e-9:
+        raise ConfigError(
+            [f"grid.domain_halfwidth must be a whole number of grid.dx cells, got "
+             f"{shared.domain_halfwidth:g} / {shared.dx:g} = {cells:.10g}"]
+        )
 
     def u0_compact(x):
         out = np.asarray(shared.u0(x), dtype=float)
@@ -270,9 +278,7 @@ def compare_mu_limit(mus, shared: MuLimitConfig) -> MuLimitReport:
             break
         step_dt = min(dt, shared.t_max - star.t)
         star = cauchy_step(star, step_dt, d, r, star_conv)
-        fbs = [
-            step(s, step_dt, d, m, k, r, conv=conv) for s, m, conv in zip(fbs, mus, convs)
-        ]
+        fbs = [step(s, step_dt, d, m, r, conv=conv) for s, m, conv in zip(fbs, mus, convs)]
 
     entries = [
         MuLimitEntry(mu=m, sup_excess=e, sup_abs=a, h_final=float(s.h))

@@ -35,10 +35,13 @@ __all__ = ["ExperimentResult", "EXPERIMENT_NAMES", "EXPERIMENT_PRESETS", "run_ex
 @dataclass(eq=False, kw_only=True)
 class ExperimentResult:
     name: str
-    passed: bool
     checks: dict[str, bool]
     summary: dict
     artifacts: list[str]
+
+    @property
+    def passed(self) -> bool:
+        return all(self.checks.values())
 
 
 def _fmt(x) -> str:
@@ -147,11 +150,7 @@ def run_linear_speed(cfg: RunConfig, out_dir: str) -> ExperimentResult:
         "clamp_count": traj.clamp_count,
     }
     return ExperimentResult(
-        name="linear-speed",
-        passed=all(checks.values()),
-        checks=checks,
-        summary=summary,
-        artifacts=artifacts,
+        name="linear-speed", checks=checks, summary=summary, artifacts=artifacts
     )
 
 
@@ -173,11 +172,7 @@ def run_accelerated(cfg: RunConfig, out_dir: str) -> ExperimentResult:
         "clamp_count": traj.clamp_count,
     }
     return ExperimentResult(
-        name="accelerated",
-        passed=all(checks.values()),
-        checks=checks,
-        summary=summary,
-        artifacts=artifacts,
+        name="accelerated", checks=checks, summary=summary, artifacts=artifacts
     )
 
 
@@ -199,7 +194,7 @@ def run_dichotomy(cfg: RunConfig, out_dir: str) -> ExperimentResult:
         "evidence": {k: v for k, v in outcome.evidence.items()},
     }
     return ExperimentResult(
-        name="dichotomy", passed=ok, checks=checks, summary=summary, artifacts=artifacts
+        name="dichotomy", checks=checks, summary=summary, artifacts=artifacts
     )
 
 
@@ -240,13 +235,7 @@ def run_mu_limit(cfg: RunConfig, out_dir: str) -> ExperimentResult:
         "shared_dt": report.shared_dt,
         "domain_too_small": report.domain_too_small,
     }
-    return ExperimentResult(
-        name="mu-limit",
-        passed=all(checks.values()),
-        checks=checks,
-        summary=summary,
-        artifacts=[p],
-    )
+    return ExperimentResult(name="mu-limit", checks=checks, summary=summary, artifacts=[p])
 
 
 def run_truncation(cfg: RunConfig, out_dir: str) -> ExperimentResult:
@@ -294,13 +283,7 @@ def run_truncation(cfg: RunConfig, out_dir: str) -> ExperimentResult:
         ["radius", "sigma_n", "eta_n", "c_n"],
         zip(*[(e.radius, e.sigma_n, e.eta_n, e.c_n) for e in entries]),
     )
-    return ExperimentResult(
-        name="truncation",
-        passed=all(checks.values()),
-        checks=checks,
-        summary=summary,
-        artifacts=[p],
-    )
+    return ExperimentResult(name="truncation", checks=checks, summary=summary, artifacts=[p])
 
 
 _RUNNERS = {

@@ -4,18 +4,8 @@ The density lives on a fixed global lattice x = j*dx; the boundaries g, h
 move continuously between lattice nodes.  Integrals over [g, h] combine the
 composite trapezoid rule over interior nodes with the two partial cells that
 end exactly at the boundaries, where the density vanishes by definition.
-Boundary fluxes use the tail-mass identity, so the half-infinite inner
-integrals of the boundary laws never need quadrature.  For an exactly
-exponential kernel (``Kernel.exp_rate``) the tail is the density over the
-rate, so both fluxes are read off the end values of the lattice convolution
-the step computes anyway, and the tail is never evaluated.  Any other kernel
-takes both fluxes from the convolution's tail table (``tail_sums``): the tail
-sampled once per run at 16 Chebyshev points of one cell, interpolated at the
-boundaries' offsets from the end nodes.  The table is kept only if it
-reproduces the tail between its points to within 1e-13 of a(0), as smooth
-tails do: the Gaussian, and power kernels up to dx = 0.5 except sigma = 5
-there.  For a tail that fails, such as the kinked tail of a ``truncate()``
-kernel, the step evaluates the tail at every node, twice.
+Both boundary fluxes come from the run's lattice convolution
+(``LatticeConvolution.boundary_fluxes``, which describes how it reads them).
 
 A step runs in a fixed operation order: the density update performs the
 floating-point operations of ``u + dt*(d*Ju - d*u + f(u))`` in that order,
@@ -121,7 +111,6 @@ def step(
     dt: float,
     d: float,
     mu: float,
-    k: Kernel,
     r: Reaction,
     *,
     conv: LatticeConvolution,
@@ -130,9 +119,10 @@ def step(
 
     ``conv`` is the kernel's lattice convolution at spacing ``s.dx``, built
     once per run so the kernel row and tail table are sampled once, not on
-    every step.  ``dt`` is not checked here: the bound (``stability_dt``) is
-    fixed over a run, so ``simulate`` checks a configured ``dt`` once and
-    ``compare_mu_limit`` steps at the bound of its fastest run.
+    every step; it also gives both boundary fluxes.  ``dt`` is not checked
+    here: the bound (``stability_dt``) is fixed over a run, so ``simulate``
+    checks a configured ``dt`` once and ``compare_mu_limit`` steps at the
+    bound of its fastest run.
     """
     u, dx = s.u, s.dx
     n = u.size
@@ -143,24 +133,7 @@ def step(
     # FFT path's absolute rounding floor never meets an exponentially small
     # leading edge (contrast cauchy_step)
     Ju = conv(wu)
-
-    lam = k.exp_rate
-    if lam is not None:
-        # a(y) = J(y)/lam for y <= 0, so flux_h = sum_j wu_j J(x_j - h)/lam
-        # = e^{-lam (h - x_last)}/lam * Ju[-1], and flux_g mirrors it with
-        # Ju[0].  An exp_rate convolution sums by its tridiagonal solve,
-        # never by FFT, so both end values keep their relative accuracy.
-        flux_h = math.exp(-lam * (s.h - x_last)) / lam * float(Ju[-1])
-        flux_g = math.exp(-lam * (x_0 - s.g)) / lam * float(Ju[0])
-    else:
-        fluxes = conv.tail_sums(wu, s.h - x_last, x_0 - s.g)
-        if fluxes is None:
-            x = s.positions()
-            fluxes = (
-                float(np.dot(wu, np.asarray(k.tail_mass(x - s.h), dtype=float))),
-                float(np.dot(wu, np.asarray(k.tail_mass(s.g - x), dtype=float))),
-            )
-        flux_h, flux_g = fluxes
+    flux_h, flux_g = conv.boundary_fluxes(wu, Ju, s.j0, s.g, s.h)
 
     # u + dt*(d*Ju - d*u + f(u)), operation for operation, on Ju's storage
     u_new = Ju
@@ -176,7 +149,7 @@ def step(
     # trapezoid convolution bias saturates the equilibrium O(dx^2/12 * J'')
     # above the continuum cap; the invariant check carries exactly that slack
     cap = s.m0star * (1.0 + 0.125 * dx * dx) + 1e-12
-    peak = float(u_new.max()) if n else 0.0
+    peak = float(u_new.max())
     if peak > cap:
         raise FrontlabError(f"density invariant violated: max u = {peak} > M0* = {s.m0star}")
 
@@ -268,11 +241,11 @@ class _Schedule:
 
     ``due(t)`` is asked once at every time the run reaches, in order.  A
     multiple counts as reached within 1e-9 and the end within 1e-12, which is
-    also where ``ended`` stops the run.  Without a period (None or 0) nothing
-    is due, not even the end.
+    also where ``ended`` stops the run.  With period 0 nothing is due, not
+    even the end.
     """
 
-    def __init__(self, period: float | None, t_end: float):
+    def __init__(self, period: float, t_end: float):
         self.period = period
         self.t_end = t_end
         self.next = 0.0
@@ -312,7 +285,7 @@ def simulate(cfg: SimConfig) -> FrontTrajectory:
             break
         step_dt = min(dt, cfg.t_max - state.t)
         g, h = state.g, state.h
-        state = step(state, step_dt, cfg.d, cfg.mu, cfg.kernel, cfg.reaction, conv=conv)
+        state = step(state, step_dt, cfg.d, cfg.mu, cfg.reaction, conv=conv)
         v_max = max(v_max, (state.h - h) / step_dt, (g - state.g) / step_dt)
     if cfg.v_cap and v_max > cfg.v_cap:
         # dt keeps a front within a quarter cell per step only up to v_cap

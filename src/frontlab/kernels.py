@@ -57,10 +57,10 @@ class Kernel:
     whenever the kernel satisfies the double-tail integrability condition.
     exp_moment_fn(lam) returns the one-sided exponential moment or +inf.
     exp_rate is set only where J(x) = J(0) * exp(-exp_rate * |x|) holds
-    exactly, since the lattice convolution then sums its row by a
-    tridiagonal solve, and tail_mass(x) = density(x) / exp_rate for x <= 0, from
-    which the free-boundary step reads its boundary fluxes; a cut-off or
-    rescaled copy is a new Kernel without it.
+    exactly, since LatticeConvolution then sums the row by a tridiagonal
+    solve and, as tail_mass(x) = density(x) / exp_rate for x <= 0, reads the
+    boundary fluxes off that sum (boundary_fluxes); a cut-off or rescaled
+    copy is a new Kernel without it.
 
     Kernels without an analytic tail_mass (density-only user kernels) must
     pass through truncate() before any solver touches them; the tails feed

@@ -147,20 +147,32 @@ class LatticeConvolution:
     relative accuracy like the direct sum.  Such a convolution reads J(0)
     once, never samples its row and never takes the FFT path.
 
-    ``tail_sums`` gives the two boundary fluxes of a free-boundary window:
-    sums of ``wu`` against the tail a(-(m * dx + theta)) of nodes m cells in
-    from the end node, where the boundary lies theta beyond that node.  The
-    first call samples the tail at the ``TAIL_NODES`` Chebyshev points theta
-    of one cell for every m below N (N as for the row, at least doubling when
-    a longer input arrives) and checks the interpolant in between; after that
-    a call fills a two-column buffer kept beside the table with ``wu`` and
-    takes one (``TAIL_NODES`` x n) product, with no tail evaluation.  Smooth tails
-    pass the check: the Gaussian, and power kernels up to dx = 0.5 except
-    sigma = 5 there.  Tails with a kink inside a cell fail: every
-    ``truncate()`` kernel, and a uniform kernel whose radius is not a whole
-    number of cells (one whose radius is, is linear on each cell and passes).
-    A failed check drops the table, and ``tail_sums`` returns None from then
-    on, for the caller to sum the tail itself.
+    ``boundary_fluxes`` gives the two boundary fluxes of a free-boundary
+    window, ``sum_j wu[j] * a(x_j - h)`` and ``sum_j wu[j] * a(g - x_j)``
+    with a the kernel's tail, so the half-infinite inner integrals of the
+    boundary laws never need quadrature.  It reads them one of three ways:
+
+    - For an exponential kernel the tail is the density over the rate,
+      ``a(y) = J(y) / exp_rate`` for y <= 0, so ``flux_h = exp(-exp_rate *
+      (h - x_last)) / exp_rate * Ju[-1]``, and flux_g mirrors it with
+      ``Ju[0]``: both are read off the end values of the window's
+      convolution, which the tridiagonal solve gives to full relative
+      accuracy, and the tail is never evaluated.
+    - Any other kernel reads them off a tail table: the tail
+      a(-(m * dx + theta)) of nodes m cells in from the end node, where the
+      boundary lies theta in (0, dx] beyond that node.  The first call
+      samples it at the ``TAIL_NODES`` Chebyshev points theta of one cell
+      for every m below N (N as for the row, at least doubling when a
+      longer window arrives) and checks the interpolant in between; after
+      that a call fills a two-column buffer kept beside the table with
+      ``wu`` and takes one (``TAIL_NODES`` x n) product, interpolated at
+      the two offsets, with no tail evaluation.  Smooth tails pass the
+      check: the Gaussian, and power kernels up to dx = 0.5 except sigma =
+      5 there.  Tails with a kink inside a cell fail: every ``truncate()``
+      kernel, and a uniform kernel whose radius is not a whole number of
+      cells (one whose radius is, is linear on each cell and passes).
+    - A failed check drops the table for good, and every later call
+      evaluates the tail at every node of the window, twice.
 
     The kernel's density, tail and ``exp_rate`` are read once and the kernel
     is not held, so a cache keyed weakly on the kernel lets it and this object
@@ -242,23 +254,39 @@ class LatticeConvolution:
         spectrum *= self._row_hat
         return irfft(spectrum, self._size)[N - 1 : N - 1 + n]
 
-    def tail_sums(
-        self, wu: np.ndarray, theta_h: float, theta_g: float
-    ) -> tuple[float, float] | None:
-        """``sum_m wu[n-1-m] * a(-(m*dx + theta_h))`` and ``sum_m wu[m] *
-        a(-(m*dx + theta_g))`` from the tail table, for theta in (0, dx]; None
-        once the kernel's tail has failed the table's check."""
+    def boundary_fluxes(
+        self, wu: np.ndarray, Ju: np.ndarray, j0: int, g: float, h: float
+    ) -> tuple[float, float]:
+        """``(flux_h, flux_g)`` of the weighted density ``wu`` on the nodes
+        ``(j0 + arange(n)) * dx``, with g and h at most one cell beyond the
+        end nodes; ``Ju = self(wu)``, whose end values an exponential kernel
+        reads."""
         n = wu.size
+        # the same products as the ends of the window's positions
+        x_0, x_last = j0 * self.dx, (j0 + n - 1) * self.dx
+        lam = self.exp_rate
+        if lam is not None:
+            return (
+                math.exp(-lam * (h - x_last)) / lam * float(Ju[-1]),
+                math.exp(-lam * (x_0 - g)) / lam * float(Ju[0]),
+            )
         if n > self._tail_capacity:
             self._fit_tail(n)
         if self._tail is None:
-            return None
+            x = (j0 + np.arange(n)) * self.dx
+            return (
+                float(np.dot(wu, np.asarray(self.tail_mass(x - h), dtype=float))),
+                float(np.dot(wu, np.asarray(self.tail_mass(g - x), dtype=float))),
+            )
         # the (n, 2) product operand [wu[::-1], wu], filled into a kept buffer
         pair = self._pair[:n]
         pair[:, 0] = wu[::-1]
         pair[:, 1] = wu
         sums_h, sums_g = (self._tail[:, :n] @ pair).T.tolist()
-        return _interpolate(theta_h / self.dx, sums_h), _interpolate(theta_g / self.dx, sums_g)
+        return (
+            _interpolate((h - x_last) / self.dx, sums_h),
+            _interpolate((x_0 - g) / self.dx, sums_g),
+        )
 
     def _fit_tail(self, n: int) -> None:
         N = max(n, 2 * self._tail_capacity)

@@ -16,7 +16,7 @@ from frontlab import (
     make_power,
     make_uniform,
 )
-from frontlab.errors import RejectedStepError
+from frontlab.errors import ConfigError, RejectedStepError
 from frontlab.fbsim import _Schedule
 
 from .conftest import parabola_u0
@@ -234,3 +234,11 @@ class TestCompareMuLimit:
         )
         with pytest.raises(ValueError, match="escaped"):
             compare_mu_limit([100.0], shared)
+
+    @pytest.mark.parametrize("X, dx", [(80.05, 0.1), (80.0, 0.15), (50.0, 0.3)])
+    def test_line_off_the_lattice_is_refused(self, laplace, logistic, X, dx):
+        # whole-line nodes spaced 2X/round(2X/dx) miss the lattice unless X/dx
+        # is whole; the comparison would then read a spurious excess
+        shared = _mu_shared(laplace, logistic, t_max=1.0, dx=dx, domain_halfwidth=X)
+        with pytest.raises(ConfigError, match=r"grid\.domain_halfwidth .* grid\.dx"):
+            compare_mu_limit([1.0], shared)

@@ -505,6 +505,13 @@ _BAD_INPUTS = {
         MINIMAL + "[model]\nh0 = 10.0003\n[initial]\nfamily = bump\n", ["simulate"], 4
     ),
     "h0-holds-no-lattice-node": (MINIMAL + "[model]\nh0 = 1e-14\n", ["simulate"], 4),
+    # 20 / 0.15 cells: the whole line's nodes miss the lattice
+    "mu-limit-line-off-the-lattice": (
+        MINIMAL + "[model]\nh0 = 2.0\n[time]\nt_max = 1.0\n"
+        + "[grid]\ndx = 0.15\ndomain_halfwidth = 20.0\nwindow_halfwidth = 5.0\n",
+        ["experiment", "mu-limit"],
+        2,
+    ),
     "mu-limit-window-escapes-the-line": (
         MINIMAL + "[model]\nh0 = 5.0\n[time]\nt_max = 6.0\n"
         + "[grid]\ndx = 0.2\ndomain_halfwidth = 12.0\nwindow_halfwidth = 5.0\n"

@@ -56,7 +56,7 @@ class TestStep:
         traj = simulate(cfg)
         s0 = traj.final_state
         conv = LatticeConvolution(laplace, s0.dx)
-        s1 = step(s0, 0.01, 1.0, 0.0, laplace, logistic, conv=conv)
+        s1 = step(s0, 0.01, 1.0, 0.0, logistic, conv=conv)
         assert s1.g == s0.g and s1.h == s0.h
         assert s1.t > s0.t
 
@@ -64,7 +64,7 @@ class TestStep:
         s = FieldState(
             t=0.0, g=-1.0, h=1.0, dx=0.1, j0=-9, u=np.zeros(19), m0star=1.0
         )
-        s1 = step(s, 0.01, 1.0, 1.0, laplace, logistic, conv=LatticeConvolution(laplace, 0.1))
+        s1 = step(s, 0.01, 1.0, 1.0, logistic, conv=LatticeConvolution(laplace, 0.1))
         assert np.all(s1.u == 0.0)
         assert s1.g == s.g and s1.h == s.h
 
@@ -73,7 +73,7 @@ class TestStep:
         from frontlab.fbsim import _initial_state
 
         s = _initial_state(cfg)
-        s1 = step(s, 0.01, 1.0, 1.0, laplace, logistic, conv=LatticeConvolution(laplace, 0.1))
+        s1 = step(s, 0.01, 1.0, 1.0, logistic, conv=LatticeConvolution(laplace, 0.1))
         assert abs(s1.g + s1.h) < 1e-14
         np.testing.assert_allclose(s1.u, s1.u[::-1], atol=1e-14)
 
@@ -92,7 +92,7 @@ class TestStep:
         s = FieldState(t=0.0, g=g, h=h, dx=dx, j0=j0, u=u, m0star=1.0)
         plain = dataclasses.replace(laplace, exp_rate=None)
         got, want = (
-            step(s, 0.2 * dx, 1.0, 1e8, kk, logistic, conv=LatticeConvolution(kk, dx))
+            step(s, 0.2 * dx, 1.0, 1e8, logistic, conv=LatticeConvolution(kk, dx))
             for kk in (laplace, plain)
         )
         assert got.h - h > 100.0 * h
@@ -121,10 +121,10 @@ class TestStep:
         # h0 lies on the lattice, so the first step adds a node at each end
         # and the second samples the table again for the grown window
         for _ in range(2):
-            s = step(s, 0.01, 1.0, 1.0, k, logistic, conv=conv)
+            s = step(s, 0.01, 1.0, 1.0, logistic, conv=conv)
         calls.clear()
         for _ in range(5):
-            s = step(s, 0.01, 1.0, 1.0, k, logistic, conv=conv)
+            s = step(s, 0.01, 1.0, 1.0, logistic, conv=conv)
         assert len(calls) == 5 * per_step
 
     @pytest.mark.parametrize(
@@ -149,13 +149,18 @@ class TestStep:
             t=0.0, g=g, h=h, dx=dx, j0=j0, u=(x - g) * (h - x) / (0.5 * (h - g)) ** 2,
             m0star=1.0,
         )
+        tail, calls = k.tail_mass, []
+        k.tail_mass = lambda y: calls.append(np.shape(y)) or tail(y)
         conv = LatticeConvolution(k, dx)
-        out = step(s, 0.01, 1.0, 1.0, k, logistic, conv=conv)
+        out = step(s, 0.01, 1.0, 1.0, logistic, conv=conv)
         wu = _quad_weighted(s, x[0], x[-1])
-        assert out.h == h + 0.01 * 1.0 * float(np.dot(wu, np.asarray(k.tail_mass(x - h))))
-        assert out.g == g - 0.01 * 1.0 * float(np.dot(wu, np.asarray(k.tail_mass(g - x))))
-        # the failed check is final, also for a window the table would cover
-        assert conv.tail_sums(wu[:10], 0.5 * dx, 0.5 * dx) is None
+        assert out.h == h + 0.01 * 1.0 * float(np.dot(wu, np.asarray(tail(x - h))))
+        assert out.g == g - 0.01 * 1.0 * float(np.dot(wu, np.asarray(tail(g - x))))
+        # the failed check is final, also for a later window the table would
+        # cover: it evaluates the tail at its 10 nodes, twice, and no table
+        calls.clear()
+        conv.boundary_fluxes(wu[:10], conv(wu[:10]), j0, x[0] - 0.5 * dx, x[9] + 0.5 * dx)
+        assert calls == [(10,), (10,)]
 
 
 class TestSimulate:

@@ -87,7 +87,7 @@ def _reference_weighted(s, x_0, x_last):
     return w * s.u
 
 
-def _reference_step(s, dt, d, mu, k, r, conv):
+def _reference_step(s, dt, d, mu, k, r, conv, table):
     u, dx = s.u, s.dx
     n = u.size
     x_0, x_last = s.j0 * dx, (s.j0 + n - 1) * dx
@@ -97,8 +97,8 @@ def _reference_step(s, dt, d, mu, k, r, conv):
     if lam is not None:
         flux_h = math.exp(-lam * (s.h - x_last)) / lam * float(Ju[-1])
         flux_g = math.exp(-lam * (x_0 - s.g)) / lam * float(Ju[0])
-    elif (fluxes := conv.tail_sums(wu, s.h - x_last, x_0 - s.g)) is not None:
-        flux_h, flux_g = fluxes
+    elif table:
+        flux_h, flux_g = conv.boundary_fluxes(wu, Ju, s.j0, s.g, s.h)
     else:
         x = s.positions()
         flux_h = float(np.dot(wu, np.asarray(k.tail_mass(x - s.h), dtype=float)))
@@ -164,16 +164,22 @@ def test_free_boundary_step(logistic, kname, n, case):
     gap = 1.0 - 1e-7 if case == "grows" else 0.5
     s = _field(n, dx, rng, negatives=case == "clamps", edge_gap=gap)
     dt = min(0.2 / (d + logistic.lipschitz_K), 0.25 * dx / v_cap)
-    out = step(s, dt, d, mu, k, logistic, conv=LatticeConvolution(k, dx))
+    out = step(s, dt, d, mu, logistic, conv=LatticeConvolution(k, dx))
     u_ref, g_ref, h_ref, j0_ref, clamps = _reference_step(
-        s, dt, d, mu, k, logistic, LatticeConvolution(k, dx)
+        s, dt, d, mu, k, logistic, LatticeConvolution(k, dx), kname == "gaussian"
     )
     assert np.array_equal(out.u, u_ref)
     assert (out.g, out.h, out.j0, out.clamp_count) == (g_ref, h_ref, j0_ref, clamps)
     assert (clamps > 0) == (case == "clamps")
     assert (out.u.size > n) == (case == "grows")
-    table = LatticeConvolution(k, dx).tail_sums(s.u, 0.5 * dx, 0.5 * dx)
-    assert (table is None) == (kname == "uniform")
+    # after its first call, a convolution evaluates the tail only where the
+    # table failed its check: twice per call, at every node
+    conv = LatticeConvolution(k, dx)
+    conv.boundary_fluxes(s.u, conv(s.u), s.j0, s.g, s.h)
+    tail, calls = conv.tail_mass, []
+    conv.tail_mass = lambda y: calls.append(y) or tail(y)
+    conv.boundary_fluxes(s.u, conv(s.u), s.j0, s.g, s.h)
+    assert len(calls) == (2 if kname == "uniform" else 0)
 
 
 @pytest.mark.parametrize("kname, n", [("laplace", 1601), ("gaussian", 301)])
