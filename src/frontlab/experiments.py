@@ -200,6 +200,8 @@ def run_dichotomy(cfg: RunConfig, out_dir: str) -> ExperimentResult:
 
 def run_mu_limit(cfg: RunConfig, out_dir: str) -> ExperimentResult:
     """Free-boundary runs squeezed under the whole-line solution."""
+    if not cfg.get("grid", "domain_halfwidth"):
+        raise ConfigError(["grid.domain_halfwidth must be set for the mu-limit experiment"])
     shared = MuLimitConfig(
         kernel=cfg.build_kernel(),
         reaction=cfg.build_reaction(),
@@ -208,7 +210,7 @@ def run_mu_limit(cfg: RunConfig, out_dir: str) -> ExperimentResult:
         u0=cfg.u0_callable(),
         t_max=cfg.get("time", "t_max"),
         dx=cfg.get("grid", "dx"),
-        domain_halfwidth=cfg.get("grid", "domain_halfwidth") or 80.0,
+        domain_halfwidth=cfg.get("grid", "domain_halfwidth"),
         window_halfwidth=cfg.get("grid", "window_halfwidth"),
         snap_dt=cfg.get("time", "snap_dt") or 1.0,
     )

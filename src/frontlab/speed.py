@@ -8,11 +8,13 @@ free-boundary condition as one system in (phi, c),
 
     F(phi, c) = (A_c(phi) - phi,  c - mu*M(phi)) = 0,
 
-by matrix-free Newton-Krylov (Knoll & Keyes, J. Comput. Phys. 193, 2004).
-One monotone solve at a small speed c_s starts it and, by the monotonicity
-of G, brackets the root in [c_s, mu*M(c_s)].  The monotone iteration then
-certifies the result: a second solve at the Newton speed, warm-started just
-above the Newton profile, must accept a profile whose flux matches c0.
+by matrix-free Newton-Krylov (Knoll & Keyes, J. Comput. Phys. 193, 2004):
+scipy's Newton loop, line search and forcing terms around this module's
+one-cycle GMRES, ``_gmres``.  One monotone solve at a small speed c_s
+starts it and, by the monotonicity of G, brackets the root in
+[c_s, mu*M(c_s)].  The monotone iteration then certifies the result: a
+second solve at the Newton speed, warm-started just above the Newton
+profile, must accept a profile whose flux matches c0.
 """
 
 from __future__ import annotations
@@ -81,14 +83,15 @@ def solve_c0(
 
     The start is a cold monotone solve at ``c_s = min(0.1, mu*c(J)/10)``,
     halved while G(c_s) >= 0, and the speed ``sqrt(c_s * mu*M(c_s))``
-    inside the bracket.  ``scipy.optimize.newton_krylov`` (gmres) then
-    solves F(phi, c) = 0, with at most ``max_iters`` operator applications
-    and ``_NEWTON_STEPS`` Newton steps.  The result counts only if
-    ``solve_semiwave`` at c0, started from the Newton profile plus 1e-3,
-    accepts a profile whose residual ``|c0 - mu*M(phi)|`` is at most tol;
-    that profile is returned.  Both solves stop at
-    ``min(tol_iter, tol/(10*mu*c(J)))``.  Every failure, of Newton or of the
-    certificate, raises ``NonconvergenceError``.
+    inside the bracket.  ``scipy.optimize.newton_krylov`` with ``_gmres``
+    then solves F(phi, c) = 0, with at most ``max_iters`` operator
+    applications and ``_NEWTON_STEPS`` Newton steps.  Both solves stop at
+    ``tol_iter' = min(tol_iter, tol/(10*mu*c(J)))``.  The result counts only
+    if ``solve_semiwave`` at c0, started ``min(1e-3, 1e3*tol_iter')`` above
+    the Newton profile, accepts a profile whose residual
+    ``|c0 - mu*M(phi)|`` is at most tol; that profile is returned.  Every
+    failure, of Newton or of the certificate, raises
+    ``NonconvergenceError``.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
@@ -119,7 +122,11 @@ def solve_c0(
     # Newton from the bracket's geometric mean: from its lower end it failed
     # at mu = 100 and 1000, from its midpoint at Laplace mu = 1000
     phi, c0 = _bordered_newton(mu, d, k, r, fine, start.phi, math.sqrt(c_s * hi))
-    out = solve_semiwave(c0, d, k, r, fine, initial=np.minimum(phi + 1e-3, 1.0))
+    # Newton stops at |F| <= tol_iter, so a start 1e3*tol_iter above its
+    # profile still lies above the fixed point for contraction rates up to
+    # 0.999, and the certificate spends few iterations removing the nudge
+    nudge = min(1e-3, 1e3 * fine.tol_iter)
+    out = solve_semiwave(c0, d, k, r, fine, initial=np.minimum(phi + nudge, 1.0))
     if not out.accepted:
         raise NonconvergenceError(f"certificate rejected the Newton speed c0={c0}: {out.reason}")
     residual = abs(c0 - flux_M(out, k, mu))
@@ -146,7 +153,8 @@ def _bordered_newton(
     phi: np.ndarray,
     c: float,
 ) -> tuple[np.ndarray, float]:
-    """Newton-Krylov solution (phi, c) of F = 0 from the given start."""
+    """Newton-Krylov solution (phi, c) of F = 0 from the given start, with
+    ``_gmres`` for the linear solves and ``|F| <= tol_iter`` to stop."""
     ws = _workspace(k, params.resolve_depth(k), params.n_cells)
     # choose_M(c, d, r) is M at unit speed over c, bit for bit: check it once
     m_unit = choose_M(1.0, d, r)
@@ -169,12 +177,10 @@ def _bordered_newton(
         return out
 
     try:
-        # gmres rather than lgmres: lgmres took more applications here, and
-        # its least-squares solves page in LAPACK, about 3 MB of peak memory.
         # Each of the maxiter passes tests convergence before it steps, so
         # _NEWTON_STEPS steps take _NEWTON_STEPS + 1 passes
         z = newton_krylov(
-            F, np.append(phi, c), method="gmres", f_tol=params.tol_iter, maxiter=_NEWTON_STEPS + 1
+            F, np.append(phi, c), method=_gmres, f_tol=params.tol_iter, maxiter=_NEWTON_STEPS + 1
         )
     except NoConvergence:
         raise NonconvergenceError(
@@ -183,6 +189,63 @@ def _bordered_newton(
     except ValueError as exc:
         raise NonconvergenceError(f"bordered Newton solve for c0 failed: {exc}") from None
     return z[:-1], float(z[-1])
+
+
+def _gmres(A, b: np.ndarray, rtol: float, maxiter: int, M=None) -> tuple[np.ndarray, int]:
+    """One GMRES cycle (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986)
+    for A x = b from x = 0: the Krylov method of ``_bordered_newton``.
+
+    It takes at most ``maxiter`` Arnoldi steps and stops once the
+    least-squares residual is at most ``rtol*|b|``, or on breakdown, when
+    orthogonalisation leaves at most eps times the new vector's norm:
+    scipy's gmres rule with atol = 0.  Each step orthogonalises by classical
+    Gram-Schmidt with one re-orthogonalisation pass, four matrix-vector
+    products in all, and rotates the Hessenberg column on Python floats;
+    scipy's gmres does modified Gram-Schmidt and its rotations one array
+    operation at a time in Python.
+    Returns ``(x, info)``, info 0 on convergence and ``maxiter`` otherwise,
+    as scipy's Krylov methods do.  ``newton_krylov`` passes no
+    preconditioner, so ``M`` is always None.
+    """
+    beta = math.sqrt(b @ b)
+    if beta == 0.0:
+        return np.zeros_like(b), 0
+    V = np.empty((maxiter + 1, b.size))
+    V[0] = b / beta
+    g = [beta]  # the rotated least-squares right-hand side
+    R: list[list[float]] = []  # columns of the rotated Hessenberg matrix
+    rotations: list[tuple[float, float]] = []
+    eps, converged = np.finfo(float).eps, False
+    for k in range(maxiter):
+        w = A.matvec(V[k])
+        before = math.sqrt(w @ w)
+        h = V[: k + 1] @ w
+        w -= h @ V[: k + 1]
+        again = V[: k + 1] @ w
+        w -= again @ V[: k + 1]
+        after = math.sqrt(w @ w)
+        col = (h + again).tolist()
+        for i, (cs, sn) in enumerate(rotations):
+            col[i], col[i + 1] = cs * col[i] + sn * col[i + 1], cs * col[i + 1] - sn * col[i]
+        rho = math.hypot(col[k], after)
+        if rho == 0.0:  # the new column would make R singular: stop before it
+            break
+        cs, sn = col[k] / rho, after / rho
+        rotations.append((cs, sn))
+        col[k] = rho
+        R.append(col)
+        g.append(-sn * g[k])
+        g[k] *= cs
+        converged = abs(g[k + 1]) <= rtol * beta
+        if converged or after <= eps * before:
+            break
+        V[k + 1] = w / after
+    # back substitution for the upper triangular R y = g
+    m = len(R)
+    y = [0.0] * m
+    for i in reversed(range(m)):
+        y[i] = (g[i] - sum(R[j][i] * y[j] for j in range(i + 1, m))) / R[i][i]
+    return np.asarray(y) @ V[:m], 0 if converged else maxiter
 
 
 @dataclass(eq=False, kw_only=True)

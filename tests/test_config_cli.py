@@ -512,6 +512,8 @@ _BAD_INPUTS = {
         ["experiment", "mu-limit"],
         2,
     ),
+    # an unset line is refused before the first step
+    "mu-limit-line-unset": (MINIMAL, ["experiment", "mu-limit"], 2),
     "mu-limit-window-escapes-the-line": (
         MINIMAL + "[model]\nh0 = 5.0\n[time]\nt_max = 6.0\n"
         + "[grid]\ndx = 0.2\ndomain_halfwidth = 12.0\nwindow_halfwidth = 5.0\n"

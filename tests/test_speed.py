@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import aslinearoperator, gmres
 
 from frontlab import (
     NonExistence,
@@ -180,10 +181,10 @@ class TestSolveC0:
         assert sol.residual <= 1e-8
 
     def test_newton_budget_exhausted(self, laplace, logistic):
-        # the cold start takes 42 iterations, Newton 48 applications
-        params = SemiWaveParams(depth=30.0, n_cells=1200, max_iters=45)
+        # the cold start takes 42 iterations, Newton 43 applications
+        params = SemiWaveParams(depth=30.0, n_cells=1200, max_iters=42)
         assert solve_semiwave(0.05, 1.0, laplace, logistic, params).accepted
-        with pytest.raises(NonconvergenceError, match="45 operator applications"):
+        with pytest.raises(NonconvergenceError, match="42 operator applications"):
             solve_c0(1.0, 1.0, laplace, logistic, params)
 
     def test_newton_steps_are_capped(self, laplace, logistic, monkeypatch):
@@ -200,6 +201,19 @@ class TestSolveC0:
         with pytest.raises(NonconvergenceError, match=f"{speed._NEWTON_STEPS} Newton steps"):
             speed._bordered_newton(1000.0, 1.0, laplace, logistic, params, start.phi, 300.0)
         assert len(applications) <= 1_000
+
+    def test_few_applications_at_large_mu(self, laplace, logistic, monkeypatch):
+        # Laplace mu = 1000 takes 339: 91 in Newton, 201 in the certificate,
+        # whose start sits 1e3*tol_iter above the Newton profile
+        applications = []
+        operator = semiwave._Operator.__call__
+        monkeypatch.setattr(
+            semiwave._Operator, "__call__",
+            lambda self, phi: applications.append(self.c) or operator(self, phi),
+        )
+        sol = solve_c0(1000.0, 1.0, laplace, logistic)
+        assert sol.residual <= 1e-8
+        assert len(applications) <= 400
 
     @pytest.mark.parametrize("verdict", ["nonexistence", "wrong-profile"])
     def test_rejected_certificate_raises(
@@ -247,3 +261,60 @@ class TestC0Curve:
         entries = c0_curve([0.5, 1.0, 2.0], 1.0, laplace, logistic, quick_params)
         cs = [e.solution.c0 for e in entries]
         assert all(b > a for a, b in zip(cs, cs[1:]))
+
+
+class TestGmres:
+    """The Krylov method of the bordered Newton solve, on explicit matrices."""
+
+    def test_matches_a_direct_solve(self):
+        rng = np.random.default_rng(3)
+        a = np.eye(12) + 0.3 * rng.standard_normal((12, 12))
+        b = rng.standard_normal(12)
+        x, info = speed._gmres(aslinearoperator(a), b, rtol=1e-12, maxiter=12)
+        assert info == 0
+        np.testing.assert_allclose(x, np.linalg.solve(a, b), rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("rtol", [1e-2, 1e-4, 1e-6])
+    def test_stops_at_rtol_times_b(self, rtol):
+        # a spread spectrum, so each Arnoldi step gains only a little
+        rng = np.random.default_rng(5)
+        q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+        a = q @ np.diag(np.linspace(1.0, 50.0, 40)) @ q.T + 0.1 * rng.standard_normal((40, 40))
+        b = rng.standard_normal(40)
+        steps = []
+        op = aslinearoperator(a)
+        op.matvec = lambda v: steps.append(1) or a @ v
+        x, info = speed._gmres(op, b, rtol=rtol, maxiter=40)
+        assert info == 0
+        assert np.linalg.norm(b - a @ x) <= 1.0001 * rtol * np.linalg.norm(b)
+        # the iterate of scipy's gmres under the same rule
+        x_scipy, _ = gmres(a, b, rtol=rtol, atol=0.0, restart=40, maxiter=1)
+        np.testing.assert_allclose(x, x_scipy, rtol=1e-9, atol=1e-12)
+        # and no further than asked: one step fewer misses rtol
+        n = len(steps)
+        x_short, info_short = speed._gmres(op, b, rtol=rtol, maxiter=n - 1)
+        assert info_short == n - 1
+        assert np.linalg.norm(b - a @ x_short) > rtol * np.linalg.norm(b)
+
+    def test_zero_right_hand_side(self):
+        calls = []
+        op = aslinearoperator(np.eye(5))
+        op.matvec = lambda v: calls.append(1) or v
+        x, info = speed._gmres(op, np.zeros(5), rtol=1e-8, maxiter=20)
+        assert info == 0 and calls == []
+        assert np.array_equal(x, np.zeros(5))
+
+    def test_lucky_breakdown_on_identity(self):
+        # at rtol = 0 only the breakdown test can stop it before maxiter
+        calls = []
+        b = np.arange(1.0, 8.0)
+        op = aslinearoperator(np.eye(7))
+        op.matvec = lambda v: calls.append(1) or v.copy()
+        x, _ = speed._gmres(op, b, rtol=0.0, maxiter=20)
+        assert len(calls) == 1
+        np.testing.assert_allclose(x, b, rtol=1e-15)
+
+    def test_singular_direction_gives_up_without_dividing_by_zero(self):
+        x, info = speed._gmres(aslinearoperator(np.zeros((4, 4))), np.ones(4), 1e-8, 20)
+        assert info == 20
+        assert np.array_equal(x, np.zeros(4))
