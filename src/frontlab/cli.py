@@ -25,7 +25,7 @@ from .experiments import (
     write_summary,
     write_trajectory,
 )
-from .fbsim import classify_outcome, measure_speed, simulate
+from .fbsim import classify_outcome, measure_speed, simulate, stability_dt
 from .kernels import TailClass, c_of_J, classify_tail
 from .semiwave import linear_determinacy_speed, solve_semiwave
 from .speed import c0_curve, solve_c0
@@ -179,28 +179,51 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+# a default-width whole line is refused above this many multiply-adds: four
+# to six minutes at the 0.25-0.37 ns each its banded sum took on a 2-core Xeon
+_MAX_LINE_WORK = 1e12
+
+
 def _cmd_cauchy(args) -> int:
     cfg = _load_config(args.config)
     X = cfg.get("grid", "domain_halfwidth")
     kernel = cfg.build_kernel()
     reaction = cfg.build_reaction()
+    d, dx, t_max = cfg.get("model", "d"), cfg.get("grid", "dx"), cfg.get("time", "t_max")
     if X <= 0:
         # expected-speed heuristic; accelerating kernels need an explicit width
-        c_lin = linear_determinacy_speed(cfg.get("model", "d"), kernel, reaction)
+        c_lin = linear_determinacy_speed(d, kernel, reaction)
         if c_lin is None:
             raise ConfigError(
                 ["grid.domain_halfwidth must be set explicitly for kernels without "
                  "a finite exponential moment"]
             )
-        X = 8.0 * cfg.get("time", "t_max") * c_lin
+        X = 8.0 * t_max * c_lin
+        nodes = max(2, int(round(2.0 * X / dx))) + 1
+        # kernel terms per node: 1 in an exponential kernel's tridiagonal
+        # solve, else 2*band + 1 in the banded sum, the band found by bisection
+        # on the density (nonincreasing away from 0) without sampling the row
+        band, beyond = 0, nodes
+        while kernel.exp_rate is None and beyond - band > 1:
+            mid = (band + beyond) // 2
+            band, beyond = (mid, beyond) if kernel.density(mid * dx) > 0.0 else (band, mid)
+        steps = math.ceil(t_max / (cfg.get("time", "dt") or stability_dt(d, reaction, dx)))
+        terms = min(2 * band + 1, nodes)
+        if steps * nodes * terms > _MAX_LINE_WORK:
+            raise ConfigError(
+                [f"grid.domain_halfwidth is unset, and the default line of {nodes} nodes "
+                 f"needs about {steps * nodes * terms:.1e} multiply-adds ({steps} steps x "
+                 f"{nodes} nodes x {terms} kernel terms), above {_MAX_LINE_WORK:.0e}: "
+                 "set it explicitly"]
+            )
     run = cauchy_simulate(
         CauchyConfig(
             kernel=kernel,
             reaction=reaction,
-            d=cfg.get("model", "d"),
+            d=d,
             u0=cfg.u0_callable(),
-            t_max=cfg.get("time", "t_max"),
-            dx=cfg.get("grid", "dx"),
+            t_max=t_max,
+            dx=dx,
             domain_halfwidth=X,
             dt=cfg.get("time", "dt"),
             sample_dt=cfg.get("time", "sample_dt"),

@@ -25,9 +25,9 @@ import numpy as np
 
 from .errors import FrontlabError, InitialDataError, InsufficientDataError, RejectedStepError
 from .kernels import Kernel, c_of_J, truncate
-from .numerics import LatticeConvolution, fit_slope, trapezoid_weights
+from .numerics import LatticeConvolution, fit_slope
 from .reactions import Reaction, adjust_for_truncation
-from .semiwave import SemiWaveParams
+from .semiwave import SemiWaveParams, _Workspace
 from .speed import SpeedSolution, solve_c0
 
 __all__ = [
@@ -453,21 +453,17 @@ def principal_eigenvalue(
 ) -> float:
     """Top eigenvalue of the truncated convolution operator plus a constant.
 
-    The trapezoid discretization is symmetrized by a diagonal similarity, so
-    a dense symmetric eigensolver gives its spectrum exactly.
+    The semi-wave workspace on [-2*ell, 0], a translate of [-ell, ell], gives
+    the trapezoid weights w, the kernel matrix K (its lattice convolution of
+    unit vectors) and the exact-mass row scaling rho, under which the
+    eigenvalue approaches its limit from below as in the continuum.  The
+    similarity sqrt(rho*w) symmetrizes d*rho*K*w for a symmetric eigensolver.
     """
     if ell <= 0:
         raise ValueError("ell must be positive")
-    n = _EIGEN_CELLS
-    x = np.linspace(-ell, ell, n + 1)
-    w = trapezoid_weights(n + 1, 2.0 * ell / n)
-    J = np.asarray(k.density(x[:, None] - x[None, :]), dtype=float)
-    # exact-mass row scaling keeps the discrete operator norm below d*mass,
-    # so the eigenvalue approaches its limit from below as in the continuum
-    exact = np.asarray(k.tail_mass(x + ell) - k.tail_mass(x - ell), dtype=float)
-    raw = J @ w
-    rho = np.where(raw > 0.0, exact / raw, 1.0)
-    m = np.sqrt(rho * w)
-    A = d * (m[:, None] * J * m[None, :])
+    ws = _Workspace(k, 2.0 * ell, _EIGEN_CELLS)
+    K = np.array([ws.lattice.direct(e) for e in np.eye(_EIGEN_CELLS + 1)])
+    m = np.sqrt(ws.row_scale * ws.trap_w)
+    A = d * (m[:, None] * K * m[None, :])
     np.fill_diagonal(A, A.diagonal() + (a_const - d))
     return float(np.linalg.eigvalsh(A)[-1])

@@ -317,24 +317,18 @@ def solve_semiwave(
     a different outcome from NonExistence.  ``sigma`` is the homotopy
     source, which pins the front value phi(0) at sigma instead of 0.
     """
-    if c <= 0:
-        raise ValueError("c must be positive")
-    if d <= 0:
-        raise ValueError("d must be positive")
+    M = choose_M(c, d, r)
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     params = params or SemiWaveParams()
     ws = _workspace(k, params.resolve_depth(k), params.n_cells)
-    M = choose_M(c, d, r)
 
     if initial is None:
         phi = np.ones(params.n_cells + 1)
-        cold_start = True
     else:
         phi = np.clip(np.asarray(initial, dtype=float), 0.0, 1.0)
         if phi.shape != ws.x.shape:
             raise ValueError("initial profile does not match the solver grid")
-        cold_start = False
 
     A = _Operator(c, d, r, M, sigma, ws)
     slip = 0.0
@@ -363,46 +357,48 @@ def solve_semiwave(
             f"semi-wave iteration at c={c} did not converge in {params.max_iters} iterations"
         )
 
-    if cold_start and slip > 1e-10:
+    if initial is None and slip > 1e-10:
         warnings.warn(
             f"monotone iteration slipped upward by {slip:.2e} at c={c}",
             RuntimeWarning,
             stacklevel=2,
         )
-    residual = float(np.max(np.abs(A(phi) - phi)))
+    return _verdict(A, phi, A(phi), params.tol_iter, it, slip)
+
+
+def _verdict(
+    A: _Operator, phi: np.ndarray, nxt: np.ndarray, tol_iter: float, it: int, slip: float
+) -> SemiWaveProfile | NonExistence:
+    """The plateau and residual test of a converged iterate phi of A, whose
+    image under A is ``nxt``: NonExistence, or the profile with its ODE
+    defect, the sup defect of the differential form at interior nodes.  That
+    is O(h^2) by centered differences, so it is reported, not gated on: the
+    fixed-point residual is the discretization-consistent test."""
+    residual = float(np.max(np.abs(nxt - phi)))
     plateau = float(phi[0])
-    accept = plateau >= threshold and residual <= _RESIDUAL_FACTOR * params.tol_iter
-    if not accept:
+    if not (plateau >= 1.0 - _PLATEAU_EPS and residual <= _RESIDUAL_FACTOR * tol_iter):
         return NonExistence(
-            c=c,
+            c=A.c,
             plateau_value=plateau,
             residual=residual,
             iterations_used=it,
             reason="plateau or residual test failed after convergence",
         )
+    ws, d = A.ws, A.d
+    dphi = (phi[2:] - phi[:-2]) / (2.0 * ws.h)
+    rhs = d * (ws.convolve(phi) + ws.far + A.sigma * ws.a_x) - d * phi + A.f(phi)
     return SemiWaveProfile(
         grid=ws.grid,
         phi=phi,
-        c=c,
+        c=A.c,
         d=d,
-        sigma=sigma,
+        sigma=A.sigma,
         iterations_used=it,
         residual=residual,
         plateau_value=plateau,
-        ode_defect=_ode_defect(phi, c, d, r, sigma, ws),
+        ode_defect=float(np.max(np.abs(rhs[1:-1] + A.c * dphi))),
         monotonicity_slip=slip,
     )
-
-
-def _ode_defect(phi, c, d, r, sigma, ws: _Workspace) -> float:
-    """Sup defect of the differential form at interior nodes (diagnostic).
-
-    Centered differences make this O(h^2); it is reported, not gated on,
-    because the fixed-point residual is the discretization-consistent test.
-    """
-    dphi = (phi[2:] - phi[:-2]) / (2.0 * ws.h)
-    rhs = d * (ws.convolve(phi) + ws.far + sigma * ws.a_x) - d * phi + r.f(phi)
-    return float(np.max(np.abs(rhs[1:-1] + c * dphi)))
 
 
 def half_level_shift(p: SemiWaveProfile) -> tuple[float, tuple[UniformGrid, np.ndarray]]:
@@ -565,25 +561,13 @@ def _pinned_semiwave(
             f"pinned semi-wave iteration did not converge in {params.max_iters} iterations "
             f"(last speed {c:.6g})"
         )
-    residual = float(np.max(np.abs(A.integrate(unit.rhs(phi, direct=True)) - phi)))
-    plateau = float(phi[0])
-    if plateau < 1.0 - _PLATEAU_EPS or residual > _RESIDUAL_FACTOR * params.tol_iter:
+    out = _verdict(A, phi, A.integrate(unit.rhs(phi, direct=True)), params.tol_iter, it, slip)
+    if not out.accepted:
         raise NonconvergenceError(
             f"pinned semi-wave at c={c:.6g} failed its plateau or residual test "
-            f"(plateau {plateau:.3g}, residual {residual:.2e})"
+            f"(plateau {out.plateau_value:.3g}, residual {out.residual:.2e})"
         )
-    return SemiWaveProfile(
-        grid=ws.grid,
-        phi=phi,
-        c=c,
-        d=d,
-        sigma=0.0,
-        iterations_used=it,
-        residual=residual,
-        plateau_value=plateau,
-        ode_defect=_ode_defect(phi, c, d, r, 0.0, ws),
-        monotonicity_slip=slip,
-    )
+    return out
 
 
 def linear_determinacy_speed(d: float, k: Kernel, r: Reaction) -> float | None:

@@ -10,11 +10,12 @@ free-boundary condition as one system in (phi, c),
 
 by matrix-free Newton-Krylov (Knoll & Keyes, J. Comput. Phys. 193, 2004):
 scipy's Newton loop, line search and forcing terms around this module's
-one-cycle GMRES, ``_gmres``.  One monotone solve at a small speed c_s
-starts it and, by the monotonicity of G, brackets the root in
-[c_s, mu*M(c_s)].  The monotone iteration then certifies the result: a
-second solve at the Newton speed, warm-started just above the Newton
-profile, must accept a profile whose flux matches c0.
+one-cycle GMRES, ``_gmres``, with ``_NEWTON_STEPS`` steps as its only
+budget (``max_iters`` bounds each monotone solve).  One monotone solve at
+a small speed c_s starts it and, by the monotonicity of G, brackets the
+root in [c_s, mu*M(c_s)].  The monotone iteration then certifies the
+result: a second solve at the Newton speed, warm-started just above the
+Newton profile, must accept a profile whose flux matches c0.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ __all__ = ["SpeedSolution", "CurveEntry", "flux_M", "solve_c0", "c0_curve"]
 
 # Newton steps before a solve counts as failed: three times the most any c0
 # of the mu-to-infinity acceptance check or the speed-sweep bench takes (7).
-# Without a cap a wandering solve ran until max_iters operator applications.
+# This is Newton's only budget; max_iters bounds the monotone solves.
 _NEWTON_STEPS = 21
 
 
@@ -84,8 +85,8 @@ def solve_c0(
     The start is a cold monotone solve at ``c_s = min(0.1, mu*c(J)/10)``,
     halved while G(c_s) >= 0, and the speed ``sqrt(c_s * mu*M(c_s))``
     inside the bracket.  ``scipy.optimize.newton_krylov`` with ``_gmres``
-    then solves F(phi, c) = 0, with at most ``max_iters`` operator
-    applications and ``_NEWTON_STEPS`` Newton steps.  Both solves stop at
+    then solves F(phi, c) = 0 in at most ``_NEWTON_STEPS`` Newton steps;
+    ``max_iters`` bounds only the two monotone solves.  Both solves stop at
     ``tol_iter' = min(tol_iter, tol/(10*mu*c(J)))``.  The result counts only
     if ``solve_semiwave`` at c0, started ``min(1e-3, 1e3*tol_iter')`` above
     the Newton profile, accepts a profile whose residual
@@ -158,18 +159,11 @@ def _bordered_newton(
     ws = _workspace(k, params.resolve_depth(k), params.n_cells)
     # choose_M(c, d, r) is M at unit speed over c, bit for bit: check it once
     m_unit = choose_M(1.0, d, r)
-    applications = 0
 
     def F(z: np.ndarray) -> np.ndarray:
-        nonlocal applications
         phi, c = z[:-1], float(z[-1])
         if not c > 0.0:
             raise NonconvergenceError(f"bordered Newton solve for c0 reached c = {c}")
-        if applications == params.max_iters:
-            raise NonconvergenceError(
-                f"bordered Newton solve for c0 used {params.max_iters} operator applications"
-            )
-        applications += 1
         out = np.empty_like(z)
         out[:-1] = _Operator(c, d, r, m_unit / c, 0.0, ws)(phi)
         out[:-1] -= phi

@@ -2,8 +2,9 @@
 
 These deliberately take different discretization routes from the library:
 the semi-wave oracle marches the first-order form with a Heun integrator
-under an outer damped Picard loop, and the eigenvalue oracle calls a dense
-solver on the raw trapezoid matrix.
+under an outer damped Picard loop, the eigenvalue oracle calls a dense
+solver on the raw trapezoid matrix, and the Laplace kernel's eigenvalue
+threshold is in closed form.
 """
 
 from __future__ import annotations
@@ -77,6 +78,18 @@ def dense_principal_eigenvalue(ell: float, d: float, kernel, a_const: float, n_c
     A = d * J * w[None, :]
     np.fill_diagonal(A, A.diagonal() + (a_const - d))
     return float(np.max(np.linalg.eigvals(A).real))
+
+
+def laplace_ell_star(d: float, a: float) -> float:
+    """The half-width at which the principal eigenvalue of d(J*phi - phi) +
+    a*phi on [-l, l] vanishes, for J = exp(-|x|)/2 and 0 < a < d.
+
+    With w = J*phi, w'' = w - phi inside the interval and the eigenfunction
+    solves a local ODE; an even cosine mode matched to the decaying
+    exponential outside gives l* = s*arctan(s), s = sqrt((d - a)/a).
+    """
+    s = np.sqrt((d - a) / a)
+    return float(s * np.arctan(s))
 
 
 def laplace_linear_speed_objective(lam: float, d: float = 1.0, df0: float = 1.0) -> float:

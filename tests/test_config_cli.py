@@ -495,6 +495,11 @@ _BAD_INPUTS = {
         ["experiment", "mu-limit"],
         4,
     ),
+    # the default line, 8*t_max*c_lin wide, is sized by the kernel's speed
+    # while its band grows with the width: 7.3e13 multiply-adds
+    "cauchy-default-line-of-a-wide-gaussian": (
+        MINIMAL.replace("type = laplace", "type = gaussian\nsd = 30.0"), ["cauchy"], 2
+    ),
     "cauchy-line-shorter-than-u0": (
         MINIMAL + "[model]\nh0 = 5.0\n[time]\nt_max = 1.0\n[grid]\ndomain_halfwidth = 8.0\n",
         ["cauchy"],

@@ -10,6 +10,7 @@ from frontlab import (
     LatticeConvolution,
     OutcomeTag,
     SimConfig,
+    bracketed_root,
     c_of_J,
     classify_outcome,
     make_laplace,
@@ -31,7 +32,7 @@ from frontlab.fbsim import FrontTrajectory, _initial_state, _quad_weighted
 from frontlab.numerics import FFT_MIN_NODES
 
 from .conftest import parabola_u0
-from .oracles import dense_principal_eigenvalue
+from .oracles import dense_principal_eigenvalue, laplace_ell_star
 
 
 def _small_cfg(kernel, reaction, **kw):
@@ -404,3 +405,9 @@ class TestPrincipalEigenvalue:
     def test_invalid_ell(self, laplace):
         with pytest.raises(ValueError):
             principal_eigenvalue(0.0, 1.0, laplace, 1.0)
+
+
+@pytest.mark.parametrize("d", [2.0, 5.0])
+def test_eigenvalue_root_matches_laplace_ell_star(laplace, d):
+    ell = bracketed_root(lambda l: principal_eigenvalue(l, d, laplace, 1.0), 0.1, 1.0, xtol=1e-10)
+    assert ell == pytest.approx(laplace_ell_star(d, 1.0), abs=1e-5)

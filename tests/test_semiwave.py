@@ -116,6 +116,19 @@ class TestWorkspaceCache:
 
 
 class TestSolveSemiwave:
+    @pytest.mark.parametrize(
+        "c, d, sigma, message",
+        [
+            (0.0, 1.0, 0.0, "c must be positive"),
+            (-1.0, 1.0, 0.0, "c must be positive"),
+            (1.0, 0.0, 0.0, "d must be positive"),
+            (1.0, 1.0, -0.1, "sigma must be >= 0"),
+        ],
+    )
+    def test_invalid_args(self, laplace, logistic, c, d, sigma, message):
+        with pytest.raises(ValueError, match=message):
+            solve_semiwave(c, d, laplace, logistic, sigma=sigma)
+
     def test_reference_instance(self, laplace, logistic):
         out = solve_semiwave(1.0, 1.0, laplace, logistic)
         assert isinstance(out, SemiWaveProfile)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import aslinearoperator, gmres
@@ -180,12 +182,15 @@ class TestSolveC0:
         assert speeds == [sol.bracket[0], sol.c0]
         assert sol.residual <= 1e-8
 
-    def test_newton_budget_exhausted(self, laplace, logistic):
-        # the cold start takes 42 iterations, Newton 43 applications
+    def test_max_iters_bounds_only_the_monotone_solves(self, laplace, logistic):
+        # the cold start takes 42 iterations and the certificate 19; Newton's
+        # operator applications, more than 42, count against its step cap only
         params = SemiWaveParams(depth=30.0, n_cells=1200, max_iters=42)
-        assert solve_semiwave(0.05, 1.0, laplace, logistic, params).accepted
-        with pytest.raises(NonconvergenceError, match="42 operator applications"):
-            solve_c0(1.0, 1.0, laplace, logistic, params)
+        sol = solve_c0(1.0, 1.0, laplace, logistic, params)
+        assert sol.c0 == pytest.approx(0.2717034942846993, rel=1e-8)
+        assert sol.profile.iterations_used < 42
+        with pytest.raises(NonconvergenceError, match="did not converge in 41 iterations"):
+            solve_c0(1.0, 1.0, laplace, logistic, replace(params, max_iters=41))
 
     def test_newton_steps_are_capped(self, laplace, logistic, monkeypatch):
         # from c = 300 Newton wanders between c = 0.4 and 3.3 for as long as
