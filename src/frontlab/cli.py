@@ -114,7 +114,6 @@ def _cmd_speed(args) -> int:
             "c0": sol.c0,
             "mu": sol.mu,
             "residual": sol.residual,
-            "bracket": list(sol.bracket),
             "upper_bound_mu_cJ": sol.flux_constant,
         },
     )

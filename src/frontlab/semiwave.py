@@ -18,7 +18,9 @@ order is what keeps reruns and refactors byte-identical.
 The threshold c* is not read off these verdicts: near it a collapse or an
 exhausted budget follows the last bits of the convolution.  ``estimate_cstar``
 instead solves for the semi-wave whose half level is pinned at -L/2 and
-returns its speed, with the speed as an unknown of the iteration.
+returns its speed, with the speed as an unknown of the iteration: the
+freezing iteration ``_frozen``, which also gives ``speed.solve_c0`` its
+speed and profile under the free-boundary condition.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .errors import (
 )
 from .kernels import Kernel, TailClass, classify_tail
 from .numerics import (
-    LatticeConvolution, UniformGrid, bracketed_root, grow_bracket, trapezoid_weights,
+    LatticeConvolution, UniformGrid, grow_bracket, trapezoid_weights,
 )
 from .reactions import Reaction
 
@@ -250,16 +252,18 @@ class _Operator:
 
     def integrate(self, w: np.ndarray) -> np.ndarray:
         """The operator's second half, from the node values w of the shifted
-        right-hand side; overwrites w."""
+        right-hand side on the last ``w.size`` nodes.  The recursion runs from
+        the front, so a suffix of w gives the same suffix of the full result,
+        bit for bit, from the band's last columns.  Leaves w as it is."""
+        m = w.size - 1
         cell = self.alpha * w[:-1]
-        w *= self.beta
-        cell += w[1:]
-        acc = dtbsv(1, self.band, cell, lower=0, diag=1, overwrite_x=1)
+        cell += self.beta * w[1:]
+        acc = dtbsv(1, self.band[:, -m:], cell, lower=0, diag=1, overwrite_x=1)
         out = np.empty_like(w)
         np.divide(acc, self.c, out=out[:-1])
         out[-1] = 0.0
         if self.sigma != 0.0:
-            out[:-1] += self.lift
+            out[:-1] += self.lift[-m:]
             out[-1] = self.sigma
         return out
 
@@ -437,10 +441,10 @@ def estimate_cstar(
     grows, roughly as c* - A/L^2.  One pinned solve gives it: a cold
     ``solve_semiwave`` at c_lin/2 (c_lin the linear-determinacy speed),
     shifted so that phi(-L/2) = 1/2, then the freezing iteration of
-    ``_pinned_semiwave``.  The iteration budget running out, a lost phase
-    root, or a profile that fails the plateau or residual test raises
-    ``NonconvergenceError``; no outcome is read as a verdict.  An estimate
-    more than 5% from c_lin warns.
+    ``_pinned_semiwave``.  The iteration budget running out, a speed that
+    leaves (0, inf), or a profile that fails the plateau or residual test
+    raises ``NonconvergenceError``; no outcome is read as a verdict.  An
+    estimate more than 5% from c_lin warns.
     """
     cls = classify_tail(k)
     if cls not in (TailClass.THIN_TAIL, TailClass.COMPACT_SUPPORT):
@@ -463,62 +467,77 @@ def estimate_cstar(
     return estimate
 
 
-def _pinned_level(
-    w: np.ndarray, cM: float, h: float, powers: np.ndarray
-) -> Callable[[float], float]:
-    """The value at x = -L/2 of A_c(phi), as a function of the speed c, from
-    the node values w of the operator's first half at unit speed.
+def _frozen(
+    d: float,
+    r: Reaction,
+    ws: _Workspace,
+    params: SemiWaveParams,
+    phi: np.ndarray,
+    c: float,
+    phase: Callable[[_Operator, np.ndarray], float],
+    direct: bool = False,
+) -> tuple[_Operator, np.ndarray, int, float]:
+    """The freezing iteration (Beyn & Thuemmler, SIAM J. Appl. Dyn. Syst. 3,
+    2004): the profile phi and its speed c, with c held by the phase
+    condition ``phase(A_c, w) = 0``.
 
-    -L/2 lies theta of a cell beyond node j0 = n//2, so the value needs
-    I[j0] and I[j0 + 1] of the recursion I[j] = cell[j] + E*I[j+1], where
-    I[j0 + 1] = alpha*S1 + beta*S2 with the series S1 = sum_m E^m w[j0+1+m]
-    and S2 = sum_m E^m w[j0+2+m] over m < K = n - j0 - 1.  They differ by
-    one shift, S1 = w[j0+1] + E*(S2 - E^(K-1)*w[n]), so each call takes one
-    exponential, E^m = exp(-M*h*m) with ``powers`` = -h*arange(K), and one
-    dot product.  The slice and the scalars of w are taken out here, once
-    for all the calls.
+    Each step forms the operator's speed-independent first half at unit
+    speed,
+
+        w = d*(J*phi + far) + (c*M - d)*phi + f(phi),   c*M = choose_M(1, d, r),
+
+    moves c by two Newton steps on the phase condition that share one
+    forward-difference slope, and sets phi to ``A_c.integrate(w)``.
+    ``phase`` must leave w as it finds it.  The iteration stops at
+    max|phi_new - phi| < tol_iter; ``max_iters`` is its only budget.
+    Returns the operator at the last speed, the last iterate, the number of
+    iterations and the largest upward step of any node.
     """
-    n = w.size - 1
-    j0 = n // 2
-    theta = 0.5 * n - j0
-    tail = w[j0 + 2 :]
-    w0, w1, w_last = float(w[j0]), float(w[j0 + 1]), float(w[-1])
+    cM = choose_M(1.0, d, r)
+    unit = _Operator(1.0, d, r, cM, 0.0, ws)
 
-    def level(c: float) -> float:
-        M = cM / c
-        alpha, beta, E = _exp_cell_weights(M, h)
-        p = np.exp(M * powers)
-        s2 = float(p @ tail)
-        s1 = w1 + E * (s2 - float(p[-1]) * w_last)
-        i1 = alpha * s1 + beta * s2
-        i0 = alpha * w0 + beta * w1 + E * i1
-        return ((1.0 - theta) * i0 + theta * i1) / c
+    def at(c: float) -> _Operator:
+        if not 0.0 < c < math.inf:
+            raise NonconvergenceError(f"frozen iteration reached c = {c:.3g}")
+        return _Operator(c, d, r, cM / c, 0.0, ws)
 
-    return level
+    slip = 0.0
+    for it in range(1, params.max_iters + 1):
+        w = unit.rhs(phi, direct)
+        g = phase(at(c), w)
+        dc = 1e-8 * c
+        slope = (phase(at(c + dc), w) - g) / dc
+        c -= g / slope
+        c -= phase(at(c), w) / slope
+        A = at(c)
+        nxt = A.integrate(w)
+        diff = nxt - phi
+        rise = float(diff.max())
+        delta = max(rise, -float(diff.min()))
+        slip = max(slip, rise)
+        phi = nxt
+        if delta < params.tol_iter:
+            return A, phi, it, slip
+    raise NonconvergenceError(
+        f"frozen iteration did not converge in {params.max_iters} iterations "
+        f"(last speed {c:.6g})"
+    )
 
 
 def _pinned_semiwave(
     d: float, k: Kernel, r: Reaction, params: SemiWaveParams, c_start: float
 ) -> SemiWaveProfile:
-    """The semi-wave with phi(-L/2) = 1/2, and its speed, by the freezing
-    method (Beyn & Thuemmler, SIAM J. Appl. Dyn. Syst. 3, 2004).
+    """The semi-wave with phi(-L/2) = 1/2, and its speed, by ``_frozen``.
 
     Near c* the map phi -> A_c(phi) has one eigenvalue within about 1e-11 of
     1: the front's translation, held only by the exponentially small leading
-    edge.  Pinning the front's position removes that mode.  Each iteration
-    forms the operator's speed-independent first half at unit speed,
-
-        w = d*(J*phi + far) + (c*M - d)*phi + f(phi),   c*M = choose_M(1, d, r),
-
-    and picks the speed c by a scalar root (``bracketed_root``) so that
-    A_c(phi), which is decreasing in c at every node, keeps phi(-L/2) = 1/2.
-    Each probe of that root costs one exponential series and one dot
-    product over the nodes right of -L/2 (``_pinned_level``).
+    edge.  Pinning the front's position removes that mode.  The phase is
+    A_c(phi) at -L/2, minus 1/2; A_c(phi) decreases in c at every node, and
+    the phase integrates only the nodes from -L/2 to the front.
     The convolution is the relative-accuracy path,
     ``LatticeConvolution.direct``: under the FFT's absolute rounding
     floor the leading edge is noise, and the uniform kernel at depth 80
-    (4 000 cells) lost its phase root that way.  The iteration stops at
-    max|phi_new - phi| < tol_iter.  The start comes from
+    (4 000 cells) lost its phase that way.  The start comes from
     the cold profile at ``c_start``, never from another pinned profile: one
     shifted by a single unit stopped after 4 iterations near its own speed.
     """
@@ -530,41 +549,20 @@ def _pinned_semiwave(
     l, _ = half_level_shift(cold)
     phi = np.interp(ws.x + (0.5 * L - l), ws.x, cold.phi, left=1.0, right=0.0)
 
+    # -L/2 lies theta of a cell beyond node j0
     n = params.n_cells
-    cM = choose_M(1.0, d, r)
-    powers = -ws.h * np.arange(n - n // 2 - 1)
+    j0 = n // 2
+    theta = 0.5 * n - j0
 
-    unit = _Operator(1.0, d, r, cM, 0.0, ws)
-    # the speed's bracket reaches twice its last change either side, so the
-    # root mostly lies inside and the bracket need not grow
-    c, step, slip = c_start, 0.5 * c_start, 0.0
-    for it in range(1, params.max_iters + 1):
-        w = unit.rhs(phi, direct=True)
-        level = _pinned_level(w, cM, ws.h, powers)
-        try:
-            c_new = bracketed_root(lambda c: 0.5 - level(c), c - step, c + step, xtol=1e-15)
-        except NonconvergenceError as exc:
-            raise NonconvergenceError(f"pinned semi-wave lost its phase root: {exc}") from None
-        step = min(max(2.0 * abs(c_new - c), 1e-12 * c_new), 0.5 * c_new)
-        c = c_new
-        A = _Operator(c, d, r, cM / c, 0.0, ws)
-        nxt = A.integrate(w)
-        diff = nxt - phi
-        rise = float(diff.max())
-        delta = max(rise, -float(diff.min()))
-        slip = max(slip, rise)
-        phi = nxt
-        if delta < params.tol_iter:
-            break
-    else:
-        raise NonconvergenceError(
-            f"pinned semi-wave iteration did not converge in {params.max_iters} iterations "
-            f"(last speed {c:.6g})"
-        )
-    out = _verdict(A, phi, A.integrate(unit.rhs(phi, direct=True)), params.tol_iter, it, slip)
+    def phase(A: _Operator, w: np.ndarray) -> float:
+        tail = A.integrate(w[j0:])
+        return float((1.0 - theta) * tail[0] + theta * tail[1]) - 0.5
+
+    A, phi, it, slip = _frozen(d, r, ws, params, phi, c_start, phase, direct=True)
+    out = _verdict(A, phi, A.integrate(A.rhs(phi, direct=True)), params.tol_iter, it, slip)
     if not out.accepted:
         raise NonconvergenceError(
-            f"pinned semi-wave at c={c:.6g} failed its plateau or residual test "
+            f"pinned semi-wave at c={A.c:.6g} failed its plateau or residual test "
             f"(plateau {out.plateau_value:.3g}, residual {out.residual:.2e})"
         )
     return out

@@ -260,6 +260,16 @@ class TestCli:
         summary = json.loads((out / "summary.json").read_text())
         assert 0.0 < summary["c0"] < 0.5
 
+    def test_speed_at_tiny_mu(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(MINIMAL)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--config", str(cfg), "--out", str(out), "speed", "--mu", "1e-12"]) == 0
+        assert capsys.readouterr().err == ""
+        assert 0.0 < json.loads((out / "summary.json").read_text())["c0"] < 1e-12
+
     def test_speed_curve_csv_schema(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(MINIMAL + "[semiwave]\ndepth = 30.0\nn_cells = 1200\n")

@@ -33,7 +33,7 @@ from frontlab import (
 from frontlab.cauchy import CauchyState, cauchy_step
 from frontlab.fbsim import FieldState, _active_range, _quad_weighted, step
 from frontlab.numerics import FFT_MIN_NODES, LatticeConvolution, UniformGrid
-from frontlab.semiwave import _exp_cell_weights, _workspace
+from frontlab.semiwave import _exp_cell_weights, _Operator, _workspace
 
 
 def _reference_apply(phi, c, d, r, M, sigma, ws):
@@ -74,6 +74,19 @@ def test_semiwave_operator(logistic, kname, n_cells, sigma):
         M = choose_M(c, d, logistic)
         out = apply_A(phi, c, d, k, logistic, M, sigma, params)
         assert np.array_equal(out, _reference_apply(phi, c, d, logistic, M, sigma, ws))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.3])
+@pytest.mark.parametrize("start", [0, 1, 600, 1199])
+def test_semiwave_integrate_on_a_suffix(logistic, start, sigma):
+    # the pinned phase integrates only the nodes from -L/2 to the front
+    ws = _workspace(make_laplace(), 30.0, 1200)
+    w = np.random.default_rng(start).uniform(0.0, 3.0, 1201)
+    kept = w.copy()
+    A = _Operator(0.9, 0.7, logistic, choose_M(0.9, 0.7, logistic), sigma, ws)
+    full = A.integrate(w)
+    assert np.array_equal(A.integrate(w[start:]), full[start:])
+    assert np.array_equal(w, kept)
 
 
 def _reference_weighted(s, x_0, x_last):

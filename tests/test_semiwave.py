@@ -273,27 +273,6 @@ class TestEstimateCstar:
         est = estimate_cstar(1.0, laplace, logistic, params)
         assert est == pytest.approx(2.5277026427551967, rel=1e-12)
 
-    @pytest.mark.parametrize("n_cells", [1200, 1201])
-    def test_pinned_level_against_the_series(self, logistic, n_cells):
-        # -L/2 on a node (theta = 0) and mid-cell (theta = 0.5): the shifted
-        # one-exponential form against E**m and two dot products
-        h = 30.0 / n_cells
-        cM = choose_M(1.0, 1.0, logistic)
-        j0 = n_cells // 2
-        theta = 0.5 * n_cells - j0
-        K = n_cells - j0 - 1
-        powers = -h * np.arange(K)
-        rng = np.random.default_rng(n_cells)
-        for c in (0.3, 0.9, 2.5, 10.0):
-            w = rng.uniform(0.0, 3.0, n_cells + 1)
-            alpha, beta, E = semiwave._exp_cell_weights(cM / c, h)
-            p = E ** np.arange(K)
-            i1 = alpha * (p @ w[j0 + 1 : -1]) + beta * (p @ w[j0 + 2 :])
-            i0 = alpha * w[j0] + beta * w[j0 + 1] + E * i1
-            series = ((1.0 - theta) * i0 + theta * i1) / c
-            level = semiwave._pinned_level(w, cM, h, powers)
-            assert level(c) == pytest.approx(series, rel=1e-13)
-
     def test_uniform_against_linear_determinacy(self, logistic):
         k = make_uniform(1.0)
         c_lin = linear_determinacy_speed(1.0, k, logistic)

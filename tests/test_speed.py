@@ -2,7 +2,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import aslinearoperator, gmres
 
 from frontlab import (
     NonExistence,
@@ -13,6 +12,7 @@ from frontlab import (
     c0_curve,
     c_of_J,
     flux_M,
+    linear_determinacy_speed,
     make_custom,
     make_gaussian,
     make_laplace,
@@ -83,8 +83,6 @@ class TestSolveC0:
         assert c0_mu1.residual < 1e-8
         assert 0.0 < c0_mu1.c0 < 0.5
         assert c0_mu1.c0 < c0_mu1.flux_constant
-        lo, hi = c0_mu1.bracket
-        assert lo < c0_mu1.c0 <= hi
 
     def test_against_dense_sampling_of_G(self, laplace, logistic, c0_mu1, quick_params):
         """Bracket the root independently by scanning G on a coarse grid."""
@@ -143,7 +141,7 @@ class TestSolveC0:
         ids=lambda v: f"mu{v:g}" if isinstance(v, float) else v,
     )
     def test_bracket_insensitive(self, logistic, quick_params, kname, mu):
-        """The bordered solve agrees with a root finder over monotone solves."""
+        """The frozen iteration agrees with a root finder over monotone solves."""
         from frontlab import bracketed_root
 
         d, r = 1.0, logistic
@@ -163,8 +161,7 @@ class TestSolveC0:
             assert prof.accepted, f"no semi-wave at c = {c}"
             return c - flux_M(prof, k, mu)
 
-        # a bracket of its own, not the one solve_c0 reports; every speed in
-        # it lies below the threshold c*
+        # a bracket around c0 in which every speed lies below the threshold c*
         other = bracketed_root(G, 0.5 * sol.c0, 1.5 * sol.c0, tol * 1e-3)
         assert abs(other - sol.c0) <= 10.0 * tol
         assert sol.residual <= tol
@@ -178,69 +175,72 @@ class TestSolveC0:
 
         monkeypatch.setattr(speed, "solve_semiwave", counted)
         sol = solve_c0(1.0, 1.0, laplace, logistic, quick_params)
-        # the start at c_s and the certificate at c0
-        assert speeds == [sol.bracket[0], sol.c0]
+        # the certificate at c0 is the only monotone solve
+        assert speeds == [sol.c0]
         assert sol.residual <= 1e-8
 
-    def test_max_iters_bounds_only_the_monotone_solves(self, laplace, logistic):
-        # the cold start takes 42 iterations and the certificate 19; Newton's
-        # operator applications, more than 42, count against its step cap only
-        params = SemiWaveParams(depth=30.0, n_cells=1200, max_iters=42)
+    def test_max_iters_bounds_the_frozen_iteration(self, laplace, logistic):
+        # the frozen iteration takes 44 iterations and the certificate 19
+        params = SemiWaveParams(depth=30.0, n_cells=1200, max_iters=44)
         sol = solve_c0(1.0, 1.0, laplace, logistic, params)
-        assert sol.c0 == pytest.approx(0.2717034942846993, rel=1e-8)
-        assert sol.profile.iterations_used < 42
-        with pytest.raises(NonconvergenceError, match="did not converge in 41 iterations"):
-            solve_c0(1.0, 1.0, laplace, logistic, replace(params, max_iters=41))
-
-    def test_newton_steps_are_capped(self, laplace, logistic, monkeypatch):
-        # from c = 300 Newton wanders between c = 0.4 and 3.3 for as long as
-        # it may; the step cap ends it after about 500 applications
-        params = SemiWaveParams()
-        start = solve_semiwave(0.1, 1.0, laplace, logistic, params)
-        applications = []
-        operator = semiwave._Operator.__call__
-        monkeypatch.setattr(
-            semiwave._Operator, "__call__",
-            lambda self, phi: applications.append(self.c) or operator(self, phi),
-        )
-        with pytest.raises(NonconvergenceError, match=f"{speed._NEWTON_STEPS} Newton steps"):
-            speed._bordered_newton(1000.0, 1.0, laplace, logistic, params, start.phi, 300.0)
-        assert len(applications) <= 1_000
+        assert sol.c0 == pytest.approx(0.2717034943259922, rel=1e-11)
+        assert sol.profile.iterations_used == 19
+        with pytest.raises(NonconvergenceError, match="did not converge in 43 iterations"):
+            solve_c0(1.0, 1.0, laplace, logistic, replace(params, max_iters=43))
 
     def test_few_applications_at_large_mu(self, laplace, logistic, monkeypatch):
-        # Laplace mu = 1000 takes 339: 91 in Newton, 201 in the certificate,
-        # whose start sits 1e3*tol_iter above the Newton profile
-        applications = []
-        operator = semiwave._Operator.__call__
-        monkeypatch.setattr(
-            semiwave._Operator, "__call__",
-            lambda self, phi: applications.append(self.c) or operator(self, phi),
-        )
+        # Laplace mu = 1000 applies the operator in 95 frozen iterations, then
+        # 201 times in the certificate, whose start sits 1e3*tol_iter above
+        # the frozen profile
+        iterations = []
+
+        def recorded(*args, **kwargs):
+            out = semiwave._frozen(*args, **kwargs)
+            iterations.append(out[2])
+            return out
+
+        monkeypatch.setattr(speed, "_frozen", recorded)
         sol = solve_c0(1000.0, 1.0, laplace, logistic)
         assert sol.residual <= 1e-8
-        assert len(applications) <= 400
+        assert iterations == [95]
+        assert sol.profile.iterations_used == 201
 
     @pytest.mark.parametrize("verdict", ["nonexistence", "wrong-profile"])
     def test_rejected_certificate_raises(
         self, laplace, logistic, quick_params, monkeypatch, verdict
     ):
-        start = []
-
-        def polished(c, *args, initial=None, **kwargs):
-            out = solve_semiwave(c, *args, initial=initial, **kwargs)
-            if initial is None:
-                start.append(out)
-                return out
+        def polished(c, *args, **kwargs):
             if verdict == "nonexistence":
                 return NonExistence(
                     c=c, plateau_value=0.5, residual=1.0, iterations_used=1, reason="rejected"
                 )
-            # an accepted profile, but at the start speed: its flux is not c0's
-            return start[0]
+            # an accepted profile, but at half the speed: its flux is not c0's
+            return solve_semiwave(0.5 * c, *args)
 
         monkeypatch.setattr(speed, "solve_semiwave", polished)
         with pytest.raises(NonconvergenceError, match="certif"):
             solve_c0(1.0, 1.0, laplace, logistic, quick_params)
+
+    @pytest.mark.parametrize(
+        "mu, exact", [(1e4, 2.1711320455), (1e5, 2.3075196570), (1e6, 2.3904855263)]
+    )
+    def test_large_mu_against_shooting(self, laplace, logistic, mu, exact):
+        # exact values from ODE shooting of the Laplace reduction; the default
+        # grid reads about +4.4e-6 above them
+        sol = solve_c0(mu, 1.0, laplace, logistic)
+        assert sol.c0 == pytest.approx(exact, rel=1e-5)
+
+    @pytest.mark.parametrize("kname, mu", [("uniform", 3000.0), ("gaussian", 5000.0)])
+    def test_large_mu_converges(self, logistic, kname, mu):
+        k = _KERNELS[kname]()
+        sol = solve_c0(mu, 1.0, k, logistic)
+        assert sol.residual <= 1e-8
+        assert sol.c0 < linear_determinacy_speed(1.0, k, logistic)
+
+    def test_small_mu_is_linear_in_mu(self, laplace, logistic):
+        # c0 ~ mu*M(0+) as mu -> 0
+        slopes = [solve_c0(mu, 1.0, laplace, logistic).c0 / mu for mu in (1e-9, 1e-7)]
+        assert slopes[0] == pytest.approx(slopes[1], rel=1e-6)
 
     def test_below_minimal_wave_speed(self, c0_mu1):
         assert c0_mu1.c0 < 3.0 * np.sqrt(3.0) / 2.0
@@ -262,64 +262,13 @@ class TestC0Curve:
         assert all(e.solution is None for e in entries)
         assert all("NoFiniteSpeed" in e.error for e in entries)
 
+    def test_large_mu_sweep_has_no_error(self, laplace, logistic):
+        entries = c0_curve([1e2, 1e3, 1e4, 1e5, 1e6], 1.0, laplace, logistic)
+        assert [e.error for e in entries] == [None] * 5
+        cs = [e.solution.c0 for e in entries]
+        assert all(b > a for a, b in zip(cs, cs[1:]))
+
     def test_increasing_in_mu(self, laplace, logistic, quick_params):
         entries = c0_curve([0.5, 1.0, 2.0], 1.0, laplace, logistic, quick_params)
         cs = [e.solution.c0 for e in entries]
         assert all(b > a for a, b in zip(cs, cs[1:]))
-
-
-class TestGmres:
-    """The Krylov method of the bordered Newton solve, on explicit matrices."""
-
-    def test_matches_a_direct_solve(self):
-        rng = np.random.default_rng(3)
-        a = np.eye(12) + 0.3 * rng.standard_normal((12, 12))
-        b = rng.standard_normal(12)
-        x, info = speed._gmres(aslinearoperator(a), b, rtol=1e-12, maxiter=12)
-        assert info == 0
-        np.testing.assert_allclose(x, np.linalg.solve(a, b), rtol=1e-9, atol=1e-12)
-
-    @pytest.mark.parametrize("rtol", [1e-2, 1e-4, 1e-6])
-    def test_stops_at_rtol_times_b(self, rtol):
-        # a spread spectrum, so each Arnoldi step gains only a little
-        rng = np.random.default_rng(5)
-        q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
-        a = q @ np.diag(np.linspace(1.0, 50.0, 40)) @ q.T + 0.1 * rng.standard_normal((40, 40))
-        b = rng.standard_normal(40)
-        steps = []
-        op = aslinearoperator(a)
-        op.matvec = lambda v: steps.append(1) or a @ v
-        x, info = speed._gmres(op, b, rtol=rtol, maxiter=40)
-        assert info == 0
-        assert np.linalg.norm(b - a @ x) <= 1.0001 * rtol * np.linalg.norm(b)
-        # the iterate of scipy's gmres under the same rule
-        x_scipy, _ = gmres(a, b, rtol=rtol, atol=0.0, restart=40, maxiter=1)
-        np.testing.assert_allclose(x, x_scipy, rtol=1e-9, atol=1e-12)
-        # and no further than asked: one step fewer misses rtol
-        n = len(steps)
-        x_short, info_short = speed._gmres(op, b, rtol=rtol, maxiter=n - 1)
-        assert info_short == n - 1
-        assert np.linalg.norm(b - a @ x_short) > rtol * np.linalg.norm(b)
-
-    def test_zero_right_hand_side(self):
-        calls = []
-        op = aslinearoperator(np.eye(5))
-        op.matvec = lambda v: calls.append(1) or v
-        x, info = speed._gmres(op, np.zeros(5), rtol=1e-8, maxiter=20)
-        assert info == 0 and calls == []
-        assert np.array_equal(x, np.zeros(5))
-
-    def test_lucky_breakdown_on_identity(self):
-        # at rtol = 0 only the breakdown test can stop it before maxiter
-        calls = []
-        b = np.arange(1.0, 8.0)
-        op = aslinearoperator(np.eye(7))
-        op.matvec = lambda v: calls.append(1) or v.copy()
-        x, _ = speed._gmres(op, b, rtol=0.0, maxiter=20)
-        assert len(calls) == 1
-        np.testing.assert_allclose(x, b, rtol=1e-15)
-
-    def test_singular_direction_gives_up_without_dividing_by_zero(self):
-        x, info = speed._gmres(aslinearoperator(np.zeros((4, 4))), np.ones(4), 1e-8, 20)
-        assert info == 20
-        assert np.array_equal(x, np.zeros(4))
