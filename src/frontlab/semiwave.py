@@ -68,6 +68,11 @@ _DEPTH_DEFAULT = {
 _RESIDUAL_FACTOR = 100.0
 # a profile keeps its plateau while phi(-L) >= 1 - _PLATEAU_EPS
 _PLATEAU_EPS = 1e-2
+# the freezing iteration gives up after this many iterations without a new
+# smallest step; the converging c0 solves measured (Laplace mu = 1e-12...1e6,
+# uniform to 1e6, Gaussian to 1e5) and pinned c* solves set one at least
+# every 76 iterations
+_STALL_ITERS = 500
 
 
 @dataclass(kw_only=True)
@@ -474,24 +479,31 @@ def _frozen(
     params: SemiWaveParams,
     phi: np.ndarray,
     c: float,
-    phase: Callable[[_Operator, np.ndarray], float],
+    phase: Callable[[float, np.ndarray], float],
+    start: int = 0,
     direct: bool = False,
 ) -> tuple[_Operator, np.ndarray, int, float]:
     """The freezing iteration (Beyn & Thuemmler, SIAM J. Appl. Dyn. Syst. 3,
     2004): the profile phi and its speed c, with c held by the phase
-    condition ``phase(A_c, w) = 0``.
+    condition ``phase(c, A_c(phi)[start:]) = 0``.
 
     Each step forms the operator's speed-independent first half at unit
     speed,
 
         w = d*(J*phi + far) + (c*M - d)*phi + f(phi),   c*M = choose_M(1, d, r),
 
-    moves c by two Newton steps on the phase condition that share one
-    forward-difference slope, and sets phi to ``A_c.integrate(w)``.
-    ``phase`` must leave w as it finds it.  The iteration stops at
-    max|phi_new - phi| < tol_iter; ``max_iters`` is its only budget.
-    Returns the operator at the last speed, the last iterate, the number of
-    iterations and the largest upward step of any node.
+    sets the next iterate to ``A_c.integrate(w)`` and reads the phase off
+    it; ``phase`` sees the nodes from ``start`` to the front.  One more
+    integration, of the suffix ``w[start:]`` at c + dc, gives the phase's
+    forward-difference slope, and c moves by that Newton step for the next
+    iteration: two integrations per step.  The iteration stops once
+    max|phi_new - phi| < tol_iter and the speed step is below tol_iter*c,
+    and returns the operator at the last speed, its image of the last
+    iterate, the number of iterations and the largest upward step of any
+    node.  It raises ``NonconvergenceError`` when ``max_iters`` runs out,
+    or when the larger of the two steps, relative to its tolerance, makes
+    no new minimum in ``_STALL_ITERS`` iterations: then it rests on a
+    rounding floor above tol_iter.
     """
     cM = choose_M(1.0, d, r)
     unit = _Operator(1.0, d, r, cM, 0.0, ws)
@@ -501,23 +513,31 @@ def _frozen(
             raise NonconvergenceError(f"frozen iteration reached c = {c:.3g}")
         return _Operator(c, d, r, cM / c, 0.0, ws)
 
-    slip = 0.0
+    slip, best, best_it = 0.0, math.inf, 0
     for it in range(1, params.max_iters + 1):
         w = unit.rhs(phi, direct)
-        g = phase(at(c), w)
-        dc = 1e-8 * c
-        slope = (phase(at(c + dc), w) - g) / dc
-        c -= g / slope
-        c -= phase(at(c), w) / slope
         A = at(c)
         nxt = A.integrate(w)
+        g = phase(c, nxt[start:])
+        dc = 1e-8 * c
+        slope = (phase(c + dc, at(c + dc).integrate(w[start:])) - g) / dc
+        step = g / slope
         diff = nxt - phi
         rise = float(diff.max())
         delta = max(rise, -float(diff.min()))
         slip = max(slip, rise)
         phi = nxt
-        if delta < params.tol_iter:
+        if delta < params.tol_iter and abs(step) < params.tol_iter * c:
             return A, phi, it, slip
+        excess = max(delta, abs(step) / c) / params.tol_iter
+        if excess < best:
+            best, best_it = excess, it
+        elif it - best_it >= _STALL_ITERS:
+            raise NonconvergenceError(
+                f"frozen iteration stalled at {best:.3g} times tol_iter = {params.tol_iter:.3g}: "
+                f"no smaller step in {_STALL_ITERS} iterations (last speed {c:.6g})"
+            )
+        c -= step
     raise NonconvergenceError(
         f"frozen iteration did not converge in {params.max_iters} iterations "
         f"(last speed {c:.6g})"
@@ -533,7 +553,7 @@ def _pinned_semiwave(
     1: the front's translation, held only by the exponentially small leading
     edge.  Pinning the front's position removes that mode.  The phase is
     A_c(phi) at -L/2, minus 1/2; A_c(phi) decreases in c at every node, and
-    the phase integrates only the nodes from -L/2 to the front.
+    the phase's slope integrates only the nodes from -L/2 to the front.
     The convolution is the relative-accuracy path,
     ``LatticeConvolution.direct``: under the FFT's absolute rounding
     floor the leading edge is noise, and the uniform kernel at depth 80
@@ -554,11 +574,10 @@ def _pinned_semiwave(
     j0 = n // 2
     theta = 0.5 * n - j0
 
-    def phase(A: _Operator, w: np.ndarray) -> float:
-        tail = A.integrate(w[j0:])
+    def phase(c: float, tail: np.ndarray) -> float:
         return float((1.0 - theta) * tail[0] + theta * tail[1]) - 0.5
 
-    A, phi, it, slip = _frozen(d, r, ws, params, phi, c_start, phase, direct=True)
+    A, phi, it, slip = _frozen(d, r, ws, params, phi, c_start, phase, start=j0, direct=True)
     out = _verdict(A, phi, A.integrate(A.rhs(phi, direct=True)), params.tol_iter, it, slip)
     if not out.accepted:
         raise NonconvergenceError(

@@ -5,11 +5,11 @@ decreasing in c, so G(c) = c - mu*M(c) is strictly increasing, and +inf
 past the existence threshold of the semi-wave.  ``solve_c0`` does not
 search for the root of G: it solves the semi-wave equation and the
 free-boundary condition together by the freezing iteration of
-``semiwave._frozen``, whose phase condition c = mu*M(A_c(phi)) sets the
-speed at every step, as the pin phi(-L/2) = 1/2 sets it for c*.  The
-monotone iteration then certifies the result: a solve at the frozen speed,
-warm-started just above the frozen profile, must accept a profile whose
-flux matches c0.
+``semiwave._frozen``, whose phase condition c = mu*M(A_c(phi)) moves the
+speed by one Newton step per iteration, as the pin phi(-L/2) = 1/2 does
+for c*.  The monotone iteration then certifies the result: a solve at the
+frozen speed, warm-started just above the frozen profile, must accept a
+profile whose flux matches c0.
 """
 
 from __future__ import annotations
@@ -61,10 +61,13 @@ def solve_c0(
 ) -> SpeedSolution:
     """c0 and its semi-wave from one freezing iteration.
 
-    ``semiwave._frozen`` starts from phi = 1 at ``c = min(0.1, mu*c(J)/10)``
-    and holds the phase ``c - mu*M(A_c(phi)) = 0`` at every step, so
-    ``max_iters`` bounds its iterations and those of the certificate.  Both
-    stop at ``tol_iter' = min(tol_iter, tol/(10*mu*c(J)))``.  The result
+    ``semiwave._frozen`` starts from phi = 1 at ``c = min(0.1, mu*c(J)/10)``.
+    Each step integrates the next iterate A_c(phi) at the current speed,
+    reads the phase ``c - mu*M(A_c(phi))`` off it, and moves c by one Newton
+    step on that phase.  ``max_iters`` bounds its iterations and those of
+    the certificate.  Both stop at
+    ``tol_iter' = min(tol_iter, tol/(10*mu*c(J)))``; a frozen iteration that
+    stalls on a rounding floor above it raises early.  The result
     counts only if ``solve_semiwave`` at c0, started
     ``min(1e-3, 1e3*tol_iter')`` above the frozen profile, accepts a profile
     whose residual ``|c0 - mu*M(phi)|`` is at most tol; that profile is
@@ -89,7 +92,7 @@ def solve_c0(
     fine = replace(params, tol_iter=min(params.tol_iter, 0.1 * tol / (mu * cJ)))
     A, phi, _, _ = _frozen(
         d, r, ws, fine, np.ones(params.n_cells + 1), min(0.1, mu * cJ / 10.0),
-        lambda A, w: A.c - mu * ws.flux(A.integrate(w)),
+        lambda c, u: c - mu * ws.flux(u),
     )
     c0 = A.c
     # the iteration stops at |phi_new - phi| < tol_iter, so a start 1e3*tol_iter

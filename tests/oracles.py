@@ -3,8 +3,9 @@
 These deliberately take different discretization routes from the library:
 the semi-wave oracle marches the first-order form with a Heun integrator
 under an outer damped Picard loop, the eigenvalue oracle calls a dense
-solver on the raw trapezoid matrix, and the Laplace kernel's eigenvalue
-threshold is in closed form.
+solver on the raw trapezoid matrix, the Laplace kernel's eigenvalue
+threshold is in closed form, and its selected speed c0 comes from shooting
+a local ODE, free of any lattice or truncation depth.
 """
 
 from __future__ import annotations
@@ -90,6 +91,52 @@ def laplace_ell_star(d: float, a: float) -> float:
     """
     s = np.sqrt((d - a) / a)
     return float(s * np.arctan(s))
+
+
+def laplace_c0_exact(mu: float, d: float, tol: float = 1e-11) -> float:
+    """The selected speed c0 for J = exp(-|x|)/2 and the logistic reaction,
+    by shooting the local ODE that the convolution reduces to.
+
+    With phi extended by 0 on x > 0, w = J*phi solves w'' = w - phi and
+    decays like exp(-x) on x >= 0, and the boundary flux is w(0), so
+    c = mu*w(0).  The semi-wave equation d*w - d*phi + c*phi' + f(phi) = 0
+    on x < 0 then starts from (phi, w, w') = (0, c/mu, -c/mu) at the front.
+    Marched leftward, the orbit reaches the plateau (1, 1, 0) only at c0:
+    below it phi turns back before 1, above it phi passes 1.  Bisection on
+    that outcome brackets c0 to ``tol`` relative.
+    """
+    from scipy.integrate import solve_ivp
+
+    def passes_one(c: float) -> bool:
+        def rhs(s, y):  # s = -x
+            phi, w, dw = y
+            return [(d * w - d * phi + phi * (1.0 - phi)) / c, -dw, phi - w]
+
+        def over(s, y):
+            return y[0] - 1.0
+
+        def back(s, y):
+            return d * y[1] - d * y[0] + y[0] * (1.0 - y[0])
+
+        over.terminal = back.terminal = True
+        over.direction, back.direction = 1.0, -1.0
+        sol = solve_ivp(rhs, (0.0, 2000.0), [0.0, c / mu, -c / mu], method="DOP853",
+                        rtol=1e-12, atol=1e-14, events=(over, back))
+        if sol.t_events[0].size == sol.t_events[1].size:
+            raise RuntimeError(f"shot at c = {c} left by neither side")
+        return sol.t_events[0].size > 0
+
+    # c0 < mu*c(J) = mu/2, where w(0) would be the whole tail mass
+    lo, hi = 0.0, 0.5 * mu
+    if not passes_one(hi):
+        raise RuntimeError(f"no bracket for c0 below mu/2 = {hi}")
+    while hi - lo > tol * hi:
+        mid = 0.5 * (lo + hi)
+        if passes_one(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def laplace_linear_speed_objective(lam: float, d: float = 1.0, df0: float = 1.0) -> float:

@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,8 @@ from frontlab import (
 )
 from frontlab import semiwave, speed
 from frontlab.errors import DivergentIntegralError, NoFiniteSpeedError, NonconvergenceError
+
+from .oracles import laplace_c0_exact
 
 _KERNELS = {
     "laplace": make_laplace,
@@ -180,16 +183,16 @@ class TestSolveC0:
         assert sol.residual <= 1e-8
 
     def test_max_iters_bounds_the_frozen_iteration(self, laplace, logistic):
-        # the frozen iteration takes 44 iterations and the certificate 19
-        params = SemiWaveParams(depth=30.0, n_cells=1200, max_iters=44)
+        # the frozen iteration takes 38 iterations and the certificate 19
+        params = SemiWaveParams(depth=30.0, n_cells=1200, max_iters=38)
         sol = solve_c0(1.0, 1.0, laplace, logistic, params)
-        assert sol.c0 == pytest.approx(0.2717034943259922, rel=1e-11)
+        assert sol.c0 == pytest.approx(0.2717034943215537, rel=1e-11)
         assert sol.profile.iterations_used == 19
-        with pytest.raises(NonconvergenceError, match="did not converge in 43 iterations"):
-            solve_c0(1.0, 1.0, laplace, logistic, replace(params, max_iters=43))
+        with pytest.raises(NonconvergenceError, match="did not converge in 37 iterations"):
+            solve_c0(1.0, 1.0, laplace, logistic, replace(params, max_iters=37))
 
     def test_few_applications_at_large_mu(self, laplace, logistic, monkeypatch):
-        # Laplace mu = 1000 applies the operator in 95 frozen iterations, then
+        # Laplace mu = 1000 applies the operator in 91 frozen iterations, then
         # 201 times in the certificate, whose start sits 1e3*tol_iter above
         # the frozen profile
         iterations = []
@@ -202,7 +205,7 @@ class TestSolveC0:
         monkeypatch.setattr(speed, "_frozen", recorded)
         sol = solve_c0(1000.0, 1.0, laplace, logistic)
         assert sol.residual <= 1e-8
-        assert iterations == [95]
+        assert iterations == [91]
         assert sol.profile.iterations_used == 201
 
     @pytest.mark.parametrize("verdict", ["nonexistence", "wrong-profile"])
@@ -242,6 +245,42 @@ class TestSolveC0:
         slopes = [solve_c0(mu, 1.0, laplace, logistic).c0 / mu for mu in (1e-9, 1e-7)]
         assert slopes[0] == pytest.approx(slopes[1], rel=1e-6)
 
+    def test_rounding_floor_stalls_early(self, logistic):
+        # at mu = 1e6 the power kernel's tol_iter' = 0.1*tol/(mu*c(J)) = 3.1e-15
+        # lies below the FFT path's rounding floor; the full budget took 28 s
+        t0 = time.perf_counter()
+        with pytest.raises(NonconvergenceError, match="stalled .* tol_iter = 3.14e-15"):
+            solve_c0(1e6, 1.0, make_power(2.0), logistic)
+        assert time.perf_counter() - t0 < 2.0
+
+    @pytest.mark.parametrize("target", ["c0", "pinned"])
+    def test_frozen_integrates_twice_per_iteration(
+        self, laplace, logistic, quick_params, monkeypatch, target
+    ):
+        # one integration at the speed, one (a suffix for the pin) at speed + dc
+        calls, counts = [], []
+        integrate, frozen = semiwave._Operator.integrate, semiwave._frozen
+        monkeypatch.setattr(
+            semiwave._Operator, "integrate", lambda A, w: calls.append(w.size) or integrate(A, w)
+        )
+
+        def counted(*args, **kwargs):
+            before = len(calls)
+            out = frozen(*args, **kwargs)
+            counts.append((len(calls) - before, out[2]))
+            return out
+
+        monkeypatch.setattr(semiwave, "_frozen", counted)
+        monkeypatch.setattr(speed, "_frozen", counted)
+        if target == "c0":
+            solve_c0(1.0, 1.0, laplace, logistic, quick_params)
+        else:
+            k = make_uniform(1.0)
+            c_lin = linear_determinacy_speed(1.0, k, logistic)
+            semiwave._pinned_semiwave(1.0, k, logistic, quick_params, 0.5 * c_lin)
+        [(integrations, iterations)] = counts
+        assert integrations <= 2 * iterations
+
     def test_below_minimal_wave_speed(self, c0_mu1):
         assert c0_mu1.c0 < 3.0 * np.sqrt(3.0) / 2.0
 
@@ -272,3 +311,25 @@ class TestC0Curve:
         entries = c0_curve([0.5, 1.0, 2.0], 1.0, laplace, logistic, quick_params)
         cs = [e.solution.c0 for e in entries]
         assert all(b > a for a, b in zip(cs, cs[1:]))
+
+
+@pytest.fixture(scope="module")
+def laplace_exact():
+    """c0 of the Laplace kernel by ODE shooting, free of the lattice."""
+    return {mu: laplace_c0_exact(mu, 1.0) for mu in (1.0, 10.0, 100.0)}
+
+
+class TestLaplaceExact:
+    @pytest.mark.parametrize("mu", [1.0, 10.0, 100.0])
+    def test_default_grid_against_shooting(self, laplace, logistic, laplace_exact, mu):
+        sol = solve_c0(mu, 1.0, laplace, logistic)
+        assert sol.c0 == pytest.approx(laplace_exact[mu], rel=5e-5)
+
+    def test_error_is_second_order_in_h(self, laplace, logistic, laplace_exact):
+        # the errors at 4 000 and 8 000 cells read -3.55e-5 and -8.88e-6 relative
+        exact = laplace_exact[1.0]
+        errors = [
+            solve_c0(1.0, 1.0, laplace, logistic, SemiWaveParams(n_cells=n)).c0 - exact
+            for n in (4000, 8000)
+        ]
+        assert 3.5 <= errors[0] / errors[1] <= 4.5
