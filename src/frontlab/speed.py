@@ -25,6 +25,8 @@ from .semiwave import SemiWaveParams, SemiWaveProfile, _frozen, _workspace, solv
 
 __all__ = ["SpeedSolution", "CurveEntry", "flux_M", "solve_c0", "c0_curve"]
 
+_EPS = float(np.finfo(float).eps)
+
 
 @dataclass(eq=False, kw_only=True)
 class SpeedSolution:
@@ -66,8 +68,9 @@ def solve_c0(
     reads the phase ``c - mu*M(A_c(phi))`` off it, and moves c by one Newton
     step on that phase.  ``max_iters`` bounds its iterations and those of
     the certificate.  Both stop at
-    ``tol_iter' = min(tol_iter, tol/(10*mu*c(J)))``; a frozen iteration that
-    stalls on a rounding floor above it raises early.  The result
+    ``tol_iter' = min(tol_iter, tol/(10*mu*c(J)))``, but not below
+    ``mu*c(J)*r/256`` with r the workspace convolution's measured rounding
+    (0 off the FFT path), under which the iteration's steps stall.  The result
     counts only if ``solve_semiwave`` at c0, started
     ``min(1e-3, 1e3*tol_iter')`` above the frozen profile, accepts a profile
     whose residual ``|c0 - mu*M(phi)|`` is at most tol; that profile is
@@ -89,7 +92,18 @@ def solve_c0(
     # the iteration.  At tol_iter = tol/(mu*c(J)) the flux residual came out
     # at up to twice tol near c*, where rho nears 1, so the frozen iteration
     # and the certificate resolve the profile to a tenth of that.
-    fine = replace(params, tol_iter=min(params.tol_iter, 0.1 * tol / (mu * cJ)))
+    tol_iter = min(params.tol_iter, 0.1 * tol / (mu * cJ))
+    # The iterations carry the convolution's absolute rounding r magnified
+    # by about mu*c(J); the phase reads the profile through that weight, and
+    # the profile follows the speed.  On the FFT path (r = 3-4 eps) at
+    # mu = 1e6, the Gaussian's frozen steps stall near mu*c(J)*r/200 and
+    # power sigma = 2's monotone steps, even at a fixed speed, near
+    # mu*c(J)*r/250, so tol_iter' stays above mu*c(J)*r/256.  r is a few
+    # eps, so that floor can bind only where tol_iter' < mu*c(J)*eps; the
+    # test spares the direct sum that measures r everywhere else.
+    if tol_iter < mu * cJ * _EPS:
+        tol_iter = max(tol_iter, mu * cJ * ws.rounding / 256.0)
+    fine = replace(params, tol_iter=tol_iter)
     A, phi, _, _ = _frozen(
         d, r, ws, fine, np.ones(params.n_cells + 1), min(0.1, mu * cJ / 10.0),
         lambda c, u: c - mu * ws.flux(u),

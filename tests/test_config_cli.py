@@ -486,10 +486,6 @@ _BAD_INPUTS = {
     "reaction-negative-at-1": (
         MINIMAL.replace("type = logistic", "type = custom\ncoeffs = 0,0.5,-1"), ["speed"], 2
     ),
-    # tol_iter' lies below the rounding floor: the frozen iteration stalls
-    "speed-power-kernel-at-huge-mu": (
-        MINIMAL.replace("type = laplace", "type = power\nsigma = 2.0"), ["speed", "--mu", "1e6"], 3
-    ),
     "semiwave-sigma-key-removed": (
         MINIMAL + "[semiwave]\nsigma = 0.3\ndepth = 30.0\nn_cells = 1200\n", ["speed"], 2
     ),
