@@ -18,7 +18,7 @@ from . import fbsim
 from .errors import ConfigError, DomainTooSmallError
 from .fbsim import SimConfig, Snapshot, stability_dt, step
 from .kernels import Kernel, c_of_J
-from .numerics import LatticeConvolution, UniformGrid, trapezoid_weights
+from .numerics import LatticeConvolution, UniformGrid
 from .reactions import Reaction
 
 __all__ = [
@@ -90,11 +90,11 @@ def cauchy_step(
     """One explicit Euler step of u_t = d(J*u - u) + f(u) on the truncated line.
 
     ``conv`` is the kernel's lattice convolution at the grid spacing, built
-    once per run so the kernel row is sampled once.
+    once per run so the kernel row is sampled once; the trapezoid weights
+    are the grid's own (``UniformGrid.weights``), built once per grid.
     """
     u = s.u
-    wu = trapezoid_weights(u.size, s.grid.spacing)
-    wu *= u
+    wu = s.grid.weights * u
     # Always the relative-accuracy path (the tridiagonal solve for an
     # exponential kernel, the direct sum otherwise): a whole-line density is
     # exponentially small toward the domain ends, and the FFT path's absolute
@@ -214,7 +214,7 @@ class MuLimitReport:
 
 
 def compare_mu_limit(mus, shared: MuLimitConfig) -> MuLimitReport:
-    """Free-boundary runs at each mu, stepped in lockstep with one whole-line run.
+    """Free-boundary runs at each mu, compared with one whole-line run.
 
     Each run is compared with the whole line on the window whenever the
     snapshot schedule fires, so ``domain_halfwidth`` must be a whole number
@@ -225,6 +225,16 @@ def compare_mu_limit(mus, shared: MuLimitConfig) -> MuLimitReport:
     state, so they share M0*, and the tightest of their stability bounds is
     the one at the front speed bound max(mus)*M0*c(J); c_of_J raises
     DivergentIntegralError on a fat tail, where that bound is infinite.
+
+    The runs advance one snapshot interval at a time: the whole line steps
+    to the next snapshot (or the end), checking its end values before every
+    step and keeping each step's dt, then each free-boundary run takes those
+    same steps, and then the snapshot compares them.  A run never depends on
+    another, so every number is the one that stepping all runs in lockstep
+    gives, while each run's steps follow one another without the others'
+    work in between.  A window that escapes the line raises
+    ``DomainTooSmallError`` at the first snapshot after it escaped, and no
+    run is stepped past that snapshot.
     """
     mus = [float(m) for m in mus]
     if any(m <= 0 for m in mus):
@@ -260,9 +270,18 @@ def compare_mu_limit(mus, shared: MuLimitConfig) -> MuLimitReport:
     sup_abs = [0.0] * len(mus)
     flagged = False
     snaps = fbsim._Schedule(shared.snap_dt, shared.t_max)
+    dts: list[float] = []  # the whole line's steps since the runs last caught up
     while True:
         flagged = flagged or bool(max(star.u[0], star.u[-1]) > _BOUNDARY_EPS)
-        if snaps.due(star.t):
+        due, ended = snaps.due(star.t), snaps.ended(star.t)
+        if due or ended:
+            # each free-boundary run takes the whole line's steps in turn
+            for i, (s, m, conv) in enumerate(zip(fbs, mus, convs)):
+                for step_dt in dts:
+                    s = step(s, step_dt, d, m, r, conv=conv)
+                fbs[i] = s
+            dts = []
+        if due:
             for i, s in enumerate(fbs):
                 start = int(round((s.j0 * dx - x[0]) / dx))
                 if start < 0 or start + s.u.size > x.size:
@@ -274,11 +293,11 @@ def compare_mu_limit(mus, shared: MuLimitConfig) -> MuLimitReport:
                 diff = (u_mu - star.u)[window]
                 sup_excess[i] = max(sup_excess[i], float(np.max(diff, initial=0.0)))
                 sup_abs[i] = max(sup_abs[i], float(np.max(np.abs(diff), initial=0.0)))
-        if snaps.ended(star.t):
+        if ended:
             break
         step_dt = min(dt, shared.t_max - star.t)
         star = cauchy_step(star, step_dt, d, r, star_conv)
-        fbs = [step(s, step_dt, d, m, r, conv=conv) for s, m, conv in zip(fbs, mus, convs)]
+        dts.append(step_dt)
 
     entries = [
         MuLimitEntry(mu=m, sup_excess=e, sup_abs=a, h_final=float(s.h))

@@ -222,6 +222,8 @@ def run_mu_limit(cfg: RunConfig, out_dir: str) -> ExperimentResult:
         "one_sided_excess_below_5e-3": all(e.sup_excess <= 5e-3 for e in report.entries),
         "sup_abs_decreasing_in_mu": all(b < a for a, b in zip(sups, sups[1:])),
         "h_final_increasing_in_mu": all(b > a for a, b in zip(hs, hs[1:])),
+        # a line too short for the whole-line solution leaves nothing to compare with
+        "whole_line_not_too_short": not report.domain_too_small,
     }
     p = os.path.join(out_dir, "mu_limit.csv")
     write_csv(

@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False, kw_only=True)
+@dataclass(eq=False, kw_only=True, slots=True)
 class FieldState:
     """Density on the active lattice window strictly inside (g, h)."""
 
@@ -135,21 +135,22 @@ def step(
     Ju = conv(wu)
     flux_h, flux_g = conv.boundary_fluxes(wu, Ju, s.j0, s.g, s.h)
 
-    # u + dt*(d*Ju - d*u + f(u)), operation for operation, on Ju's storage
+    # u + dt*(d*Ju - d*u + f(u)), operation for operation, on Ju's storage;
+    # d*u goes into wu's, which the fluxes no longer need
     u_new = Ju
     u_new *= d
-    u_new -= d * u
+    u_new -= np.multiply(d, u, out=wu)
     u_new += r.f(u)
     u_new *= dt
     u_new += u
     clamps = 0
-    if u_new.min() < 0.0:
+    if np.minimum.reduce(u_new) < 0.0:
         clamps = int(np.count_nonzero(u_new < 0.0))
         np.maximum(u_new, 0.0, out=u_new)
     # trapezoid convolution bias saturates the equilibrium O(dx^2/12 * J'')
     # above the continuum cap; the invariant check carries exactly that slack
     cap = s.m0star * (1.0 + 0.125 * dx * dx) + 1e-12
-    peak = float(u_new.max())
+    peak = float(np.maximum.reduce(u_new))
     if peak > cap:
         raise FrontlabError(f"density invariant violated: max u = {peak} > M0* = {s.m0star}")
 
@@ -273,7 +274,7 @@ def simulate(cfg: SimConfig) -> FrontTrajectory:
     snapshots: list[Snapshot] = []
     samples = _Schedule(cfg.sample_dt, cfg.t_max)
     snaps = _Schedule(cfg.snap_dt, cfg.t_max)
-    v_max = 0.0  # the fastest either front moved over one step
+    v_max = 0.0  # the fastest either front moved over one step, read only with v_cap
     while True:
         if samples.due(state.t):
             ts.append(state.t)
@@ -284,9 +285,10 @@ def simulate(cfg: SimConfig) -> FrontTrajectory:
         if samples.ended(state.t):
             break
         step_dt = min(dt, cfg.t_max - state.t)
-        g, h = state.g, state.h
+        prev = state
         state = step(state, step_dt, cfg.d, cfg.mu, cfg.reaction, conv=conv)
-        v_max = max(v_max, (state.h - h) / step_dt, (g - state.g) / step_dt)
+        if cfg.v_cap:
+            v_max = max(v_max, (state.h - prev.h) / step_dt, (prev.g - state.g) / step_dt)
     if cfg.v_cap and v_max > cfg.v_cap:
         # dt keeps a front within a quarter cell per step only up to v_cap
         warnings.warn(

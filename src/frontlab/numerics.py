@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -53,6 +54,14 @@ class UniformGrid:
         # left + j*spacing rather than linspace, so node positions are reproducible
         return self.left + self.spacing * np.arange(self.n_cells + 1)
 
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Trapezoid weights of the nodes, computed on first use and kept
+        read-only, so a time-stepping loop on one grid builds them once."""
+        w = trapezoid_weights(self.n_cells + 1, self.spacing)
+        w.flags.writeable = False
+        return w
+
 
 def trapezoid_weights(n_nodes: int, spacing: float) -> np.ndarray:
     """Composite trapezoid weights of ``n_nodes`` equally spaced nodes."""
@@ -97,23 +106,40 @@ _TAIL_CHECK = np.sin(0.5 * np.pi * (np.arange(TAIL_NODES - 1) + 0.5) / (TAIL_NOD
 _TAIL_BARY = [(-1.0) ** k * (0.5 if k in (0, TAIL_NODES - 1) else 1.0) for k in range(TAIL_NODES)]
 
 
-def _interpolate(t: float, values: Sequence[float]) -> float:
-    """The polynomial through ``values`` at the table's nodes, at ``t`` (in
-    cells), by the second barycentric formula.  Plain floats: a step calls
-    this twice on 16 values, where numpy's per-call cost would dominate."""
-    num = den = 0.0
-    for node, b, v in zip(_TAIL_NODES, _TAIL_BARY, values):
-        if t == node:
-            return v
-        c = b / (t - node)
-        num += c * v
-        den += c
-    return num / den
+def _interpolate(
+    t_h: float, t_g: float, rows: Sequence[Sequence[float]]
+) -> tuple[float, float]:
+    """The polynomials through the two columns of ``rows`` (their values at
+    the table's nodes), at ``t_h`` and ``t_g`` (in cells) respectively, by the
+    second barycentric formula.  One pass serves both columns, and each does
+    the operations that it would alone: an offset on a node takes that
+    node's value.  Plain floats: a step calls this on 16 rows, where numpy's
+    per-call cost would dominate."""
+    num_h = den_h = num_g = den_g = 0.0
+    at_h = at_g = None
+    for node, b, (v_h, v_g) in zip(_TAIL_NODES, _TAIL_BARY, rows):
+        if t_h == node:
+            at_h = v_h
+        else:
+            c = b / (t_h - node)
+            num_h += c * v_h
+            den_h += c
+        if t_g == node:
+            at_g = v_g
+        else:
+            c = b / (t_g - node)
+            num_g += c * v_g
+            den_g += c
+    return (
+        num_h / den_h if at_h is None else at_h,
+        num_g / den_g if at_g is None else at_g,
+    )
 
 
 # row i: the weights that _interpolate gives the node values at _TAIL_CHECK[i]
 _TAIL_CHECK_WEIGHTS = np.array(
-    [[_interpolate(t, e) for e in np.eye(TAIL_NODES).tolist()] for t in _TAIL_CHECK.tolist()]
+    [[_interpolate(t, t, [(v, v) for v in e])[0] for e in np.eye(TAIL_NODES).tolist()]
+     for t in _TAIL_CHECK.tolist()]
 )
 
 
@@ -165,10 +191,10 @@ class LatticeConvolution:
       for every m below N (N as for the row, at least doubling when a
       longer window arrives) and checks the interpolant in between; after
       that a call fills a two-column buffer kept beside the table with
-      ``wu`` and takes one (``TAIL_NODES`` x n) product, interpolated at
-      the two offsets, with no tail evaluation.  Smooth tails pass the
-      check: the Gaussian, and power kernels up to dx = 0.5 except sigma =
-      5 there.  Tails with a kink inside a cell fail: every ``truncate()``
+      ``wu`` and takes one (``TAIL_NODES`` x n) product, whose two columns
+      are interpolated at the two offsets in one barycentric pass, with no
+      tail evaluation.  Smooth tails pass the check: the Gaussian, and
+      power kernels up to dx = 0.5 except sigma = 5 there.  Tails with a kink inside a cell fail: every ``truncate()``
       kernel, and a uniform kernel whose radius is not a whole number of
       cells (one whose radius is, is linear on each cell and passes).
     - A failed check drops the table for good, and every later call
@@ -260,7 +286,10 @@ class LatticeConvolution:
         """``(flux_h, flux_g)`` of the weighted density ``wu`` on the nodes
         ``(j0 + arange(n)) * dx``, with g and h at most one cell beyond the
         end nodes; ``Ju = self(wu)``, whose end values an exponential kernel
-        reads."""
+        reads.  On the tail table, the (``TAIL_NODES`` x n) @ (n x 2)
+        product gives the node sums of both sides, and ``_interpolate``
+        reads both offsets off them in one pass.  ``wu`` is only read, so
+        the caller may reuse its storage afterwards."""
         n = wu.size
         # the same products as the ends of the window's positions
         x_0, x_last = j0 * self.dx, (j0 + n - 1) * self.dx
@@ -282,10 +311,8 @@ class LatticeConvolution:
         pair = self._pair[:n]
         pair[:, 0] = wu[::-1]
         pair[:, 1] = wu
-        sums_h, sums_g = (self._tail[:, :n] @ pair).T.tolist()
-        return (
-            _interpolate((h - x_last) / self.dx, sums_h),
-            _interpolate((x_0 - g) / self.dx, sums_g),
+        return _interpolate(
+            (h - x_last) / self.dx, (x_0 - g) / self.dx, (self._tail[:, :n] @ pair).tolist()
         )
 
     def _fit_tail(self, n: int) -> None:

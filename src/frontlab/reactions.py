@@ -46,11 +46,11 @@ def _extend(core: Callable[[np.ndarray], np.ndarray], df0: float):
         # nothing below 0, the usual case: core alone gives the same values.
         # An empty input counts as nonnegative (initial); a NaN fails the
         # test and takes the masked branch.
-        if u.min(initial=0.0) >= 0.0:
+        if np.minimum.reduce(u, initial=0.0) >= 0.0:
             out = core(u)
         else:
             out = np.where(u < 0.0, df0 * u, core(np.maximum(u, 0.0)))
-        return out if np.ndim(out) else float(out)
+        return out if u.ndim else float(out)
 
     return f
 

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from frontlab import cauchy
 from frontlab import (
     CauchyConfig,
     CauchyState,
@@ -16,7 +19,7 @@ from frontlab import (
     make_power,
     make_uniform,
 )
-from frontlab.errors import ConfigError, RejectedStepError
+from frontlab.errors import ConfigError, DomainTooSmallError, RejectedStepError
 from frontlab.fbsim import _Schedule
 
 from .conftest import parabola_u0
@@ -234,6 +237,35 @@ class TestCompareMuLimit:
         )
         with pytest.raises(ValueError, match="escaped"):
             compare_mu_limit([100.0], shared)
+
+    def test_escape_stops_every_run_at_the_next_snapshot(self, laplace, logistic, monkeypatch):
+        # the whole line runs ahead of the free-boundary runs between
+        # snapshots; an escape must still raise at the first snapshot after
+        # it, with no run stepped past that snapshot
+        shared = _mu_shared(
+            laplace, logistic, t_max=6.0, domain_halfwidth=12.0, window_halfwidth=5.0
+        )
+        whole, free = [], []
+
+        def counted(fn, out):
+            def wrapper(*args, **kwargs):
+                out.append(fn(*args, **kwargs))
+                return out[-1]
+            return wrapper
+
+        monkeypatch.setattr(cauchy, "cauchy_step", counted(cauchy.cauchy_step, whole))
+        monkeypatch.setattr(cauchy, "step", counted(cauchy.step, free))
+        with pytest.raises(DomainTooSmallError, match="escaped") as info:
+            compare_mu_limit([1.0, 100.0], shared)
+        cells = round(shared.domain_halfwidth / shared.dx)
+        escaped = next(s.t for s in free if s.j0 < -cells or s.j0 + s.u.size - 1 > cells)
+        snapshot = math.ceil(escaped / shared.snap_dt) * shared.snap_dt
+        # the escape falls strictly between two snapshots
+        assert escaped < snapshot - 1e-6
+        assert f"at t={snapshot:g}" in str(info.value)
+        assert whole[-1].t == pytest.approx(snapshot, abs=1e-9)
+        assert len(free) == 2 * len(whole)
+        assert max(s.t for s in free) == whole[-1].t
 
     @pytest.mark.parametrize("X, dx", [(80.05, 0.1), (80.0, 0.15), (50.0, 0.3)])
     def test_line_off_the_lattice_is_refused(self, laplace, logistic, X, dx):

@@ -475,6 +475,24 @@ class TestCli:
         assert b1 == (out2 / "mu_limit.csv").read_bytes()
         assert b1.splitlines()[0] == b"mu,sup_excess,sup_abs,h_final"
 
+    @pytest.mark.parametrize("X", [6.0, 10.0])
+    def test_experiment_mu_limit_fails_on_a_short_line(self, tmp_path, capsys, X):
+        # the density reaches the ends of the line, so the whole line is no
+        # Cauchy solution to compare with, whatever the other checks read
+        cfg = tmp_path / "ml.cfg"
+        cfg.write_text(
+            MINIMAL
+            + "[model]\nh0 = 2.0\n[time]\nt_max = 2.0\nsnap_dt = 1.0\n"
+            + f"[grid]\ndx = 0.1\ndomain_halfwidth = {X!r}\nwindow_halfwidth = 3.0\n"
+            + "[experiment]\nmus = 1,10\n"
+        )
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "experiment", "mu-limit"]) == 1
+        assert "[FAIL] whole_line_not_too_short" in capsys.readouterr().out.splitlines()
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["summary"]["domain_too_small"] is True
+        assert summary["passed"] is False
+
 
 # bad inputs with their documented exit codes: 2 configuration, 4 any other
 # frontlab error

@@ -100,6 +100,41 @@ def _reference_weighted(s, x_0, x_last):
     return w * s.u
 
 
+# the tail table's 16 Chebyshev points of one cell, in cells
+_TABLE_NODES = np.sin(0.5 * np.pi * np.arange(16) / 15) ** 2
+
+
+def _reference_barycentric(t, values):
+    """The second barycentric formula on the table's points, value by value."""
+    num = den = 0.0
+    for j, (node, v) in enumerate(zip(_TABLE_NODES.tolist(), values)):
+        if t == node:
+            return v
+        c = (-1.0) ** j * (0.5 if j in (0, 15) else 1.0) / (t - node)
+        num += c * v
+        den += c
+    return num / den
+
+
+def _reference_table_fluxes(k, dx, wu, j0, g, h):
+    """Both fluxes off a tail table sampled for this window alone: the
+    (16 x n) table of a(-(m*dx + theta)) times the (n x 2) operand [wu
+    reversed, wu], each column interpolated at its boundary's offset."""
+    n = wu.size
+    checks = np.sin(0.5 * np.pi * (np.arange(15) + 0.5) / 15) ** 2
+    points = np.concatenate((_TABLE_NODES, checks))[:, None] * dx
+    table = np.asarray(k.tail_mass(-(np.arange(n) * dx + points)), dtype=float)[:16]
+    pair = np.empty((n, 2))
+    pair[:, 0] = wu[::-1]
+    pair[:, 1] = wu
+    sums_h, sums_g = (table @ pair).T.tolist()
+    x_0, x_last = j0 * dx, (j0 + n - 1) * dx
+    return (
+        _reference_barycentric((h - x_last) / dx, sums_h),
+        _reference_barycentric((x_0 - g) / dx, sums_g),
+    )
+
+
 def _reference_step(s, dt, d, mu, k, r, conv, table):
     u, dx = s.u, s.dx
     n = u.size
@@ -111,7 +146,7 @@ def _reference_step(s, dt, d, mu, k, r, conv, table):
         flux_h = math.exp(-lam * (s.h - x_last)) / lam * float(Ju[-1])
         flux_g = math.exp(-lam * (x_0 - s.g)) / lam * float(Ju[0])
     elif table:
-        flux_h, flux_g = conv.boundary_fluxes(wu, Ju, s.j0, s.g, s.h)
+        flux_h, flux_g = _reference_table_fluxes(k, dx, wu, s.j0, s.g, s.h)
     else:
         x = s.positions()
         flux_h = float(np.dot(wu, np.asarray(k.tail_mass(x - s.h), dtype=float)))
@@ -193,6 +228,21 @@ def test_free_boundary_step(logistic, kname, n, case):
     conv.tail_mass = lambda y: calls.append(y) or tail(y)
     conv.boundary_fluxes(s.u, conv(s.u), s.j0, s.g, s.h)
     assert len(calls) == (2 if kname == "uniform" else 0)
+
+
+@pytest.mark.parametrize("theta_h, theta_g", [(1.0, 0.3), (0.3, 1.0), (1.0, 1.0), (0.7, 0.2)])
+@pytest.mark.parametrize("n", [1, 2, 41])
+def test_tail_table_fluxes(theta_h, theta_g, n):
+    # the boundaries lie theta cells beyond the end nodes; dx = 0.25 puts
+    # theta = 1 exactly on the table's last node, where a side takes that
+    # node's value while the other side interpolates
+    k, dx = make_gaussian(1.0), 0.25
+    j0 = -(n // 2)
+    g, h = (j0 - theta_g) * dx, (j0 + n - 1 + theta_h) * dx
+    wu = dx * np.random.default_rng(n).uniform(0.0, 1.0, n)
+    conv = LatticeConvolution(k, dx)
+    got = conv.boundary_fluxes(wu, conv(wu), j0, g, h)
+    assert got == _reference_table_fluxes(k, dx, wu, j0, g, h)
 
 
 @pytest.mark.parametrize("kname, n", [("laplace", 1601), ("gaussian", 301)])

@@ -3,8 +3,9 @@ functions by name.  One small traced job here makes a renamed or removed
 wrapped name fail the test suite, not only a benchmark run.  Traced Laplace
 simulations show that the free-boundary step evaluates no kernel tail, and a
 traced mu-limit run that its lockstep loop steps every run.  The
-config of every benchmark job must parse, so a schema change that rejects
-one fails here too, not only as a benchmark job failure."""
+config of every benchmark job must parse, and every seed-0 job must pass the
+benchmark's output check, so a schema change that rejects one, or a headline
+that drifts from its baseline, fails here too, not only in a benchmark run."""
 
 import importlib.util
 import pathlib
@@ -12,7 +13,7 @@ import sys
 
 import pytest
 
-from frontlab import parse_config
+from frontlab import estimate_cstar, parse_config
 from frontlab.cli import main
 
 _PERFBENCH = pathlib.Path(__file__).parents[1] / "perfbench"
@@ -88,3 +89,23 @@ def test_every_benchmark_job_config_parses(seed):
     for workload in workloads.WORKLOADS:
         for job in workloads.jobs_for(workload, seed):
             parse_config(job.config)
+
+
+def test_every_seed0_benchmark_job_passes_its_check(tmp_path):
+    # the benchmark's output gate, headlines against their seed-0 baselines
+    # included, run once per job in-process as perfbench/worker.py runs it
+    workloads = _load("workloads")
+    for workload in workloads.WORKLOADS:
+        for job in workloads.jobs_for(workload, 0):
+            out_dir = tmp_path / job.name
+            cfg = parse_config(job.config)
+            if job.kind == "cstar":
+                value = estimate_cstar(
+                    cfg.get("model", "d"), cfg.build_kernel(), cfg.build_reaction(),
+                    cfg.semiwave_params(),
+                )
+            else:
+                cfg_path = tmp_path / f"{job.name}.cfg"
+                cfg_path.write_text(job.config)
+                value = main(["--config", str(cfg_path), "--out", str(out_dir)] + job.argv)
+            assert workloads.check(job, str(out_dir), value, 0) == [], job.name
