@@ -239,6 +239,9 @@ def compare_mu_limit(mus, shared: MuLimitConfig) -> MuLimitReport:
     mus = [float(m) for m in mus]
     if any(m <= 0 for m in mus):
         raise ValueError("all mu values must be positive")
+    if not shared.snap_dt > 0:
+        # a schedule of period 0 never fires, so nothing would be compared
+        raise ValueError(f"snap_dt must be positive, got {shared.snap_dt}")
     cells = shared.domain_halfwidth / shared.dx
     if abs(cells - round(cells)) > 1e-9:
         raise ConfigError(

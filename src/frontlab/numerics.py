@@ -91,7 +91,9 @@ FFT_MIN_NODES = 500
 # multiply-add, the FFT path 48-12 100 us at 500-83 139 nodes (5-9 ns * n *
 # log2 n).  They meet near w = 120 at 1 201-3 001 nodes, 100 at 4 001, 260
 # at 20 001 and 400 at 83 139; the rule's w = 102, 115, 119, 143 and 163
-# there err toward the FFT.
+# there err toward the FFT.  The FFT side was measured with transforms of
+# 2N - 1 points; a banded row's transform takes N + w, which would move the
+# crossover lower, but the rule is kept as measured.
 BAND_PER_LOG2 = 20.0
 
 # The tail table samples each cell at TAIL_NODES Chebyshev points, both ends
@@ -146,12 +148,17 @@ _TAIL_CHECK_WEIGHTS = np.array(
 class LatticeConvolution:
     """``out[i] = sum_j wu[j] * J((i - j) * dx)`` on n consecutive lattice nodes.
 
-    The kernel row ``J(m * dx)``, ``|m| < N``, is sampled with its real FFT
-    of length ``L >= 2N - 1`` for N = n of the first input that needs it,
-    and again for an N that at least doubles whenever a longer one arrives.
-    Entries ``N-1 ... N-2+n`` of the circular convolution of length L are
-    then the exact linear convolution, so an FFT-path call costs one forward
-    and one inverse transform of the input.
+    The kernel row ``J(m * dx)``, ``|m| < N``, is sampled for N = n of the
+    first input that needs it, and again for an N that at least doubles
+    whenever a longer one arrives.  Its band w is the last m with ``J(m *
+    dx) != 0``: N - 1 unless the row ends in exact zeros.  The FFT path
+    keeps the real FFT of the row laid out circularly in ``L =
+    next_fast_len(N + w)`` points, entries ``0 ... w`` at the start, ``-w
+    ... -1`` at the end and zeros between.  Since ``L >= n + w``, entries
+    ``0 ... n-1`` of an input's circular convolution with it take no
+    wrap-around and are the exact linear convolution, so an FFT-path call
+    costs one forward and one inverse transform of length L: about 2N for
+    a row without exact zeros, and N + w for one with them.
 
     A row that ends in exact zeros, ``J(m * dx) = 0`` for ``|m| > w`` (a
     uniform kernel, a Gaussian where ``exp`` underflows, ``truncate()``),
@@ -228,9 +235,13 @@ class LatticeConvolution:
             N = max(n, 2 * self.capacity)
             self.row = np.asarray(self.density(np.arange(-(N - 1), N) * self.dx), dtype=float)
             nonzero = np.flatnonzero(self.row[N - 1 :])
-            self.band = int(nonzero[-1]) if nonzero.size else 0
-            self._size = next_fast_len(2 * N - 1, real=True)
-            self._row_hat = rfft(self.row, self._size)
+            w = self.band = int(nonzero[-1]) if nonzero.size else 0
+            self._size = next_fast_len(N + w, real=True)
+            circular = np.zeros(self._size)
+            circular[: w + 1] = self.row[N - 1 : N + w]
+            if w:  # circular[-0:] would be the whole buffer
+                circular[-w:] = self.row[N - 1 - w : N - 1]
+            self._row_hat = rfft(circular)
             self._padded = np.zeros(self._size)
             self._filled = 0
             self.capacity = N
@@ -271,14 +282,14 @@ class LatticeConvolution:
     def fft(self, wu: np.ndarray) -> np.ndarray:
         """Cached-transform path: absolute error ~1e-16 of the largest term."""
         n = wu.size
-        N = self._fit(n)
+        self._fit(n)
         padded = self._padded
         padded[:n] = wu
         padded[n : self._filled] = 0.0
         self._filled = n
         spectrum = rfft(padded)
         spectrum *= self._row_hat
-        return irfft(spectrum, self._size)[N - 1 : N - 1 + n]
+        return irfft(spectrum, self._size)[:n]
 
     def boundary_fluxes(
         self, wu: np.ndarray, Ju: np.ndarray, j0: int, g: float, h: float

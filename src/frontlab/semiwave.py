@@ -505,7 +505,9 @@ def _frozen(
     max|phi_new - phi| < tol_iter and the speed step is below tol_iter*c,
     and returns the operator at the last speed, its image of the last
     iterate, the number of iterations and the largest upward step of any
-    node; ``max_iters`` is its only budget.
+    node; ``max_iters`` is its only budget.  A speed that leaves (0, inf),
+    or a slope of exactly 0, which leaves no Newton step, raises
+    ``NonconvergenceError``.
     """
     cM = choose_M(1.0, d, r)
     unit = _Operator(1.0, d, r, cM, 0.0, ws)
@@ -523,6 +525,8 @@ def _frozen(
         g = phase(c, nxt[start:])
         dc = 1e-8 * c
         slope = (phase(c + dc, at(c + dc).integrate(w[start:])) - g) / dc
+        if slope == 0.0:
+            raise NonconvergenceError(f"frozen iteration's phase is flat in c at c = {c:.6g}")
         step = g / slope
         diff = nxt - phi
         rise = float(diff.max())

@@ -14,11 +14,12 @@ profile whose flux matches c0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NoFiniteSpeedError, NonconvergenceError
+from .errors import FrontlabError, NoFiniteSpeedError, NonconvergenceError
 from .kernels import Kernel, TailClass, c_of_J, classify_tail
 from .reactions import Reaction
 from .semiwave import SemiWaveParams, SemiWaveProfile, _frozen, _workspace, solve_semiwave
@@ -75,10 +76,11 @@ def solve_c0(
     ``min(1e-3, 1e3*tol_iter')`` above the frozen profile, accepts a profile
     whose residual ``|c0 - mu*M(phi)|`` is at most tol; that profile is
     returned.  Every failure, of the iteration or of the certificate,
-    raises ``NonconvergenceError``.
+    raises ``NonconvergenceError``, and so does a tol that leaves no
+    positive ``tol_iter'`` at this mu.
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not 0.0 < mu < math.inf:
+        raise ValueError("mu must be positive and finite")
     if classify_tail(k) is TailClass.FAT_TAIL:
         raise NoFiniteSpeedError(
             f"kernel {k.name!r} violates double-tail integrability: no finite spreading speed"
@@ -103,6 +105,10 @@ def solve_c0(
     # test spares the direct sum that measures r everywhere else.
     if tol_iter < mu * cJ * _EPS:
         tol_iter = max(tol_iter, mu * cJ * ws.rounding / 256.0)
+    if not tol_iter > 0.0:
+        raise NonconvergenceError(
+            f"tol = {tol:g} leaves no positive profile tolerance at mu*c(J) = {mu * cJ:g}"
+        )
     fine = replace(params, tol_iter=tol_iter)
     A, phi, _, _ = _frozen(
         d, r, ws, fine, np.ones(params.n_cells + 1), min(0.1, mu * cJ / 10.0),
@@ -140,16 +146,17 @@ def c0_curve(
     params: SemiWaveParams | None = None,
     tol: float = 1e-8,
 ) -> list[CurveEntry]:
-    """Per-mu speed solve; failures are recorded and the sweep continues."""
+    """Per-mu speed solve.  A ``FrontlabError`` is recorded in its entry and
+    the sweep continues; any other exception is a bug and propagates."""
     mus = [float(m) for m in mus]
-    if any(m <= 0 for m in mus):
-        raise ValueError("all mu values must be positive")
+    if not all(0.0 < m < math.inf for m in mus):
+        raise ValueError("all mu values must be positive and finite")
     if any(b <= a for a, b in zip(mus, mus[1:])):
         raise ValueError("mus must be strictly increasing")
 
     def solve_one(m: float) -> CurveEntry:
         try:
             return CurveEntry(mu=m, solution=solve_c0(m, d, k, r, params, tol))
-        except Exception as exc:  # noqa: BLE001 - per-entry error capture is the contract
+        except FrontlabError as exc:
             return CurveEntry(mu=m, solution=None, error=f"{type(exc).__name__}: {exc}")
     return [solve_one(m) for m in mus]

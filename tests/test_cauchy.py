@@ -215,6 +215,17 @@ class TestCompareMuLimit:
         with pytest.raises(ValueError):
             compare_mu_limit([0.0, 1.0], shared)
 
+    @pytest.mark.parametrize("snap_dt", [0.0, -1.0])
+    def test_rejects_nonpositive_snap_dt(self, laplace, logistic, monkeypatch, snap_dt):
+        # a schedule that never fires would compare nothing and report zero
+        # excess for every mu
+        shared = _mu_shared(laplace, logistic, t_max=1.0, domain_halfwidth=30.0, snap_dt=snap_dt)
+        steps = []
+        monkeypatch.setattr(cauchy, "cauchy_step", lambda *a, **kw: steps.append(a))
+        with pytest.raises(ValueError, match="snap_dt"):
+            compare_mu_limit([1.0, 10.0], shared)
+        assert steps == []
+
     @pytest.mark.parametrize(
         "kw",
         [{}, dict(t_max=3.7, snap_dt=1.5, dx=0.1, domain_halfwidth=30.0)],

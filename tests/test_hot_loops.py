@@ -27,8 +27,10 @@ from frontlab import (
     make_gaussian,
     make_laplace,
     make_polynomial,
+    make_power,
     make_uniform,
     trapezoid_weights,
+    truncate,
 )
 from frontlab.cauchy import CauchyState, cauchy_step
 from frontlab.fbsim import FieldState, _active_range, _quad_weighted, step
@@ -260,10 +262,16 @@ def test_whole_line_step(logistic, kname, n):
 
 
 def _reference_fft(density, dx, N, wu):
+    """The row J(m * dx), |m| <= w with w its last nonzero entry, stored
+    circularly (m >= 0 first, m < 0 at the end) in next_fast_len(N + w)
+    points; the first n outputs take no wrap-around."""
     row = np.asarray(density(np.arange(-(N - 1), N) * dx), dtype=float)
-    size = next_fast_len(2 * N - 1, real=True)
-    n = wu.size
-    return irfft(rfft(wu, size) * rfft(row, size), size)[N - 1 : N - 1 + n]
+    w = int(np.flatnonzero(row)[-1]) - (N - 1)
+    size = next_fast_len(N + w, real=True)
+    circular = np.zeros(size)
+    circular[: w + 1] = row[N - 1 : N + w]
+    circular[size - w :] = row[N - 1 - w : N - 1]
+    return irfft(rfft(wu, size) * rfft(circular), size)[: wu.size]
 
 
 def _reference_tridiagonal(k, dx, wu):
@@ -283,14 +291,16 @@ def _reference_tridiagonal(k, dx, wu):
 
 def test_lattice_fft():
     # shrinking inputs exercise the zero fill of the reused padded buffer,
-    # and the last size outgrows it
-    k = make_uniform(1.0)
-    conv = LatticeConvolution(k, 0.025)
-    rng = np.random.default_rng(2)
-    for n in (1201, 700, 3, 1201, 2600):
-        wu = rng.uniform(0.0, 0.1, n)
-        out = conv.fft(wu)
-        assert np.array_equal(out, _reference_fft(k.density, 0.025, conv.capacity, wu)), n
+    # and the last size outgrows it; the power row has no exact zeros, so
+    # its band is N - 1 at every capacity
+    for k in (make_uniform(1.0), truncate(make_power(0.8), 10.0), make_power(0.8)):
+        conv = LatticeConvolution(k, 0.025)
+        rng = np.random.default_rng(2)
+        for n in (1201, 700, 3, 1201, 2600):
+            wu = rng.uniform(0.0, 0.1, n)
+            out = conv.fft(wu)
+            ref = _reference_fft(k.density, 0.025, conv.capacity, wu)
+            assert np.array_equal(out, ref), (k.name, n)
 
 
 def test_lattice_recursion():

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 from frontlab import (
     LatticeConvolution,
@@ -82,11 +83,36 @@ def _reference_convolution(density, dx, wu):
     return np.convolve(wu, row)[n - 1 : 2 * n - 1]
 
 
-# the Laplace row without exp_rate, so it takes the direct and FFT paths
+# the Laplace row without exp_rate, so it takes the direct and FFT paths;
+# power rows never end in exact zeros, the others do (the narrow uniform
+# row within one cell of m = 0, so its band is 0)
 _KERNELS = {
     "laplace": dataclasses.replace(make_laplace(), exp_rate=None),
     "power0.8": make_power(0.8),
+    "uniform": make_uniform(1.0),
+    "uniform-narrow": make_uniform(0.01),
+    "gaussian": make_gaussian(1.0),
+    "truncated": truncate(make_power(0.8), 10.0),
 }
+
+
+def _record_transform_lengths(monkeypatch) -> list[int]:
+    """The length of every forward transform that numerics takes."""
+    real_rfft = numerics.rfft
+    lengths = []
+
+    def recorded(a, *args, **kwargs):
+        lengths.append(np.size(a))
+        return real_rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(numerics, "rfft", recorded)
+    return lengths
+
+
+def _circular_length(density, dx, N) -> int:
+    """next_fast_len(N + w), w the last m < N with J(m * dx) != 0."""
+    w = int(np.flatnonzero(density(np.arange(N) * dx))[-1])
+    return next_fast_len(N + w, real=True)
 
 
 class TestLatticeConvolution:
@@ -94,30 +120,39 @@ class TestLatticeConvolution:
     @pytest.mark.parametrize(
         "n", [1, 2, 299, 301, FFT_MIN_NODES - 1, FFT_MIN_NODES + 1, 1024, 2559]
     )
-    def test_direct_and_fft_agree(self, kname, n):
+    def test_direct_and_fft_agree(self, kname, n, monkeypatch):
         density = _KERNELS[kname].density
         wu = np.random.default_rng(n).uniform(0.0, 0.1, n)
         conv = LatticeConvolution(_KERNELS[kname], 0.15)
         ref = _reference_convolution(density, 0.15, wu)
+        lengths = _record_transform_lengths(monkeypatch)
         direct, fft = conv.direct(wu), conv.fft(wu)
+        # the row's transform and the input's, both N + w points long
+        assert lengths == [_circular_length(density, 0.15, conv.capacity)] * 2
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(direct - ref)) <= 1e-14 * scale
         assert np.max(np.abs(fft - direct)) <= 1e-12 * scale
         picked = conv(wu)
-        assert np.array_equal(picked, direct if n < FFT_MIN_NODES else fft)
+        banded = 2 * conv.band + 1 <= BAND_PER_LOG2 * math.log2(n)
+        assert np.array_equal(picked, direct if n < FFT_MIN_NODES or banded else fft)
 
     @pytest.mark.parametrize("kname", sorted(_KERNELS))
-    def test_capacity_regrowth(self, kname):
+    def test_capacity_regrowth(self, kname, monkeypatch):
         density = _KERNELS[kname].density
         conv = LatticeConvolution(_KERNELS[kname], 0.05)
+        lengths = _record_transform_lengths(monkeypatch)
         rng = np.random.default_rng(7)
         capacities = []
         for n in (1024, 1025, 2, 1500):
             wu = rng.uniform(0.0, 0.05, n)
             ref = _reference_convolution(density, 0.05, wu)
             scale = np.max(np.abs(ref))
+            lengths.clear()
             assert np.max(np.abs(conv.direct(wu) - ref)) <= 1e-14 * scale
             assert np.max(np.abs(conv.fft(wu) - ref)) <= 1e-12 * scale
+            # the input's transform, after the row's when the capacity grew
+            grew = conv.capacity != (capacities or [0])[-1]
+            assert lengths == [_circular_length(density, 0.05, conv.capacity)] * (1 + grew), n
             capacities.append(conv.capacity)
         # the first call sizes the row for its 1024 nodes, 1025 nodes double
         # it, and shorter inputs reuse it

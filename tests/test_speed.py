@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -324,11 +325,32 @@ class TestC0Curve:
             c0_curve([1.0, 0.5], 1.0, laplace, logistic)
         with pytest.raises(ValueError):
             c0_curve([-1.0, 2.0], 1.0, laplace, logistic)
+        for mu in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                c0_curve([1.0, mu], 1.0, laplace, logistic)
+            with pytest.raises(ValueError, match="finite"):
+                solve_c0(mu, 1.0, laplace, logistic)
 
     def test_errors_recorded_not_raised(self, logistic, quick_params):
         entries = c0_curve([1.0, 2.0], 1.0, make_power(0.8), logistic, quick_params)
         assert all(e.solution is None for e in entries)
         assert all("NoFiniteSpeed" in e.error for e in entries)
+
+    def test_bugs_propagate(self, laplace, logistic, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("a bug, not a failed solve")
+
+        monkeypatch.setattr(speed, "solve_c0", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            c0_curve([1.0], 1.0, laplace, logistic)
+
+    def test_failures_at_extreme_inputs_are_recorded(self, laplace, logistic):
+        # mu = 1e300 leaves the Laplace phase flat in c (no Newton step), and
+        # tol = 5e-324 leaves no positive profile tolerance; neither is a bug
+        [entry] = c0_curve([1e300], 1.0, laplace, logistic)
+        assert entry.error.startswith("NonconvergenceError: frozen iteration's phase is flat")
+        with pytest.raises(NonconvergenceError, match="no positive profile tolerance"):
+            solve_c0(1.0, 1.0, laplace, logistic, tol=5e-324)
 
     def test_large_mu_sweep_has_no_error(self, laplace, logistic):
         entries = c0_curve([1e2, 1e3, 1e4, 1e5, 1e6], 1.0, laplace, logistic)
