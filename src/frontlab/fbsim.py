@@ -243,10 +243,13 @@ class _Schedule:
     ``due(t)`` is asked once at every time the run reaches, in order.  A
     multiple counts as reached within 1e-9 and the end within 1e-12, which is
     also where ``ended`` stops the run.  With period 0 nothing is due, not
-    even the end.
+    even the end; a negative or non-finite period, which would never pass
+    t, raises ``ValueError``.
     """
 
     def __init__(self, period: float, t_end: float):
+        if period and not 0.0 < period < math.inf:
+            raise ValueError(f"a sampling period must be finite and >= 0, got {period}")
         self.period = period
         self.t_end = t_end
         self.next = 0.0

@@ -11,7 +11,6 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg.lapack import dpttrs
-from scipy.optimize import brentq
 
 from .errors import NonconvergenceError
 
@@ -374,6 +373,10 @@ def bracketed_root(G: Callable[[float], float], lo: float, hi: float, xtol: floa
     Brent's method (``scipy.optimize.brentq``) then narrows that bracket to
     xtol, reusing the values of G at its ends.
     """
+    # imported here, not with the module: scipy.optimize is about 30 % of a
+    # cold ``import frontlab``, and most commands never get here
+    from scipy.optimize import brentq
+
     lo, hi, g_lo, g_hi = grow_bracket(G, lo, hi)
 
     def g(x: float) -> float:

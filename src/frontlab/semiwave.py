@@ -29,12 +29,11 @@ import math
 import warnings
 import weakref
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 from scipy.linalg.blas import dtbsv
-from scipy.optimize import minimize_scalar
 
 from .errors import (
     DivergentIntegralError, NonconvergenceError, NoCrossingError, UnsupportedTailError,
@@ -69,6 +68,9 @@ _DEPTH_DEFAULT = {
 _RESIDUAL_FACTOR = 100.0
 # a profile keeps its plateau while phi(-L) >= 1 - _PLATEAU_EPS
 _PLATEAU_EPS = 1e-2
+# the freezing iteration refreshes its phase slope on every _SLOPE_EVERY-th
+# step and reuses it in between
+_SLOPE_EVERY = 3
 
 
 @dataclass(kw_only=True)
@@ -450,11 +452,12 @@ def estimate_cstar(
     the speed of the profile pinned at -L/2 approaches c* from below as L
     grows, roughly as c* - A/L^2.  One pinned solve gives it: a cold
     ``solve_semiwave`` at c_lin/2 (c_lin the linear-determinacy speed),
-    shifted so that phi(-L/2) = 1/2, then the freezing iteration of
-    ``_pinned_semiwave``.  The iteration budget running out, a speed that
-    leaves (0, inf), or a profile that fails the plateau or residual test
-    raises ``NonconvergenceError``; no outcome is read as a verdict.  An
-    estimate more than 5% from c_lin warns.
+    stopped at ``max(tol_iter, 1e-6)`` and shifted so that phi(-L/2) = 1/2,
+    then the freezing iteration of ``_pinned_semiwave``, whose chord Newton
+    step on c refreshes its slope every third step.  The iteration budget
+    running out, a speed that leaves (0, inf), or a profile that fails the
+    plateau or residual test raises ``NonconvergenceError``; no outcome is
+    read as a verdict.  An estimate more than 5% from c_lin warns.
     """
     cls = classify_tail(k)
     if cls not in (TailClass.THIN_TAIL, TailClass.COMPACT_SUPPORT):
@@ -498,16 +501,18 @@ def _frozen(
         w = d*(J*phi + far) + (c*M - d)*phi + f(phi),   c*M = choose_M(1, d, r),
 
     sets the next iterate to ``A_c.integrate(w)`` and reads the phase off
-    it; ``phase`` sees the nodes from ``start`` to the front.  One more
-    integration, of the suffix ``w[start:]`` at c + dc, gives the phase's
-    forward-difference slope, and c moves by that Newton step for the next
-    iteration: two integrations per step.  The iteration stops once
-    max|phi_new - phi| < tol_iter and the speed step is below tol_iter*c,
-    and returns the operator at the last speed, its image of the last
-    iterate, the number of iterations and the largest upward step of any
-    node; ``max_iters`` is its only budget.  A speed that leaves (0, inf),
-    or a slope of exactly 0, which leaves no Newton step, raises
-    ``NonconvergenceError``.
+    it; ``phase`` sees the nodes from ``start`` to the front.  c moves by a
+    chord Newton step (Shamanskii; Kelley, *Iterative Methods for Linear and
+    Nonlinear Equations*, SIAM 1995): the phase's forward-difference slope,
+    from one more integration of the suffix ``w[start:]`` at c + dc, is
+    recomputed on the first step and every ``_SLOPE_EVERY``-th after it, and
+    reused in between, so most steps take one integration.  The iteration
+    stops once max|phi_new - phi| < tol_iter and the speed step is below
+    tol_iter*c, and returns the operator at the last speed, its image of the
+    last iterate, the number of iterations and the largest upward step of
+    any node; ``max_iters`` is its only budget.  A speed that leaves
+    (0, inf), or a recomputed slope of exactly 0, which leaves no Newton
+    step, raises ``NonconvergenceError``.
     """
     cM = choose_M(1.0, d, r)
     unit = _Operator(1.0, d, r, cM, 0.0, ws)
@@ -517,16 +522,17 @@ def _frozen(
             raise NonconvergenceError(f"frozen iteration reached c = {c:.3g}")
         return _Operator(c, d, r, cM / c, 0.0, ws)
 
-    slip = 0.0
+    slip = slope = 0.0
     for it in range(1, params.max_iters + 1):
         w = unit.rhs(phi, direct)
         A = at(c)
         nxt = A.integrate(w)
         g = phase(c, nxt[start:])
-        dc = 1e-8 * c
-        slope = (phase(c + dc, at(c + dc).integrate(w[start:])) - g) / dc
-        if slope == 0.0:
-            raise NonconvergenceError(f"frozen iteration's phase is flat in c at c = {c:.6g}")
+        if (it - 1) % _SLOPE_EVERY == 0:
+            dc = 1e-8 * c
+            slope = (phase(c + dc, at(c + dc).integrate(w[start:])) - g) / dc
+            if slope == 0.0:
+                raise NonconvergenceError(f"frozen iteration's phase is flat in c at c = {c:.6g}")
         step = g / slope
         diff = nxt - phi
         rise = float(diff.max())
@@ -558,10 +564,15 @@ def _pinned_semiwave(
     (4 000 cells) lost its phase that way.  The start comes from
     the cold profile at ``c_start``, never from another pinned profile: one
     shifted by a single unit stopped after 4 iterations near its own speed.
+    That profile is only shifted and interpolated into a start, so its
+    monotone solve stops at ``max(tol_iter, 1e-6)``; it must still be
+    accepted.
     """
     L = params.resolve_depth(k)
     ws = _workspace(k, L, params.n_cells)
-    cold = solve_semiwave(c_start, d, k, r, params)
+    cold = solve_semiwave(
+        c_start, d, k, r, replace(params, tol_iter=max(params.tol_iter, 1e-6))
+    )
     if not cold.accepted:
         raise NonconvergenceError(f"no semi-wave at the start speed c={c_start}: {cold.reason}")
     l, _ = half_level_shift(cold)
@@ -606,5 +617,8 @@ def linear_determinacy_speed(d: float, k: Kernel, r: Reaction) -> float | None:
     else:
         _, top, _, _ = grow_bracket(lambda lam: objective(2.0 * lam) - objective(lam), 1.0, 2.0)
         lo, hi = 1e-8, 2.0 * top
+    # imported here, not with the module, as in ``numerics.bracketed_root``
+    from scipy.optimize import minimize_scalar
+
     res = minimize_scalar(objective, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10})
     return float(res.fun)

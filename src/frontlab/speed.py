@@ -6,10 +6,11 @@ past the existence threshold of the semi-wave.  ``solve_c0`` does not
 search for the root of G: it solves the semi-wave equation and the
 free-boundary condition together by the freezing iteration of
 ``semiwave._frozen``, whose phase condition c = mu*M(A_c(phi)) moves the
-speed by one Newton step per iteration, as the pin phi(-L/2) = 1/2 does
-for c*.  The monotone iteration then certifies the result: a solve at the
-frozen speed, warm-started just above the frozen profile, must accept a
-profile whose flux matches c0.
+speed by one chord Newton step per iteration, its slope refreshed every
+third iteration, as the pin phi(-L/2) = 1/2 does for c*.  The monotone
+iteration then certifies the result: a solve at the frozen speed,
+warm-started just above the frozen profile, must accept a profile whose
+flux matches c0.
 """
 
 from __future__ import annotations
@@ -66,9 +67,10 @@ def solve_c0(
 
     ``semiwave._frozen`` starts from phi = 1 at ``c = min(0.1, mu*c(J)/10)``.
     Each step integrates the next iterate A_c(phi) at the current speed,
-    reads the phase ``c - mu*M(A_c(phi))`` off it, and moves c by one Newton
-    step on that phase.  ``max_iters`` bounds its iterations and those of
-    the certificate.  Both stop at
+    reads the phase ``c - mu*M(A_c(phi))`` off it, and moves c by one chord
+    Newton step on that phase, whose slope is refreshed every third step.
+    ``max_iters`` bounds its iterations and those of the certificate.  Both
+    stop at
     ``tol_iter' = min(tol_iter, tol/(10*mu*c(J)))``, but not below
     ``mu*c(J)*r/256`` with r the workspace convolution's measured rounding
     (0 off the FFT path), under which the iteration's steps stall.  The result

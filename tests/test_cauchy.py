@@ -174,6 +174,17 @@ class TestSchedule:
         s = _Schedule(period, 2.0)
         assert not any(s.due(t) for t in (0.0, 1.0, 2.0))
 
+    @pytest.mark.parametrize("period", [-1.0, math.inf, math.nan])
+    def test_bad_period_raises(self, period):
+        # a negative period never passes t, so due() would loop forever
+        with pytest.raises(ValueError, match="period"):
+            _Schedule(period, 1.0)
+
+    @pytest.mark.parametrize("field", ["sample_dt", "snap_dt"])
+    def test_negative_period_raises_in_cauchy_simulate(self, laplace, logistic, field):
+        with pytest.raises(ValueError, match="period"):
+            cauchy_simulate(_cfg(laplace, logistic, t_max=1.0, **{field: -1.0}))
+
 
 def _mu_shared(kernel, reaction, **kw):
     defaults = dict(

@@ -586,18 +586,31 @@ def test_module_entry_point_reports_bad_input_in_one_line(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_cold_start_skips_scipy_signal():
-    """Importing the package and its CLI pulls in no scipy.signal, which
-    with the scipy.stats it imports would cost most of a cold start."""
+def _cold_start_loads(module):
+    """"True" or "False": whether ``import frontlab, frontlab.cli`` in a
+    fresh interpreter puts ``module`` in sys.modules."""
     paths = [str(pathlib.Path(frontlab.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, frontlab, frontlab.cli; print('scipy.signal' in sys.modules)"],
+         f"import sys, frontlab, frontlab.cli; print({module!r} in sys.modules)"],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_cold_start_skips_scipy_signal():
+    """Importing the package and its CLI pulls in no scipy.signal, which
+    with the scipy.stats it imports would cost most of a cold start."""
+    assert _cold_start_loads("scipy.signal") == "False"
+
+
+def test_cold_start_skips_scipy_optimize():
+    """scipy.optimize is imported only inside its two callers,
+    ``bracketed_root`` and ``linear_determinacy_speed``, so a cold start
+    never pays for it."""
+    assert _cold_start_loads("scipy.optimize") == "False"
 
 
 def _per_value_csv(header, rows):

@@ -202,6 +202,12 @@ class TestSimulate:
         simulate(dataclasses.replace(cfg, dt=bound, t_max=5.0 * bound))
         assert len(steps) == 5
 
+    @pytest.mark.parametrize("field", ["sample_dt", "snap_dt"])
+    def test_negative_period_raises(self, laplace, logistic, field):
+        # a negative period never passes t: the schedule would loop forever
+        with pytest.raises(ValueError, match="period"):
+            simulate(_small_cfg(laplace, logistic, t_max=1.0, **{field: -1.0}))
+
     def test_u0_preconditions(self, laplace, logistic):
         cfg = _small_cfg(laplace, logistic, u0=lambda x: np.ones_like(np.asarray(x)))
         with pytest.raises(ValueError):

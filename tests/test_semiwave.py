@@ -25,7 +25,7 @@ from frontlab import (
     make_uniform,
     solve_semiwave,
 )
-from frontlab import semiwave
+from frontlab import semiwave, speed
 from frontlab.errors import NoCrossingError, NonconvergenceError, UnsupportedTailError
 from frontlab.semiwave import _WORKSPACES, _workspace
 
@@ -260,6 +260,59 @@ class TestFrontSlope:
         )
 
 
+_THRESHOLD_PARAMS = SemiWaveParams(depth=30.0, n_cells=1200, max_iters=10_000)
+
+# runs of the freezing iteration: c0 at mu = 10, and the pinned c* solve of
+# the cstar-threshold workload
+_FROZEN_RUNS = {
+    "laplace-mu10": lambda r: speed.solve_c0(10.0, 1.0, make_laplace(), r),
+    "uniform-mu10": lambda r: speed.solve_c0(10.0, 1.0, make_uniform(1.0), r),
+    "threshold": lambda r: estimate_cstar(1.0, make_uniform(1.0), r, _THRESHOLD_PARAMS),
+}
+
+
+class TestFrozen:
+    @pytest.mark.parametrize("run", sorted(_FROZEN_RUNS))
+    def test_chord_slope_matches_the_every_step_slope(self, logistic, monkeypatch, run):
+        runs, frozen = [], semiwave._frozen
+
+        def recorded(*args, **kwargs):
+            out = frozen(*args, **kwargs)
+            runs.append((out[0].c, out[2]))
+            return out
+
+        monkeypatch.setattr(semiwave, "_frozen", recorded)
+        monkeypatch.setattr(speed, "_frozen", recorded)
+        _FROZEN_RUNS[run](logistic)
+        monkeypatch.setattr(semiwave, "_SLOPE_EVERY", 1)
+        _FROZEN_RUNS[run](logistic)
+        (c_chord, it_chord), (c_newton, it_newton) = runs
+        assert c_chord == pytest.approx(c_newton, rel=1e-9)
+        assert it_chord <= it_newton + 3
+
+    @pytest.mark.parametrize("run", ["laplace-mu10", "threshold"])
+    def test_one_integration_per_step_plus_one_per_slope(self, logistic, monkeypatch, run):
+        calls, counts = [], []
+        integrate, frozen = semiwave._Operator.integrate, semiwave._frozen
+        monkeypatch.setattr(
+            semiwave._Operator, "integrate", lambda A, w: calls.append(w.size) or integrate(A, w)
+        )
+
+        def counted(*args, **kwargs):
+            before = len(calls)
+            out = frozen(*args, **kwargs)
+            counts.append((len(calls) - before, out[2]))
+            return out
+
+        monkeypatch.setattr(semiwave, "_frozen", counted)
+        monkeypatch.setattr(speed, "_frozen", counted)
+        _FROZEN_RUNS[run](logistic)
+        [(integrations, iterations)] = counts
+        slopes = -(-iterations // semiwave._SLOPE_EVERY)  # steps 1, 1 + every, ...
+        assert iterations > semiwave._SLOPE_EVERY
+        assert integrations == iterations + slopes
+
+
 class TestEstimateCstar:
     def test_laplace_against_dispersion_value(self, laplace, logistic):
         params = SemiWaveParams(depth=80.0, n_cells=4000, tol_iter=1e-8)
@@ -271,7 +324,7 @@ class TestEstimateCstar:
         # the regression value of the dispersion-test config: c(40) on [-80, 0]
         params = SemiWaveParams(depth=80.0, n_cells=4000, tol_iter=1e-8)
         est = estimate_cstar(1.0, laplace, logistic, params)
-        assert est == pytest.approx(2.5277045674061926, rel=1e-12)
+        assert est == pytest.approx(2.5277045671677567, rel=1e-12)
 
     def test_uniform_against_linear_determinacy(self, logistic):
         k = make_uniform(1.0)
@@ -304,7 +357,7 @@ class TestEstimateCstar:
         params = SemiWaveParams(depth=30.0, n_cells=1200, max_iters=10_000)
         c_lin = linear_determinacy_speed(1.0, k, logistic)
         pinned = semiwave._pinned_semiwave(1.0, k, logistic, params, 0.5 * c_lin)
-        assert cold == [(0.5 * c_lin, 140)]
+        assert cold == [(0.5 * c_lin, 76)]
         assert pinned.iterations_used == 1029
         assert pinned.c == pytest.approx(0.9063760890, abs=1e-9)
         assert pinned.residual <= 100 * params.tol_iter
@@ -322,7 +375,7 @@ class TestEstimateCstar:
         assert abs(slow.c - fast.c) <= 1e-7
 
     def test_small_budget_raises(self, logistic):
-        # the cold start takes 140 iterations, the pinned iteration 1029
+        # the cold start takes 76 iterations, the pinned iteration 1029
         params = SemiWaveParams(depth=30.0, n_cells=1200, max_iters=500)
         with pytest.raises(NonconvergenceError, match="did not converge in 500"):
             estimate_cstar(1.0, make_uniform(1.0), logistic, params)
