@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fbsim
 from .errors import ConfigError, DomainTooSmallError
-from .fbsim import SimConfig, Snapshot, stability_dt, step
+from .fbsim import SimConfig, Snapshot, simulate, stability_dt
 from .kernels import Kernel, c_of_J
 from .numerics import LatticeConvolution, UniformGrid
 from .reactions import Reaction
@@ -216,29 +216,28 @@ class MuLimitReport:
 def compare_mu_limit(mus, shared: MuLimitConfig) -> MuLimitReport:
     """Free-boundary runs at each mu, compared with one whole-line run.
 
-    Each run is compared with the whole line on the window whenever the
-    snapshot schedule fires, so ``domain_halfwidth`` must be a whole number
-    of ``dx`` cells, which puts every whole-line node on the lattice; any
-    other raises ``ConfigError``.  All runs share a single dt: the discrete
-    one-sided ordering between the constrained and unconstrained evolutions
-    survives only when time discretizations match.  The runs start from one
-    state, so they share M0*, and the tightest of their stability bounds is
-    the one at the front speed bound max(mus)*M0*c(J); c_of_J raises
+    One ``cauchy_simulate`` run and one ``simulate`` run per mu store their
+    densities whenever the snapshot schedule fires; each free-boundary
+    snapshot is embedded in the whole line and compared with it on the
+    window.  So ``domain_halfwidth`` must be a whole number of ``dx`` cells,
+    which puts every whole-line node on the lattice; any other raises
+    ``ConfigError``.  All runs share a single dt: the discrete one-sided
+    ordering between the constrained and unconstrained evolutions survives
+    only when time discretizations match.  The runs start from one state, so
+    they share M0*, and the tightest of their stability bounds is the one at
+    the front speed bound max(mus)*M0*c(J); c_of_J raises
     DivergentIntegralError on a fat tail, where that bound is infinite.
 
-    The runs advance one snapshot interval at a time: the whole line steps
-    to the next snapshot (or the end), checking its end values before every
-    step and keeping each step's dt, then each free-boundary run takes those
-    same steps, and then the snapshot compares them.  A run never depends on
-    another, so every number is the one that stepping all runs in lockstep
-    gives, while each run's steps follow one another without the others'
-    work in between.  A window that escapes the line raises
-    ``DomainTooSmallError`` at the first snapshot after it escaped, and no
-    run is stepped past that snapshot.
+    Each free-boundary run is compared as soon as it ends and then dropped,
+    so beside the whole line's snapshots at most one run's are held.  A
+    window that escapes the line raises ``DomainTooSmallError`` once every
+    run has ended, naming the earliest snapshot, over all runs, at which a
+    window no longer fits.
     """
     mus = [float(m) for m in mus]
-    if any(m <= 0 for m in mus):
-        raise ValueError("all mu values must be positive")
+    if not all(0.0 < m < math.inf for m in mus):
+        # before any run: an infinite mu gives dt = 0, which a run reads as unset
+        raise ValueError("all mu values must be positive and finite")
     if not shared.snap_dt > 0:
         # a schedule of period 0 never fires, so nothing would be compared
         raise ValueError(f"snap_dt must be positive, got {shared.snap_dt}")
@@ -253,57 +252,39 @@ def compare_mu_limit(mus, shared: MuLimitConfig) -> MuLimitReport:
         out = np.asarray(shared.u0(x), dtype=float)
         return np.where(np.abs(x) < shared.h0, out, 0.0)
 
-    k, r, d, dx = shared.kernel, shared.reaction, shared.d, shared.dx
-    common = dict(kernel=k, reaction=r, d=d, t_max=shared.t_max, dx=dx)
+    k, dx = shared.kernel, shared.dx
+    common = dict(kernel=k, reaction=shared.reaction, d=shared.d, t_max=shared.t_max, dx=dx,
+                  sample_dt=0.0, snap_dt=shared.snap_dt)
     mu_max = max(mus, default=0.0)
     start = fbsim._initial_state(SimConfig(mu=mu_max, h0=shared.h0, u0=shared.u0, **common))
-    dt = stability_dt(d, r, dx, mu_max * start.m0star * c_of_J(k))
-    # step builds a new state and never writes to its input, so the runs
-    # can share the start
-    fbs = [start] * len(mus)
+    dt = stability_dt(shared.d, shared.reaction, dx, mu_max * start.m0star * c_of_J(k))
 
-    star = _initial_state(
-        CauchyConfig(u0=u0_compact, domain_halfwidth=shared.domain_halfwidth, **common)
-    )
-    star_conv = LatticeConvolution(k, star.grid.spacing)
-    x = star.grid.nodes()
+    star = cauchy_simulate(CauchyConfig(
+        u0=u0_compact, domain_halfwidth=shared.domain_halfwidth, dt=dt, **common
+    ))
+    x = star.final_state.grid.nodes()
     window = np.abs(x) <= shared.window_halfwidth + 1e-12
-    convs = [LatticeConvolution(k, dx) for _ in fbs]
-    sup_excess = [0.0] * len(mus)
-    sup_abs = [0.0] * len(mus)
-    flagged = False
-    snaps = fbsim._Schedule(shared.snap_dt, shared.t_max)
-    dts: list[float] = []  # the whole line's steps since the runs last caught up
-    while True:
-        flagged = flagged or bool(max(star.u[0], star.u[-1]) > _BOUNDARY_EPS)
-        due, ended = snaps.due(star.t), snaps.ended(star.t)
-        if due or ended:
-            # each free-boundary run takes the whole line's steps in turn
-            for i, (s, m, conv) in enumerate(zip(fbs, mus, convs)):
-                for step_dt in dts:
-                    s = step(s, step_dt, d, m, r, conv=conv)
-                fbs[i] = s
-            dts = []
-        if due:
-            for i, s in enumerate(fbs):
-                start = int(round((s.j0 * dx - x[0]) / dx))
-                if start < 0 or start + s.u.size > x.size:
-                    raise DomainTooSmallError(
-                        f"free-boundary window escaped the whole-line domain at t={star.t:g}"
-                    )
-                u_mu = np.zeros_like(x)
-                u_mu[start : start + s.u.size] = s.u
-                diff = (u_mu - star.u)[window]
-                sup_excess[i] = max(sup_excess[i], float(np.max(diff, initial=0.0)))
-                sup_abs[i] = max(sup_abs[i], float(np.max(np.abs(diff), initial=0.0)))
-        if ended:
-            break
-        step_dt = min(dt, shared.t_max - star.t)
-        star = cauchy_step(star, step_dt, d, r, star_conv)
-        dts.append(step_dt)
 
-    entries = [
-        MuLimitEntry(mu=m, sup_excess=e, sup_abs=a, h_final=float(s.h))
-        for m, e, a, s in zip(mus, sup_excess, sup_abs, fbs)
-    ]
-    return MuLimitReport(entries=entries, shared_dt=dt, domain_too_small=flagged)
+    entries = []
+    escaped = math.inf  # the earliest snapshot at which a window left the line
+    for m in mus:
+        traj = simulate(SimConfig(mu=m, h0=shared.h0, u0=shared.u0, dt=dt, **common))
+        sup_excess = sup_abs = 0.0
+        for fb, st in zip(traj.snapshots, star.snapshots):
+            first = int(round((fb.x[0] - x[0]) / dx))
+            if first < 0 or first + fb.u.size > x.size:
+                escaped = min(escaped, st.t)
+                break
+            u_mu = np.zeros_like(x)
+            u_mu[first : first + fb.u.size] = fb.u
+            diff = (u_mu - st.u)[window]
+            sup_excess = max(sup_excess, float(np.max(diff, initial=0.0)))
+            sup_abs = max(sup_abs, float(np.max(np.abs(diff), initial=0.0)))
+        entries.append(MuLimitEntry(mu=m, sup_excess=sup_excess, sup_abs=sup_abs,
+                                    h_final=float(traj.final_state.h)))
+        del traj  # before the next run, so one run's snapshots are held at a time
+    if escaped < math.inf:
+        raise DomainTooSmallError(
+            f"free-boundary window escaped the whole-line domain at t={escaped:g}"
+        )
+    return MuLimitReport(entries=entries, shared_dt=dt, domain_too_small=star.domain_too_small)

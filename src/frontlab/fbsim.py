@@ -121,8 +121,8 @@ def step(
     once per run so the kernel row and tail table are sampled once, not on
     every step; it also gives both boundary fluxes.  ``dt`` is not checked
     here: the bound (``stability_dt``) is fixed over a run, so ``simulate``
-    checks a configured ``dt`` once and ``compare_mu_limit`` steps at the
-    bound of its fastest run.
+    checks a configured ``dt`` once and ``compare_mu_limit`` passes its
+    fastest run's bound to every run as ``SimConfig.dt``.
     """
     u, dx = s.u, s.dx
     n = u.size

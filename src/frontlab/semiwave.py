@@ -423,6 +423,9 @@ def half_level_shift(p: SemiWaveProfile) -> tuple[float, tuple[UniformGrid, np.n
     if p.plateau_value < 0.5:
         raise NoCrossingError("profile never reaches the half level")
     below = np.nonzero(phi < 0.5)[0]
+    if below.size == 0:
+        # a homotopy source sigma >= 1/2 pins phi(0) at or above the level
+        raise NoCrossingError("profile never drops below the half level")
     j = int(below[0])  # phi[j-1] >= 1/2 > phi[j]; j >= 1 since plateau >= 1/2
     x_cross = x[j - 1] + p.grid.spacing * (phi[j - 1] - 0.5) / (phi[j - 1] - phi[j])
     l = -float(x_cross)

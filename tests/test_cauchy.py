@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from frontlab import cauchy
+from frontlab import cauchy, fbsim
 from frontlab import (
     CauchyConfig,
     CauchyState,
@@ -226,6 +226,17 @@ class TestCompareMuLimit:
         with pytest.raises(ValueError):
             compare_mu_limit([0.0, 1.0], shared)
 
+    @pytest.mark.parametrize("mu", [math.inf, math.nan])
+    def test_rejects_nonfinite_mu(self, laplace, logistic, monkeypatch, mu):
+        # before any run: an infinite mu gives the shared dt = 0, which every
+        # run would read as unset, and nan fails inside a free-boundary step
+        shared = _mu_shared(laplace, logistic, t_max=1.0, domain_halfwidth=30.0)
+        steps = []
+        monkeypatch.setattr(cauchy, "cauchy_step", lambda *a, **kw: steps.append(a))
+        with pytest.raises(ValueError, match="finite"):
+            compare_mu_limit([1.0, mu], shared)
+        assert steps == []
+
     @pytest.mark.parametrize("snap_dt", [0.0, -1.0])
     def test_rejects_nonpositive_snap_dt(self, laplace, logistic, monkeypatch, snap_dt):
         # a schedule that never fires would compare nothing and report zero
@@ -260,34 +271,39 @@ class TestCompareMuLimit:
         with pytest.raises(ValueError, match="escaped"):
             compare_mu_limit([100.0], shared)
 
-    def test_escape_stops_every_run_at_the_next_snapshot(self, laplace, logistic, monkeypatch):
-        # the whole line runs ahead of the free-boundary runs between
-        # snapshots; an escape must still raise at the first snapshot after
-        # it, with no run stepped past that snapshot
+    def test_escape_names_the_earliest_snapshot_after_it(self, laplace, logistic, monkeypatch):
+        # every run steps to t_max and is compared after it ends; an escape
+        # still raises, naming the first snapshot after it, and with two runs
+        # that escape at different snapshots the earlier one in either order
         shared = _mu_shared(
             laplace, logistic, t_max=6.0, domain_halfwidth=12.0, window_halfwidth=5.0
         )
-        whole, free = [], []
-
-        def counted(fn, out):
-            def wrapper(*args, **kwargs):
-                out.append(fn(*args, **kwargs))
-                return out[-1]
-            return wrapper
-
-        monkeypatch.setattr(cauchy, "cauchy_step", counted(cauchy.cauchy_step, whole))
-        monkeypatch.setattr(cauchy, "step", counted(cauchy.step, free))
-        with pytest.raises(DomainTooSmallError, match="escaped") as info:
-            compare_mu_limit([1.0, 100.0], shared)
         cells = round(shared.domain_halfwidth / shared.dx)
-        escaped = next(s.t for s in free if s.j0 < -cells or s.j0 + s.u.size - 1 > cells)
-        snapshot = math.ceil(escaped / shared.snap_dt) * shared.snap_dt
-        # the escape falls strictly between two snapshots
-        assert escaped < snapshot - 1e-6
-        assert f"at t={snapshot:g}" in str(info.value)
-        assert whole[-1].t == pytest.approx(snapshot, abs=1e-9)
-        assert len(free) == 2 * len(whole)
-        assert max(s.t for s in free) == whole[-1].t
+        escaped = {}
+
+        def recorded(s, dt, d, mu, r, *, conv, step=fbsim.step):
+            out = step(s, dt, d, mu, r, conv=conv)
+            if out.j0 < -cells or out.j0 + out.u.size - 1 > cells:
+                escaped.setdefault(mu, out.t)
+            return out
+
+        monkeypatch.setattr(fbsim, "step", recorded)
+
+        def message(mus):
+            with pytest.raises(DomainTooSmallError, match="escaped") as info:
+                compare_mu_limit(mus, shared)
+            return str(info.value)
+
+        snapshot = {}
+        for mu in (100.0, 30.0):
+            text = message([mu])
+            snapshot[mu] = math.ceil(escaped[mu] / shared.snap_dt) * shared.snap_dt
+            # the escape falls strictly between two snapshots
+            assert escaped[mu] < snapshot[mu] - 1e-6
+            assert text.endswith(f"at t={snapshot[mu]:g}")
+        assert snapshot[100.0] < snapshot[30.0]
+        for mus in ([100.0, 30.0], [30.0, 100.0]):
+            assert message(mus).endswith(f"at t={snapshot[100.0]:g}")
 
     @pytest.mark.parametrize("X, dx", [(80.05, 0.1), (80.0, 0.15), (50.0, 0.3)])
     def test_line_off_the_lattice_is_refused(self, laplace, logistic, X, dx):

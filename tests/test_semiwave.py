@@ -240,6 +240,16 @@ class TestHalfLevelShift:
         with pytest.raises(NoCrossingError):
             half_level_shift(broken)
 
+    def test_accepted_profile_above_the_half_level(self, laplace, logistic):
+        # sigma = 0.6 pins phi(0) at 0.6, so the profile never drops below 1/2
+        prof = solve_semiwave(
+            1.0, 1.0, laplace, logistic, SemiWaveParams(depth=30.0, n_cells=600), sigma=0.6
+        )
+        assert isinstance(prof, SemiWaveProfile)
+        assert prof.phi.min() >= 0.5
+        with pytest.raises(NoCrossingError):
+            half_level_shift(prof)
+
 
 class TestFrontSlope:
     def test_negative(self, laplace, logistic, quick_params):

@@ -2,7 +2,7 @@
 functions by name.  One small traced job here makes a renamed or removed
 wrapped name fail the test suite, not only a benchmark run.  Traced Laplace
 simulations show that the free-boundary step evaluates no kernel tail, and a
-traced mu-limit run that its lockstep loop steps every run.  The
+traced mu-limit run that every run takes the whole line's steps.  The
 config of every benchmark job must parse, and every seed-0 job must pass the
 benchmark's output check, so a schema change that rejects one, or a headline
 that drifts from its baseline, fails here too, not only in a benchmark run."""
