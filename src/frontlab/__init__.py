@@ -19,7 +19,6 @@ from .errors import (
 from .numerics import (
     LatticeConvolution,
     UniformGrid,
-    bracketed_root,
     fit_slope,
     trapezoid_weights,
 )

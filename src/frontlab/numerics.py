@@ -1,5 +1,5 @@
 """Shared low-level numerics: trapezoid weights, lattice convolution, a
-geometric bracket search and the root finder built on it, regression."""
+geometric bracket search, regression."""
 
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ __all__ = [
     "TAIL_NODES",
     "TAIL_TOL",
     "grow_bracket",
-    "bracketed_root",
     "fit_slope",
 ]
 
@@ -341,55 +340,26 @@ class LatticeConvolution:
 BRACKET_MAX_STEPS = 60
 
 
-def grow_bracket(G: Callable[[float], float], lo: float, hi: float) -> tuple[float, ...]:
-    """``(lo, hi, G(lo), G(hi))`` with G(lo) < 0 <= G(hi), for ``bracketed_root``.
+def grow_bracket(G: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+    """``(lo, hi)`` with G(lo) < 0 <= G(hi).
 
     G increases wherever it is finite and may return +inf.  A lo with G(lo)
     not negative becomes hi and halves, and a hi with G(hi) < 0 becomes lo
     and doubles, each at most ``BRACKET_MAX_STEPS`` times before raising
-    ``NonconvergenceError``.  No end is evaluated twice.
+    ``NonconvergenceError``.
     """
     if not 0.0 < lo < hi:
         raise ValueError(f"need 0 < lo < hi, got [{lo}, {hi}]")
-    g_lo, g_hi, halvings, doublings = G(lo), None, 0, 0
-    while not g_lo < 0.0:
+    halvings = doublings = 0
+    while not G(lo) < 0.0:
         if halvings == BRACKET_MAX_STEPS:
             raise NonconvergenceError(f"G is not negative anywhere down to {lo:.3g}")
-        hi, g_hi, lo, halvings = lo, g_lo, 0.5 * lo, halvings + 1
-        g_lo = G(lo)
-    g_hi = G(hi) if g_hi is None else g_hi
-    while g_hi < 0.0:
+        lo, hi, halvings = 0.5 * lo, lo, halvings + 1
+    while G(hi) < 0.0:
         if doublings == BRACKET_MAX_STEPS:
             raise NonconvergenceError(f"G is negative everywhere up to {hi:.3g}")
-        lo, g_lo, hi, doublings = hi, g_hi, 2.0 * hi, doublings + 1
-        g_hi = G(hi)
-    return lo, hi, g_lo, g_hi
-
-
-def bracketed_root(G: Callable[[float], float], lo: float, hi: float, xtol: float) -> float:
-    """Root of a finite, increasing scalar function, searched from [lo, hi].
-
-    ``grow_bracket`` widens [lo, hi] until G changes sign across it, and
-    Brent's method (``scipy.optimize.brentq``) then narrows that bracket to
-    xtol, reusing the values of G at its ends.
-    """
-    # imported here, not with the module: scipy.optimize is about 30 % of a
-    # cold ``import frontlab``, and most commands never get here
-    from scipy.optimize import brentq
-
-    lo, hi, g_lo, g_hi = grow_bracket(G, lo, hi)
-
-    def g(x: float) -> float:
-        if x == lo:
-            return g_lo
-        if x == hi:
-            return g_hi
-        return G(x)
-
-    root, info = brentq(g, lo, hi, xtol=xtol, full_output=True, disp=False)
-    if not info.converged:
-        raise NonconvergenceError(f"Brent's method did not converge on [{lo}, {hi}]")
-    return float(root)
+        lo, hi, doublings = hi, 2.0 * hi, doublings + 1
+    return lo, hi
 
 
 def fit_slope(ts: Sequence[float] | np.ndarray, xs: Sequence[float] | np.ndarray) -> float:

@@ -9,7 +9,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateAdjustmentError
-from .numerics import bracketed_root
 
 __all__ = [
     "Reaction",
@@ -226,9 +225,12 @@ def adjust_for_truncation(r: Reaction, sigma_n: float, d: float) -> AdjustedReac
         return AdjustedReaction(base=r, sigma_n=1.0, d=d, f_n=f_n, eta_n=1.0)
 
     # f_n(u)/u = f(u)/u - loss is nonincreasing (KPP), positive near 0 and
-    # -loss at 1, so its negative brackets and finds the zero eta_n
-    def G(v: float) -> float:
-        return -f_n(v) / v
-
-    eta_n = bracketed_root(G, 0.5, 1.0, xtol=1e-14)
-    return AdjustedReaction(base=r, sigma_n=sigma_n, d=d, f_n=f_n, eta_n=eta_n)
+    # -loss at 1, so bisecting (0, 1) on the sign of f_n down to adjacent
+    # floats leaves eta_n as the first float at which f_n <= 0
+    lo, hi = 0.0, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if f_n(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return AdjustedReaction(base=r, sigma_n=sigma_n, d=d, f_n=f_n, eta_n=hi)

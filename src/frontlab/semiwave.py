@@ -618,9 +618,9 @@ def linear_determinacy_speed(d: float, k: Kernel, r: Reaction) -> float | None:
     if math.isfinite(k.lambda_sup):
         lo, hi = 1e-8 * k.lambda_sup, k.lambda_sup * (1.0 - 1e-10)
     else:
-        _, top, _, _ = grow_bracket(lambda lam: objective(2.0 * lam) - objective(lam), 1.0, 2.0)
+        _, top = grow_bracket(lambda lam: objective(2.0 * lam) - objective(lam), 1.0, 2.0)
         lo, hi = 1e-8, 2.0 * top
-    # imported here, not with the module, as in ``numerics.bracketed_root``
+    # imported here, not with the module: most commands never need scipy.optimize
     from scipy.optimize import minimize_scalar
 
     res = minimize_scalar(objective, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10})

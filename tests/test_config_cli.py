@@ -430,6 +430,16 @@ class TestCli:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["domain_halfwidth"] == pytest.approx(8.0 * 0.5 * 30.0 * np.sqrt(np.e))
 
+    def test_cauchy_wide_uniform(self, tmp_path):
+        # c_lin's bracket search starts where sinh(lam * R) overflows
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "[kernel]\ntype = uniform\nradius = 400\n[reaction]\ntype = logistic\n"
+            "[time]\nt_max = 0.2\n"
+        )
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "cauchy"]) == 0
+
     def test_experiment_accelerated_reduced(self, tmp_path):
         from frontlab.experiments import EXPERIMENT_PRESETS
 
@@ -533,6 +543,10 @@ _BAD_INPUTS = {
         ["cauchy"],
         4,
     ),
+    # 800 table points per unit of support: 8e8 at R = 1e6
+    "truncation-radius-too-large": (
+        MINIMAL + "[experiment]\nradii = 1e6\n", ["experiment", "truncation"], 4
+    ),
     # the bump underflows to 0 at the node x = 10, inside (-h0, h0)
     "bump-u0-zero-inside": (
         MINIMAL + "[model]\nh0 = 10.0003\n[initial]\nfamily = bump\n", ["simulate"], 4
@@ -586,14 +600,13 @@ def test_module_entry_point_reports_bad_input_in_one_line(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def _cold_start_loads(module):
-    """"True" or "False": whether ``import frontlab, frontlab.cli`` in a
-    fresh interpreter puts ``module`` in sys.modules."""
+def _cold_start_loads(module, code="import frontlab, frontlab.cli"):
+    """"True" or "False": whether ``code`` (by default ``import frontlab,
+    frontlab.cli``) in a fresh interpreter puts ``module`` in sys.modules."""
     paths = [str(pathlib.Path(frontlab.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     proc = subprocess.run(
-        [sys.executable, "-c",
-         f"import sys, frontlab, frontlab.cli; print({module!r} in sys.modules)"],
+        [sys.executable, "-c", f"import sys; {code}; print({module!r} in sys.modules)"],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -607,10 +620,19 @@ def test_cold_start_skips_scipy_signal():
 
 
 def test_cold_start_skips_scipy_optimize():
-    """scipy.optimize is imported only inside its two callers,
-    ``bracketed_root`` and ``linear_determinacy_speed``, so a cold start
-    never pays for it."""
+    """scipy.optimize is imported only inside its one caller,
+    ``linear_determinacy_speed``, so a cold start never pays for it."""
     assert _cold_start_loads("scipy.optimize") == "False"
+
+
+def test_eta_n_skips_scipy_optimize():
+    """eta_n comes from a bisection, so the truncation experiment needs no
+    scipy.optimize."""
+    code = (
+        "from frontlab import adjust_for_truncation, make_logistic; "
+        "adjust_for_truncation(make_logistic(), 0.8, 1.0)"
+    )
+    assert _cold_start_loads("scipy.optimize", code) == "False"
 
 
 def _per_value_csv(header, rows):

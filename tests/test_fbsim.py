@@ -4,13 +4,13 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from frontlab import (
     FieldState,
     LatticeConvolution,
     OutcomeTag,
     SimConfig,
-    bracketed_root,
     c_of_J,
     classify_outcome,
     make_laplace,
@@ -415,5 +415,5 @@ class TestPrincipalEigenvalue:
 
 @pytest.mark.parametrize("d", [2.0, 5.0])
 def test_eigenvalue_root_matches_laplace_ell_star(laplace, d):
-    ell = bracketed_root(lambda l: principal_eigenvalue(l, d, laplace, 1.0), 0.1, 1.0, xtol=1e-10)
+    ell = brentq(lambda l: principal_eigenvalue(l, d, laplace, 1.0), 0.1, 4.0, xtol=1e-10)
     assert ell == pytest.approx(laplace_ell_star(d, 1.0), abs=1e-5)

@@ -16,8 +16,10 @@ from frontlab import (
     make_uniform,
     truncate,
 )
+from frontlab import kernels
 from frontlab.errors import (
     DivergentIntegralError,
+    FrontlabError,
     NonNormalizableError,
     UndecidableTailError,
 )
@@ -151,6 +153,11 @@ class TestExpMoment:
         assert math.isinf(exp_moment(make_gaussian(30.0), 2.0))
         assert exp_moment(make_gaussian(30.0), 1.0 / 30.0) == pytest.approx(math.exp(0.5))
 
+    def test_wide_uniform_overflows_to_inf(self):
+        # sinh(lam*R) overflows once lam*R passes about 710
+        assert math.isinf(exp_moment(make_uniform(400.0), 2.0))
+        assert exp_moment(make_uniform(400.0), 1.0 / 400.0) == pytest.approx(math.sinh(1.0))
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             exp_moment(make_laplace(), -0.1)
@@ -220,6 +227,19 @@ class TestTruncate:
     def test_bad_args(self):
         with pytest.raises(ValueError):
             truncate(make_laplace(), -1.0)
+
+    def test_refuses_an_oversized_table(self):
+        # 800 points per unit of support: 8e8 at R = 1e6, refused before
+        # anything is allocated
+        with pytest.raises(FrontlabError, match=r"R = 1e\+06 needs tables of 800000801 points"):
+            truncate(make_laplace(), 1e6)
+
+    def test_table_limit_is_inclusive(self, monkeypatch):
+        # R = 10 needs 800 * 11 + 1 = 8 801 points
+        monkeypatch.setattr(kernels, "TRUNCATE_MAX_TABLE", 8801)
+        assert truncate(make_laplace(), 10.0).support_radius == 11.0
+        with pytest.raises(FrontlabError, match="8801"):
+            truncate(make_laplace(), 10.01)
 
 
 class TestCustomKernel:

@@ -8,7 +8,6 @@ from scipy.fft import next_fast_len
 from frontlab import (
     LatticeConvolution,
     UniformGrid,
-    bracketed_root,
     fit_slope,
     make_gaussian,
     make_laplace,
@@ -378,52 +377,6 @@ class TestTailTable:
                 assert got == want
 
 
-class TestBisect:
-    """numerics.bracketed_root: grow_bracket, then Brent's method to xtol."""
-
-    def test_affine(self):
-        root = bracketed_root(lambda c: c - 1.0, 0.5, 2.0, 1e-12)
-        assert root == pytest.approx(1.0, abs=1e-11)
-
-    def test_sqrt2(self):
-        root = bracketed_root(lambda c: c * c - 2.0, 1.0, 2.0, 1e-14)
-        assert root == pytest.approx(np.sqrt(2.0), abs=1e-13)
-
-    def test_bad_bracket(self):
-        # a start that misses the root is grown until it straddles it; a G
-        # that never changes sign exhausts the growth and raises
-        assert bracketed_root(lambda c: c - 5.0, 0.1, 0.2, 1e-12) == pytest.approx(5.0, abs=1e-11)
-        with pytest.raises(NonconvergenceError):
-            bracketed_root(lambda c: c + 10.0, 0.5, 1.0, 1e-11)
-
-    def test_bracket_choice_insensitive(self):
-        r1 = bracketed_root(lambda c: c**3 - 5.0, 0.1, 3.0, 1e-14)
-        r2 = bracketed_root(lambda c: c**3 - 5.0, 1.5, 1.8, 1e-14)
-        assert abs(r1 - r2) <= 1e-12
-
-    def test_superlinear_on_smooth_G(self):
-        # plain bisection needs log2(0.2 / 1e-11) > 34 evaluations here
-        calls = []
-
-        def G(c):
-            calls.append(c)
-            return c - 0.6 * np.exp(-c)
-
-        root = bracketed_root(G, 0.3, 0.5, xtol=1e-11)
-        assert len(calls) <= 12
-        assert abs(root - 0.6 * np.exp(-root)) <= 1e-11
-
-    def test_ends_evaluated_once(self):
-        calls = []
-
-        def G(c):
-            calls.append(c)
-            return c - 0.45
-
-        bracketed_root(G, 0.1, 0.2, xtol=1e-12)
-        assert len(calls) == len(set(calls))
-
-
 class TestGrowBracket:
     """numerics.grow_bracket: halve lo while G(lo) >= 0, double hi while G(hi) < 0."""
 
@@ -439,31 +392,29 @@ class TestGrowBracket:
 
     def test_start_already_brackets(self):
         G, probes = self._recording(lambda c: c - 0.15)
-        assert grow_bracket(G, 0.1, 0.2) == (0.1, 0.2, 0.1 - 0.15, 0.2 - 0.15)
+        assert grow_bracket(G, 0.1, 0.2) == (0.1, 0.2)
         assert probes == [0.1, 0.2]
 
     def test_grow_path(self):
         G, probes = self._recording(lambda c: c - 5.0)
-        lo, hi, g_lo, g_hi = grow_bracket(G, 0.1, 0.2)
-        assert (lo, hi) == (3.2, 6.4) and (g_lo, g_hi) == (3.2 - 5.0, 6.4 - 5.0)
+        assert grow_bracket(G, 0.1, 0.2) == (3.2, 6.4)
         assert probes == [0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4]
 
     def test_shrink_path_reuses_the_known_end(self):
         G, probes = self._recording(lambda c: c - 0.01)
-        lo, hi, g_lo, g_hi = grow_bracket(G, 0.1, 0.2)
-        assert (lo, hi) == (0.00625, 0.0125)
-        assert (g_lo, g_hi) == (0.00625 - 0.01, 0.0125 - 0.01)
-        # the old lo becomes hi with its value, and 0.2 is never probed
-        assert probes == [0.1, 0.05, 0.025, 0.0125, 0.00625]
+        assert grow_bracket(G, 0.1, 0.2) == (0.00625, 0.0125)
+        # the old lo becomes hi, and 0.2 is never probed
+        assert probes[:5] == [0.1, 0.05, 0.025, 0.0125, 0.00625]
+        assert 0.2 not in probes
 
     def test_infinite_values(self):
         # a predicate: -1 below 3, +inf above
         G, probes = self._recording(lambda c: -1.0 if c < 3.0 else math.inf)
-        assert grow_bracket(G, 0.1, 1.0) == (2.0, 4.0, -1.0, math.inf)
+        assert grow_bracket(G, 0.1, 1.0) == (2.0, 4.0)
         assert probes == [0.1, 1.0, 2.0, 4.0]
         G, probes = self._recording(lambda c: -1.0 if c < 0.03 else math.inf)
-        assert grow_bracket(G, 0.1, 1.0) == (0.025, 0.05, -1.0, math.inf)
-        assert probes == [0.1, 0.05, 0.025]
+        assert grow_bracket(G, 0.1, 1.0) == (0.025, 0.05)
+        assert probes[:3] == [0.1, 0.05, 0.025]
 
     def test_guards_raise_nonconvergence(self):
         G, probes = self._recording(lambda c: 1.0)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from frontlab import adjust_for_truncation, make_logistic, make_polynomial, validate_kpp
+from frontlab import (
+    adjust_for_truncation, make_logistic, make_polynomial, parse_config, truncate, validate_kpp,
+)
 from frontlab.errors import DegenerateAdjustmentError
+from frontlab.experiments import EXPERIMENT_PRESETS
 
 
 class TestLogistic:
@@ -74,12 +77,32 @@ class TestAdjustForTruncation:
         assert abs(adj.eta_n - np.sqrt(sigma)) <= 1e-14
 
     def test_logistic_eta_for_every_sigma(self, logistic):
-        # -f_n(u)/u = u - sigma is linear, so the first secant step of the
-        # root finder lands on sigma, however far down the bracket was grown
+        # f_n(u) = u (sigma - u) changes sign at sigma, and the bisection
+        # stops on adjacent floats around where it rounds to 0
         for i in range(1, 1000):
             sigma = i / 1000
             eta = adjust_for_truncation(logistic, sigma, 1.0).eta_n
             assert abs(eta - sigma) <= 1e-14, sigma
+
+    @staticmethod
+    def _assert_sign_change(adj):
+        # eta_n is the first float at which f_n is not positive
+        eta = adj.eta_n
+        assert adj.f_n(eta) <= 0.0 < adj.f_n(np.nextafter(eta, 0.0)), (adj.sigma_n, eta)
+
+    @pytest.mark.parametrize(
+        "name, sigma",
+        [("logistic", 0.3), ("logistic", 0.5), ("cubic", 0.3), ("cubic", 0.7), ("cubic", 0.999999)],
+    )
+    def test_eta_is_a_sign_change_between_adjacent_floats(self, name, sigma):
+        r = make_logistic() if name == "logistic" else make_polynomial([0.0, 1.0, 0.0, -1.0])
+        self._assert_sign_change(adjust_for_truncation(r, sigma, 1.0))
+
+    def test_eta_is_a_sign_change_at_the_truncation_preset(self):
+        cfg = parse_config(EXPERIMENT_PRESETS["truncation"])
+        k, r, d = cfg.build_kernel(), cfg.build_reaction(), cfg.get("model", "d")
+        for R in cfg.radii():
+            self._assert_sign_change(adjust_for_truncation(r, truncate(k, R).sigma_n, d))
 
     def test_eta_increases_with_sigma(self, logistic):
         etas = [adjust_for_truncation(logistic, s, 1.0).eta_n for s in (0.7, 0.8, 0.9, 0.999)]

@@ -419,11 +419,14 @@ class TestEstimateCstar:
         }[kname]
 
     def test_linear_determinacy_of_a_narrow_kernel(self, logistic):
-        # J_R(x) = J_1(x/R)/R has c_lin(J_R) = R c_lin(J_1); the minimiser
-        # sits near 2.4e9, thirty-odd doublings up from 1
+        # J_R(x) = J_1(x/R)/R has c_lin(J_R) = R c_lin(J_1).  At R = 1e-9 the
+        # minimiser sits near 2.4e9, thirty-odd doublings up from 1.  From
+        # R = 400 on the first probe's moment at lam = 2 is past the largest
+        # float, and the bracket search halves down to the minimiser
         c_one = linear_determinacy_speed(1.0, make_uniform(1.0), logistic)
-        c_lin = linear_determinacy_speed(1.0, make_uniform(1e-9), logistic)
-        assert c_lin == pytest.approx(1e-9 * c_one, rel=1e-9)
+        for R in (1e-9, 400.0, 1e4):
+            c_lin = linear_determinacy_speed(1.0, make_uniform(R), logistic)
+            assert c_lin == pytest.approx(R * c_one, rel=1e-9), R
 
     def test_linear_determinacy_of_a_wide_gaussian(self, logistic):
         # exp(l^2 sd^2/2)/l is smallest at l = 1/sd; the bracket search

@@ -145,7 +145,7 @@ class TestSolveC0:
     )
     def test_bracket_insensitive(self, logistic, quick_params, kname, mu):
         """The frozen iteration agrees with a root finder over monotone solves."""
-        from frontlab import bracketed_root
+        from scipy.optimize import brentq
 
         d, r = 1.0, logistic
         if kname == "truncated":
@@ -165,7 +165,7 @@ class TestSolveC0:
             return c - flux_M(prof, k, mu)
 
         # a bracket around c0 in which every speed lies below the threshold c*
-        other = bracketed_root(G, 0.5 * sol.c0, 1.5 * sol.c0, tol * 1e-3)
+        other = brentq(G, 0.5 * sol.c0, 1.5 * sol.c0, xtol=tol * 1e-3)
         assert abs(other - sol.c0) <= 10.0 * tol
         assert sol.residual <= tol
 
