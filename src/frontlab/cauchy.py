@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import fbsim
-from .errors import ConfigError, DomainTooSmallError
+from .errors import ConfigError, DomainTooSmallError, InitialDataError
 from .fbsim import SimConfig, Snapshot, simulate, stability_dt
 from .kernels import Kernel, c_of_J
 from .numerics import LatticeConvolution, UniformGrid
@@ -138,6 +138,8 @@ def _initial_state(cfg: CauchyConfig) -> CauchyState:
     grid = UniformGrid(-X, X, n)
     x = grid.nodes()
     u = np.asarray(cfg.u0(x), dtype=float)
+    if not np.isfinite(u).all():
+        raise InitialDataError("u0 must be finite")
     half = 0.5 * X
     if np.any(u[np.abs(x) > half] > 0.0):
         raise DomainTooSmallError(f"u0 must be compactly supported inside [-X/2, X/2], X = {X:g}")

@@ -151,7 +151,7 @@ def step(
     # above the continuum cap; the invariant check carries exactly that slack
     cap = s.m0star * (1.0 + 0.125 * dx * dx) + 1e-12
     peak = float(np.maximum.reduce(u_new))
-    if peak > cap:
+    if not peak <= cap:  # a NaN node fails it too
         raise FrontlabError(f"density invariant violated: max u = {peak} > M0* = {s.m0star}")
 
     h_new = s.h + dt * mu * flux_h
@@ -228,6 +228,8 @@ def _initial_state(cfg: SimConfig) -> FieldState:
     x = np.arange(j_lo, j_hi + 1) * cfg.dx
     u = np.asarray(cfg.u0(x), dtype=float)
     edge_vals = np.asarray(cfg.u0(np.array([-cfg.h0, cfg.h0])), dtype=float)
+    if not (np.isfinite(u).all() and np.isfinite(edge_vals).all()):
+        raise InitialDataError("u0 must be finite")
     edge = float(np.max(np.abs(edge_vals)))
     if edge > 1e-9:
         raise InitialDataError(f"u0 must vanish at the initial boundaries, got {edge}")
@@ -443,6 +445,8 @@ def truncated_speed_sequence(
                 radius=R, sigma_n=tk.sigma_n, eta_n=adj.eta_n, c_n=sol.c0, solution=sol
             )
         )
+        # the tables of one radius go before the next radius builds its own
+        del tk, adj, unit
     return out
 
 

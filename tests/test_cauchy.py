@@ -19,7 +19,9 @@ from frontlab import (
     make_power,
     make_uniform,
 )
-from frontlab.errors import ConfigError, DomainTooSmallError, RejectedStepError
+from frontlab.errors import (
+    ConfigError, DomainTooSmallError, InitialDataError, RejectedStepError,
+)
 from frontlab.fbsim import _Schedule
 
 from .conftest import parabola_u0
@@ -99,6 +101,13 @@ class TestCauchySimulate:
     def test_compact_support_required(self, laplace, logistic):
         cfg = _cfg(laplace, logistic, u0=lambda x: np.maximum(0.0, 1.0 - (np.asarray(x) / 70.0) ** 2))
         with pytest.raises(ValueError):
+            cauchy_simulate(cfg)
+
+    def test_nonfinite_u0_rejected(self, laplace, logistic):
+        # a NaN node would spread to the whole line, step after step
+        u0 = lambda x: np.where(np.abs(x) < 0.01, np.nan, parabola_u0(5.0)(x))  # noqa: E731
+        cfg = _cfg(laplace, logistic, u0=u0)
+        with pytest.raises(InitialDataError, match="finite"):
             cauchy_simulate(cfg)
 
     def test_level_speed_approaches_cstar(self, laplace, logistic):

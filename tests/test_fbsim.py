@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -77,6 +78,20 @@ class TestStep:
         s1 = step(s, 0.01, 1.0, 1.0, logistic, conv=LatticeConvolution(laplace, 0.1))
         assert abs(s1.g + s1.h) < 1e-14
         np.testing.assert_allclose(s1.u, s1.u[::-1], atol=1e-14)
+
+    def test_overshoot_breaks_the_density_invariant(self, laplace, logistic):
+        # dt = 10 is far past the stability bound: u = 0.5 steps to a peak of
+        # 1.0713, above M0* = 1
+        s = FieldState(t=0.0, g=-1.0, h=1.0, dx=0.1, j0=-9, u=np.full(19, 0.5), m0star=1.0)
+        with pytest.raises(FrontlabError, match=r"density invariant violated: max u = 1\.07"):
+            step(s, 10.0, 1.0, 1.0, logistic, conv=LatticeConvolution(laplace, 0.1))
+
+    def test_nan_node_breaks_the_density_invariant(self, laplace, logistic):
+        u = np.full(19, 0.5)
+        u[9] = np.nan
+        s = FieldState(t=0.0, g=-1.0, h=1.0, dx=0.1, j0=-9, u=u, m0star=1.0)
+        with pytest.raises(FrontlabError, match="density invariant violated: max u = nan"):
+            step(s, 0.01, 1.0, 1.0, logistic, conv=LatticeConvolution(laplace, 0.1))
 
     @pytest.mark.parametrize("n", [1, 2, FFT_MIN_NODES - 1, FFT_MIN_NODES, 2559])
     def test_exponential_fluxes_match_tail_mass(self, laplace, logistic, n):
@@ -219,8 +234,9 @@ class TestSimulate:
             (dict(h0=1e-14, u0=parabola_u0(1e-14)), "no lattice nodes"),
             (dict(u0=lambda x: np.ones_like(np.asarray(x))), "vanish"),
             (dict(u0=lambda x: np.zeros_like(np.asarray(x))), "positive"),
+            (dict(u0=lambda x: np.where(np.abs(x) < 0.01, np.nan, parabola_u0(5.0)(x))), "finite"),
         ],
-        ids=["no-nodes", "edge", "zero-inside"],
+        ids=["no-nodes", "edge", "zero-inside", "nan-inside"],
     )
     def test_u0_preconditions_are_frontlab_errors(self, laplace, logistic, kw, match):
         with pytest.raises(InitialDataError, match=match):
@@ -385,6 +401,22 @@ class TestTruncatedSpeedSequence:
     def test_radii_must_increase(self, laplace, logistic):
         with pytest.raises(ValueError):
             truncated_speed_sequence(laplace, [10.0, 10.0], 1.0, 1.0, logistic)
+
+    def test_each_radius_releases_its_kernel(self, laplace, logistic, quick_params, monkeypatch):
+        # a radius's tables live as long as its kernel: the next radius must
+        # not build its own while the last one's are still held
+        refs, alive = [], []
+
+        def recording_truncate(k, R):
+            alive.append(sum(ref() is not None for ref in refs))
+            tk = truncate(k, R)
+            refs.append(weakref.ref(tk))
+            return tk
+
+        monkeypatch.setattr(fbsim, "truncate", recording_truncate)
+        truncated_speed_sequence(laplace, [5.0, 10.0, 20.0], 1.0, 1.0, logistic, quick_params)
+        assert alive == [0, 0, 0]
+        assert all(ref() is None for ref in refs)
 
 
 class TestPrincipalEigenvalue:

@@ -1,10 +1,11 @@
 """The hot loops against their textbook expressions, bit for bit.
 
-The semi-wave operator, both explicit steps, the lattice convolution and the
-reaction extension update their temporaries in place.  Each must still do
-the same floating-point operations in the same order as the plain
-expression written out here, which is what keeps artifacts byte-identical
-across refactors; ``np.array_equal`` on fixed random inputs checks it.
+The semi-wave operator, both explicit steps, the lattice convolution, the
+reaction extension and the cutoff kernel's tail tables update their
+temporaries in place.  Each must still do the same floating-point operations
+in the same order as the plain expression written out here, which is what
+keeps artifacts byte-identical across refactors; ``np.array_equal`` on fixed
+random inputs checks it.
 The diffusion rate is d = 0.7, not 1, and the time steps are as long as
 stability allows, so that a reordered operation shows in the last bits.
 """
@@ -358,3 +359,34 @@ def test_reaction_extension(logistic, rname):
     for u in (0.3, -0.3, 0.0, 1.0):
         out = r.f(u)
         assert type(out) is float and out == _reference_reaction(core, r.df0, u)
+
+
+def _reference_tables(tk):
+    """The tables of a() and of its integral, each sampled in one call and
+    summed by the one-shot cumulative trapezoid rule."""
+    S = tk.support_radius
+    xs = np.linspace(-S, S, max(4001, int(800 * S) + 1))
+    js = tk.density(xs)
+    dx = xs[1] - xs[0]
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (js[1:] + js[:-1]) * dx)])
+    if cum[-1] > 0:
+        cum *= tk.sigma_n / cum[-1]
+    acum = np.concatenate([[0.0], np.cumsum(0.5 * (cum[1:] + cum[:-1]) * dx)])
+    return xs, cum, acum
+
+
+@pytest.mark.parametrize("R", [0.5, 10.0, 80.0, 1000.0])
+@pytest.mark.parametrize("kname", ["power", "laplace", "gaussian", "uniform"])
+def test_truncated_tables(kname, R):
+    make = {
+        "power": lambda: make_power(0.8),
+        "laplace": make_laplace,
+        "gaussian": lambda: make_gaussian(1.0),
+        "uniform": lambda: make_uniform(1.0),
+    }[kname]
+    tk = truncate(make(), R)
+    xs, cum, acum = _reference_tables(tk)
+    # interpolation at a table node returns that node's entry exactly
+    assert np.array_equal(tk.tail_mass(xs), cum)
+    nodes = np.r_[0 : xs.size : 97, xs.size - 1]
+    assert [tk.tail_integral(x) for x in xs[nodes]] == list(acum[nodes])

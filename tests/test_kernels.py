@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,6 +234,27 @@ class TestTruncate:
         # anything is allocated
         with pytest.raises(FrontlabError, match=r"R = 1e\+06 needs tables of 800000801 points"):
             truncate(make_laplace(), 1e6)
+
+    def test_build_peak_memory(self):
+        # the kernel keeps three tables of 8 bytes a point (grid, a() and its
+        # integral); building them holds no more than three at once, plus
+        # temporaries of one sampling block
+        k = make_power(0.8)
+        truncate(k, 10.0)  # first-call allocations stay out of the count
+        n_tab = int(800 * 1001.0) + 1
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            tk = truncate(k, 1000.0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert tk.support_radius == 1001.0
+        assert peak <= 26 * n_tab
 
     def test_table_limit_is_inclusive(self, monkeypatch):
         # R = 10 needs 800 * 11 + 1 = 8 801 points
